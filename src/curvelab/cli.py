@@ -21,8 +21,8 @@ from .curves import (
     abstract_window,
     format_ref,
     global_intersection,
-    make_slope,
     parse_ref,
+    parse_slope,
     sch04_common_neighbors,
     triple_completion,
 )
@@ -52,14 +52,6 @@ def _emit(obj, out=None):
 def _load_surface(path):
     with open(path, encoding="utf-8") as fh:
         return surface_from_json(json.load(fh))
-
-
-def _parse_slope(text):
-    try:
-        p_text, q_text = text.split("/")
-        return make_slope(int(p_text), int(q_text))
-    except ValueError as exc:
-        raise FormatError(f"expected a slope like 3/2, got {text!r}") from exc
 
 
 def _split_inventory(text):
@@ -170,8 +162,8 @@ def cmd_intersect(args):
 
 def cmd_triple(args):
     w = abstract_window("torus")
-    a = _parse_slope(args.a)
-    b = _parse_slope(args.b)
+    a = parse_slope(args.a)
+    b = parse_slope(args.b)
     g, g2 = triple_completion(w, a, b)
     _emit({"a": str(a), "b": str(b), "g": str(g), "g2": str(g2)}, args.out)
     return 0
@@ -179,8 +171,8 @@ def cmd_triple(args):
 
 def cmd_sch04(args):
     w = abstract_window("sphere")
-    a = _parse_slope(args.a)
-    b = _parse_slope(args.b)
+    a = parse_slope(args.a)
+    b = parse_slope(args.b)
     sols = sch04_common_neighbors(w, a, b, args.bound)
     _emit(
         {"a": str(a), "b": str(b), "solutions": sorted(str(s) for s in sols)},

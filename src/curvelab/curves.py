@@ -20,13 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import networkx as nx
-import numpy as np
 
 from .errors import (
-    CountAnomaly,
     FormatError,
     IntersectionTooSmall,
     NotTorusWindow,
@@ -35,6 +32,7 @@ from .errors import (
     WrongIntersection,
     ZeroSlope,
 )
+from .pants_graphs import _ordinary_curve
 from .surface import PantsSlot
 
 
@@ -67,6 +65,18 @@ def make_slope(p, q):
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
     return Slope(p, q)
+
+
+def parse_slope(text):
+    """Parse ``p/q`` into a Slope.
+
+    Raises :class:`FormatError` on anything else, including ``0/0``.
+    """
+    try:
+        p_text, q_text = text.split("/")
+        return make_slope(int(p_text), int(q_text))
+    except (ValueError, ZeroSlope) as exc:
+        raise FormatError(f"expected a slope like 3/2, got {text!r}") from exc
 
 
 def _det(a, b):
@@ -129,11 +139,7 @@ def window_around(g, center_id):
     four-holed sphere: the two pants share no second curve and neither
     carries a self-gluing.  Raises :class:`UnknownCurve` otherwise.
     """
-    c = g.curve_by_id.get(center_id)
-    if c is None:
-        raise UnknownCurve(f"no curve {center_id!r} in this decomposition")
-    if c.is_frontier:
-        raise UnknownCurve(f"curve {center_id!r} is a frontier curve")
+    c = _ordinary_curve(g, center_id)
     if c.is_self_gluing:
         p = c.ends[0].pants
         third = ({0, 1, 2} - {c.ends[0].slot, c.ends[1].slot}).pop()
@@ -266,22 +272,16 @@ def triple_completion(w, a, b):
     return g, g2
 
 
-@lru_cache(maxsize=4)
-def _slope_grid(bound):
-    p = np.arange(-bound, bound + 1, dtype=np.int64)
-    q = np.arange(0, bound + 1, dtype=np.int64)
-    return np.meshgrid(p, q, indexing="ij")
-
-
 def sch04_common_neighbors(w, a, b, search_bound):
     """All slopes meeting both ``a`` and ``b`` twice in a sphere window.
 
-    Enumerates every candidate with |p|, |q| <= search_bound.  For a valid
-    input pair (sphere intersection exactly 2) there are exactly two such
-    curves; :class:`CountAnomaly` reports any other count since it would
-    mean the arithmetic model is broken.  The two solutions are the sum and
-    the difference of the inputs, so any bound covering the coordinate sums
-    makes the enumeration complete.
+    For a pair meeting twice, |det(a, b)| = 1, so every slope c is x*a + y*b
+    with det(c, a) = -y*det(a, b) and det(c, b) = x*det(a, b).  Meeting both
+    twice forces |x| = |y| = 1, leaving exactly the sum a + b and the
+    difference a - b.  ``search_bound`` is the box |p|, |q| <= search_bound
+    the answer must lie in, so it has to cover the coordinate sums;
+    :func:`curvelab.verify.verify_sch04` checks the closed form against an
+    exhaustive search of that box.
     """
     if w.kind != "sphere":
         raise ValueError(f"common-neighbor counting needs a sphere window, not {w.kind}")
@@ -291,16 +291,7 @@ def sch04_common_neighbors(w, a, b, search_bound):
     need = max(abs(a.p) + abs(b.p), a.q + b.q)
     if search_bound < need:
         raise ValueError(f"search_bound {search_bound} is below the safe bound {need}")
-    pg, qg = _slope_grid(search_bound)
-    mask = (np.abs(pg * a.q - qg * a.p) == 1) & (np.abs(pg * b.q - qg * b.p) == 1)
-    found = set()
-    for pi, qi in np.argwhere(mask):
-        found.add(make_slope(int(pg[pi, qi]), int(qg[pi, qi])))
-    if len(found) != 2:
-        raise CountAnomaly(
-            f"{len(found)} common neighbors of {a} and {b} within {search_bound}, expected 2"
-        )
-    return found
+    return {make_slope(a.p + b.p, a.q + b.q), make_slope(a.p - b.p, a.q - b.q)}
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +346,8 @@ def parse_ref(text):
         return PantsCurve(parts[1])
     if parts[0] == "win" and len(parts) == 3 and parts[1]:
         try:
-            p_text, q_text = parts[2].split("/")
-            slope = make_slope(int(p_text), int(q_text))
-        except (ValueError, ZeroSlope) as exc:
+            slope = parse_slope(parts[2])
+        except FormatError as exc:
             raise FormatError(f"bad slope in {text!r}: {exc}") from exc
         if slope == Slope(0, 1):
             raise FormatError(
@@ -378,15 +368,6 @@ def format_ref(ref):
     if isinstance(ref, DualChain):
         return f"chain:{ref.handle_a}:{ref.handle_b}:" + ",".join(ref.interior)
     raise TypeError(f"not a curve reference: {ref!r}")
-
-
-def _ordinary_curve(g, curve_id):
-    c = g.curve_by_id.get(curve_id)
-    if c is None:
-        raise UnknownCurve(f"no curve {curve_id!r} in this decomposition")
-    if c.is_frontier:
-        raise UnknownCurve(f"curve {curve_id!r} is a frontier curve")
-    return c
 
 
 def resolve_ref(g, ref):

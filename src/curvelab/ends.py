@@ -154,14 +154,19 @@ def end_tree(a, depth, base=None, stride=DEFAULT_STRIDE):
     return _end_tree(a.to_networkx(), set(a.marks), depth, base, stride)
 
 
-def surface_end_tree(g, depth, base=None, stride=DEFAULT_STRIDE):
-    """End tree of the pants graph of ``g``, marks at frontier pants."""
+def _pants_graph(g):
+    """Simple graph on the pants of ``g``, one edge per two-ended curve."""
     h = nx.Graph()
     h.add_nodes_from(g.pants)
     for c in g.curves:
         if not c.is_frontier and not c.is_self_gluing:
             h.add_edge(c.ends[0].pants, c.ends[1].pants)
-    return _end_tree(h, set(g.frontier_pants), depth, base, stride)
+    return h
+
+
+def surface_end_tree(g, depth, base=None, stride=DEFAULT_STRIDE):
+    """End tree of the pants graph of ``g``, marks at frontier pants."""
+    return _end_tree(_pants_graph(g), set(g.frontier_pants), depth, base, stride)
 
 
 def end_trees_isomorphic(t1, t2):
@@ -200,11 +205,7 @@ def induced_end_correspondence(g, depth, base=None, stride=DEFAULT_STRIDE):
     ct = end_tree(a, depth, base=curve_base, stride=stride)
     pt = surface_end_tree(g, depth, base=base, stride=stride)
 
-    hp = nx.Graph()
-    hp.add_nodes_from(g.pants)
-    for c in g.curves:
-        if not c.is_frontier and not c.is_self_gluing:
-            hp.add_edge(c.ends[0].pants, c.ends[1].pants)
+    hp = _pants_graph(g)
     mapping = []
     for k in range(depth + 1):
         ball = (

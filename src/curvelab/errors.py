@@ -58,10 +58,6 @@ class WrongIntersection(CurveLabError):
     """The common-neighbor count applies only to pairs with intersection 2."""
 
 
-class CountAnomaly(CurveLabError):
-    """An enumeration returned a count the theory says is impossible."""
-
-
 class NoRoom(CurveLabError):
     """The truncation is too small to contain the requested witness."""
 

@@ -68,7 +68,9 @@ def adjacency_graph(g):
     return AdjacencyGraph(tuple(vertices), tuple(sorted(edges)), tuple(marks))
 
 
-def _require_ordinary(g, curve_id):
+def _ordinary_curve(g, curve_id):
+    """The record of an ordinary (non-frontier) curve of ``g``; raises
+    :class:`UnknownCurve` for a missing or frontier id."""
     c = g.curve_by_id.get(curve_id)
     if c is None:
         raise UnknownCurve(f"no curve {curve_id!r} in this decomposition")
@@ -86,7 +88,7 @@ def classify_curve(g, curve_id):
     two circles are all surface boundary or frontier; cutting there removes a
     pair of pants with no further topology, not a genuine piece.
     """
-    c = _require_ordinary(g, curve_id)
+    c = _ordinary_curve(g, curve_id)
     if c.is_self_gluing:
         return CurveClass.NONSEPARATING
     m = g.pants_multigraph()

@@ -3,16 +3,16 @@
 Each suite revalidates one of the package's structural claims at desk
 scale and returns a JSON-friendly report with the number of cases checked
 and every failure found (detail capped, count exact).  All randomness is
-seeded, so reports are reproducible; the environment variable
-CURVELAB_THREADS caps the worker pool used for the heavier sweeps, and
-results are merged in submission order either way.
+seeded, so reports are reproducible, and the sweeps run sequentially.
+
+The ``sch04`` suite checks the closed form of
+:func:`~curvelab.curves.sch04_common_neighbors` (the sum and difference of
+the two slopes) against an exhaustive search of the coordinate box.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from .complexes import disjointness_witness, schmutz_path
 from .curves import (
@@ -60,40 +60,9 @@ _MARGINS = {
 }
 
 
-def _thread_count():
-    raw = os.environ.get("CURVELAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(os.cpu_count() or 1, 8)
-    return n
-
-
-def _sweep(items, check, chunk_size=128):
-    """Run ``check`` over ``items`` in chunks, collecting non-None results
-    in item order regardless of the pool size."""
-
-    def run(chunk):
-        out = []
-        for item in chunk:
-            res = check(item)
-            if res is not None:
-                out.append(res)
-        return out
-
-    chunks = [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-    workers = _thread_count()
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [run(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-    failures = []
-    for part in parts:
-        failures.extend(part)
-    return failures
+def _sweep(items, check):
+    """Run ``check`` over ``items`` in order, collecting non-None results."""
+    return [res for res in map(check, items) if res is not None]
 
 
 def _report(suite, params, checked, failures, **extra):
@@ -132,7 +101,7 @@ def verify_cutpoints(depths=(1, 2, 3, 4, 5), samples=200, max_pants=40, seed=DEF
             }
         return None
 
-    failures = _sweep(cases, check, chunk_size=16)
+    failures = _sweep(cases, check)
     return _report(
         "cutpoints",
         {"depths": list(depths), "samples": samples, "max_pants": max_pants, "seed": seed},
@@ -202,9 +171,39 @@ def verify_triples(bound=50):
     return _report("triples", {"bound": bound}, len(items), failures)
 
 
+def _box_common_neighbors(a, b, bound):
+    """Every slope with |p|, |q| <= bound meeting both ``a`` and ``b`` in
+    a unit determinant, found by exhaustive search of that box.
+
+    Meeting ``a`` means p*a.q - q*a.p = +-1.  For a = 1/0 that is the whole
+    row q = 1; otherwise each row q holds at most the two solutions
+    p = (q*a.p +- 1) / a.q.  Of those candidates the ones meeting ``b`` the
+    same way are kept, so the search is complete in O(bound) steps.
+    """
+    if a.q == 0:
+        candidates = [(p, 1) for p in range(-bound, bound + 1)]
+    else:
+        candidates = [
+            ((q * a.p + s) // a.q, q)
+            for q in range(bound + 1)
+            for s in (1, -1)
+            if (q * a.p + s) % a.q == 0
+        ]
+    return {
+        make_slope(p, q)
+        for p, q in candidates
+        if max(abs(p), q) <= bound and abs(p * b.q - q * b.p) == 1
+    }
+
+
 def verify_sch04(coord_bound=20, search_bound=100):
     """Common-neighbor counts in a sphere window: every pair of slopes
-    crossing exactly twice has exactly two slopes crossing both twice."""
+    crossing exactly twice has exactly two slopes crossing both twice.
+
+    The closed-form answer must equal the exhaustive box search at
+    ``search_bound``; the closed form always has two elements, so equality
+    also checks the count.
+    """
     w = abstract_window("sphere")
     slopes = slopes_up_to(coord_bound)
     items = []
@@ -219,12 +218,7 @@ def verify_sch04(coord_bound=20, search_bound=100):
             sols = sch04_common_neighbors(w, a, b, search_bound)
         except CurveLabError as exc:
             return {"a": str(a), "b": str(b), "error": f"{type(exc).__name__}: {exc}"}
-        bad = [
-            str(c)
-            for c in sols
-            if window_intersection(w, c, a) != 2 or window_intersection(w, c, b) != 2
-        ]
-        if len(sols) != 2 or bad:
+        if sols != _box_common_neighbors(a, b, search_bound):
             return {"a": str(a), "b": str(b), "solutions": sorted(str(c) for c in sols)}
         return None
 
@@ -268,7 +262,7 @@ def verify_dtcoords(slope_bound=10, max_twist=5, dt_bound=20):
                     }
             return None
 
-        failures.extend(_sweep(items, check, chunk_size=1024))
+        failures.extend(_sweep(items, check))
         checked += len(items)
         collision = dt_uniqueness_check(w, dt_bound)
         checked += 1

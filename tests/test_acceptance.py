@@ -49,6 +49,7 @@ from curvelab import (
     window_around,
     window_intersection,
 )
+from curvelab.verify import _box_common_neighbors
 
 SEED = 20260814
 TORUS = abstract_window("torus")
@@ -157,7 +158,8 @@ def test_4_two_crossing_neighbor_count(capsys):
             if window_intersection(SPHERE, a, b) != 2:
                 continue
             checked += 1
-            if len(sch04_common_neighbors(SPHERE, a, b, 100)) != 2:
+            box = _box_common_neighbors(a, b, 100)
+            if len(box) != 2 or sch04_common_neighbors(SPHERE, a, b, 100) != box:
                 anomalies += 1
     elapsed = time.perf_counter() - start
     ok = anomalies == 0 and checked > 0

@@ -1,6 +1,10 @@
 """Command line interface: JSON output, exit codes and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,12 +131,31 @@ def test_triple(capsys):
     code, out = run(capsys, "triple", "--a", "0/1", "--b", "1/2")
     assert code == 1
     assert json.loads(out)["error"] == "IntersectionTooSmall"
+    for bad in ("1/x", "0/0"):
+        code, out = run(capsys, "triple", "--a", bad, "--b", "1/1")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "FormatError",
+            "detail": f"expected a slope like 3/2, got {bad!r}",
+        }
 
 
 def test_sch04(capsys):
     code, out = run(capsys, "sch04", "--a", "0/1", "--b", "1/0")
     assert code == 0
     assert json.loads(out) == {"a": "0/1", "b": "1/0", "solutions": ["-1/1", "1/1"]}
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import curvelab.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_graph_with_chain_inventory(loch4, capsys):

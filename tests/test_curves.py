@@ -3,11 +3,10 @@
 The oracles here are independent of the implementation: crossing numbers
 are counted geometrically with exact rationals, triple completions are
 compared against exhaustive search over small slopes, and the
-two-crossing neighbor sets are compared against the mediant pair a+b,
-a-b computed directly.
+two-crossing neighbor sets are compared against an exhaustive search of
+the coordinate box.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +44,7 @@ from curvelab import (
     window_intersection,
 )
 from curvelab import Curve, GluingGraph, PantsSlot
+from curvelab.verify import _box_common_neighbors
 
 TORUS = abstract_window("torus")
 SPHERE = abstract_window("sphere")
@@ -238,31 +238,39 @@ def test_is_triple():
 # --- two-crossing neighbors -------------------------------------------------
 
 
-def _mediant_pair(a, b):
-    return {make_slope(a.p + b.p, a.q + b.q), make_slope(a.p - b.p, a.q - b.q)}
-
-
 def test_sch04_pinned_examples():
     sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 0), 100)
     assert sols == {make_slope(1, 1), make_slope(-1, 1)}
     sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 1), 100)
     assert sols == {make_slope(1, 0), make_slope(1, 2)}
+    # the answer is closed form, so a huge bound costs nothing
+    sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 0), 10**12)
+    assert sols == {make_slope(1, 1), make_slope(-1, 1)}
 
 
-def test_sch04_matches_mediants_on_random_unimodular_pairs():
-    rng = random.Random(17)
-    for _ in range(40):
-        a, b = (0, 1), (1, 0)
-        for _ in range(rng.randint(1, 6)):
-            if rng.random() < 0.5:
-                a = (a[0] + b[0], a[1] + b[1])
-            else:
-                b = (a[0] + b[0], a[1] + b[1])
-        sa, sb = make_slope(*a), make_slope(*b)
-        if window_intersection(SPHERE, sa, sb) != 2:
-            continue
-        bound = max(abs(sa.p) + abs(sb.p), sa.q + sb.q)
-        assert sch04_common_neighbors(SPHERE, sa, sb, bound) == _mediant_pair(sa, sb)
+def _unimodular_pair(moves):
+    """Slopes from the columns of an SL(2, Z) word in T, T^-1 and S."""
+    a, b = (1, 0), (0, 1)
+    for m in moves:
+        if m == "T":
+            b = (b[0] + a[0], b[1] + a[1])
+        elif m == "t":
+            b = (b[0] - a[0], b[1] - a[1])
+        else:
+            a, b = b, (-a[0], -a[1])
+    return make_slope(*a), make_slope(*b)
+
+
+@given(st.lists(st.sampled_from("TtS"), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_sch04_matches_box_search_on_random_unimodular_pairs(moves):
+    a, b = _unimodular_pair(moves)
+    assert window_intersection(SPHERE, a, b) == 2
+    safe = max(abs(a.p) + abs(b.p), a.q + b.q)
+    for bound in range(safe, safe + 41):
+        assert sch04_common_neighbors(SPHERE, a, b, bound) == _box_common_neighbors(
+            a, b, bound
+        )
 
 
 def test_sch04_requires_two_crossings():
