@@ -16,7 +16,15 @@ of an infinite surface the two trees are isomorphic, and
 :func:`induced_end_correspondence` exhibits the bijection level by level.
 
 A finite surface has no marks, every component is dead, and the tree is
-empty at every level.
+empty at every level; it is returned at once, with no search.
+
+Every level comes from one breadth-first search and one union-find pass.
+The distances from the base fix, for each vertex, the deepest level whose
+ball it lies outside.  Adding the vertices in order of decreasing distance
+to a union-find structure, and reading out the components that hold a
+mark before each ball radius is crossed, is offline connectivity by
+reverse deletion (Tarjan 1975): the components of every level and their
+parent links in about O(n α(n)) besides the size of the output.
 """
 
 from __future__ import annotations
@@ -106,42 +114,72 @@ def _end_tree(h, marks, depth, base, stride):
         base = default_base(h, marks)
     elif base not in h:
         raise ValueError(f"base {base!r} is not a vertex of this graph")
+    if not marks:
+        return EndTree(base=base, stride=stride, levels=((),) * (depth + 1))
 
-    if base is not None:
-        reach = nx.single_source_shortest_path_length(h, base, cutoff=stride * depth)
-        inner = [m for m in marks if reach.get(m, math.inf) <= stride * depth]
-        if inner:
-            raise DepthExceedsTruncation(
-                f"frontier mark {min(inner)!r} lies within distance "
-                f"{stride * depth} of base {base!r}; deepen the truncation"
-            )
-
-    levels = []
-    prev_index = {}
-    for k in range(depth + 1):
-        ball = (
-            set(nx.single_source_shortest_path_length(h, base, cutoff=stride * k))
-            if base is not None
-            else set()
+    dist = nx.single_source_shortest_path_length(h, base)
+    inner = [m for m in marks if dist.get(m, math.inf) <= stride * depth]
+    if inner:
+        raise DepthExceedsTruncation(
+            f"frontier mark {min(inner)!r} lies within distance "
+            f"{stride * depth} of base {base!r}; deepen the truncation"
         )
-        outside = h.subgraph(v for v in h.nodes if v not in ball)
-        nodes = []
-        index = {}
-        for comp in nx.connected_components(outside):
-            if comp & marks:
-                nodes.append((tuple(sorted(comp)), comp))
-        nodes.sort(key=lambda t: t[0])
-        built = []
-        for i, (members, comp) in enumerate(nodes):
-            parent = None
-            if k > 0:
-                parent = prev_index[next(iter(comp))]
-            built.append(EndTreeNode(level=k, members=members, parent=parent))
-            for v in comp:
-                index[v] = i
-        levels.append(tuple(built))
-        prev_index = index
-    return EndTree(base=base, stride=stride, levels=tuple(levels))
+
+    # A vertex at distance d lies outside the level-k ball exactly when
+    # k <= (d - 1) // stride; unreachable vertices lie outside every ball.
+    entering = {}
+    for v in h:
+        d = dist.get(v)
+        k = depth if d is None else min(depth, (d - 1) // stride)
+        if k >= 0:
+            entering.setdefault(k, []).append(v)
+
+    # Union-find over the outside of the ball, grown level by level from
+    # the deepest one inward; only components holding a mark are read out.
+    root = {}
+    members = {}
+    live = set()
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    level_members = [()] * (depth + 1)
+    parents = [()] * (depth + 1)
+    for k in range(depth, -1, -1):
+        for v in entering.get(k, ()):
+            root[v] = v
+            members[v] = [v]
+            if v in marks:
+                live.add(v)
+            for u in h.adj[v]:
+                if u not in root:
+                    continue
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    continue
+                if len(members[ru]) < len(members[rv]):
+                    ru, rv = rv, ru
+                root[rv] = ru
+                members[ru].extend(members.pop(rv))
+                if rv in live:
+                    live.discard(rv)
+                    live.add(ru)
+        level_members[k] = sorted(tuple(sorted(members[r])) for r in live)
+        index = {find(m[0]): i for i, m in enumerate(level_members[k])}
+        if k < depth:
+            parents[k + 1] = [index[find(m[0])] for m in level_members[k + 1]]
+    parents[0] = [None] * len(level_members[0])
+    levels = tuple(
+        tuple(
+            EndTreeNode(level=k, members=m, parent=p)
+            for m, p in zip(level_members[k], parents[k])
+        )
+        for k in range(depth + 1)
+    )
+    return EndTree(base=base, stride=stride, levels=levels)
 
 
 def end_tree(a, depth, base=None, stride=DEFAULT_STRIDE):
@@ -154,19 +192,9 @@ def end_tree(a, depth, base=None, stride=DEFAULT_STRIDE):
     return _end_tree(a.to_networkx(), set(a.marks), depth, base, stride)
 
 
-def _pants_graph(g):
-    """Simple graph on the pants of ``g``, one edge per two-ended curve."""
-    h = nx.Graph()
-    h.add_nodes_from(g.pants)
-    for c in g.curves:
-        if not c.is_frontier and not c.is_self_gluing:
-            h.add_edge(c.ends[0].pants, c.ends[1].pants)
-    return h
-
-
 def surface_end_tree(g, depth, base=None, stride=DEFAULT_STRIDE):
     """End tree of the pants graph of ``g``, marks at frontier pants."""
-    return _end_tree(_pants_graph(g), set(g.frontier_pants), depth, base, stride)
+    return _end_tree(g.pants_graph, set(g.frontier_pants), depth, base, stride)
 
 
 def end_trees_isomorphic(t1, t2):
@@ -205,14 +233,11 @@ def induced_end_correspondence(g, depth, base=None, stride=DEFAULT_STRIDE):
     ct = end_tree(a, depth, base=curve_base, stride=stride)
     pt = surface_end_tree(g, depth, base=base, stride=stride)
 
-    hp = _pants_graph(g)
+    support = {v: g.pants_of_curve(v) for v in a.vertices}
     mapping = []
     for k in range(depth + 1):
-        ball = (
-            set(nx.single_source_shortest_path_length(hp, pt.base, cutoff=stride * k))
-            if pt.base is not None
-            else set()
-        )
+        # pants inside the level-k ball lie in no live component, so the
+        # live components alone decide where a curve component goes
         live_pants = {}
         for j, node in enumerate(pt.levels[k]):
             for p in node.members:
@@ -221,9 +246,7 @@ def induced_end_correspondence(g, depth, base=None, stride=DEFAULT_STRIDE):
         for i, node in enumerate(ct.levels[k]):
             targets = set()
             for v in node.members:
-                for p in g.pants_of_curve(v):
-                    if p in ball:
-                        continue
+                for p in support[v]:
                     if p in live_pants:
                         targets.add(live_pants[p])
             if len(targets) != 1:

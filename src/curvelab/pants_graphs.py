@@ -83,21 +83,19 @@ def classify_curve(g, curve_id):
     """Classify one decomposition curve of ``g``.
 
     A curve is nonseparating exactly when it is not a bridge of the pants
-    multigraph (self-gluings and doubled edges never separate).  A separating
-    curve is outer when one of its sides is a single pants whose remaining
-    two circles are all surface boundary or frontier; cutting there removes a
-    pair of pants with no further topology, not a genuine piece.
+    multigraph (self-gluings and doubled edges never separate); the bridges
+    come from one pass over the whole graph, cached as
+    :attr:`GluingGraph.separating_curves`, so each call is a lookup.  A
+    separating curve is outer when one of its sides is a single pants whose
+    remaining two circles are all surface boundary or frontier; cutting
+    there removes a pair of pants with no further topology, not a genuine
+    piece.
     """
     c = _ordinary_curve(g, curve_id)
-    if c.is_self_gluing:
+    if curve_id not in g.separating_curves:
         return CurveClass.NONSEPARATING
-    m = g.pants_multigraph()
-    u, v = c.ends[0].pants, c.ends[1].pants
-    m.remove_edge(u, v, key=curve_id)
-    if nx.has_path(m, u, v):
-        return CurveClass.NONSEPARATING
-    for side in (u, v):
-        if m.degree(side) == 0 and _bare_pants(g, side, curve_id):
+    for end in c.ends:
+        if _bare_pants(g, end.pants, curve_id):
             return CurveClass.OUTER
     return CurveClass.NON_OUTER
 
@@ -110,7 +108,9 @@ def _bare_pants(g, pants, curve_id):
 
 
 def classify_all(g):
-    """Map each ordinary curve id to its :class:`CurveClass`."""
+    """Map each ordinary curve id to its :class:`CurveClass`, in time
+    linear in the size of ``g`` (one bridge pass, then a lookup per
+    curve)."""
     return {c.id: classify_curve(g, c.id) for c in g.curves if not c.is_frontier}
 
 

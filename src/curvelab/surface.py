@@ -131,6 +131,36 @@ class GluingGraph:
         c = self.curve_by_id[curve_id]
         return tuple(dict.fromkeys(end.pants for end in c.ends))
 
+    @cached_property
+    def pants_graph(self):
+        """The simple pants graph: nodes are pants, one edge per pair of
+        pants joined by at least one two-ended curve.  Self-gluings and
+        frontier half edges do not appear.  Shared by every caller; do not
+        mutate it."""
+        h = nx.Graph()
+        h.add_nodes_from(self.pants)
+        for c in self.curves:
+            if not c.is_frontier and not c.is_self_gluing:
+                h.add_edge(c.ends[0].pants, c.ends[1].pants)
+        return h
+
+    @cached_property
+    def separating_curves(self):
+        """Ids of the two-ended curves whose removal disconnects the pants
+        multigraph, found in one bridge pass over :attr:`pants_graph`
+        (Tarjan 1974).  A self-gluing never separates, and neither does a
+        curve doubled by another curve between the same two pants."""
+        between = {}
+        for c in self.curves:
+            if not c.is_frontier and not c.is_self_gluing:
+                between.setdefault((c.ends[0].pants, c.ends[1].pants), []).append(c.id)
+        separating = set()
+        for u, v in nx.bridges(self.pants_graph):
+            ids = between[(u, v) if u < v else (v, u)]
+            if len(ids) == 1:
+                separating.add(ids[0])
+        return frozenset(separating)
+
     def pants_multigraph(self):
         """The pants-node multigraph: nodes are pants, keyed edges are the
         two-ended curves.  Frontier half edges do not appear."""
@@ -469,7 +499,8 @@ def surface_to_json(g):
 def surface_from_json(doc):
     """Rebuild a GluingGraph from its dict form.
 
-    Raises :class:`FormatError` on schema problems, including a ``frontier``
+    Raises :class:`FormatError` on schema problems, including a repeated
+    pants or curve id, a curve id equal to a pants id, and a ``frontier``
     list inconsistent with the one-ended curves.
     """
     try:
@@ -484,6 +515,18 @@ def surface_from_json(doc):
         declared = sorted(str(i) for i in doc.get("frontier", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed surface document: {exc}") from exc
+    pants_ids = set()
+    for p in pants:
+        if p in pants_ids:
+            raise FormatError(f"pants id {p!r} repeated")
+        pants_ids.add(p)
+    curve_ids = set()
+    for c in curves:
+        if c.id in curve_ids:
+            raise FormatError(f"curve id {c.id!r} repeated")
+        if c.id in pants_ids:
+            raise FormatError(f"curve id {c.id!r} is also a pants id")
+        curve_ids.add(c.id)
     g = GluingGraph(pants, curves, boundary)
     if declared != sorted(g.frontier):
         raise FormatError(

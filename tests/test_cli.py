@@ -76,6 +76,18 @@ def test_classify_single_and_all(loch4, capsys):
     assert "c4" not in classes  # frontier curves are not classified
 
 
+def test_classify_rejects_duplicate_ids(loch4, capsys, tmp_path):
+    doc = json.loads(Path(loch4).read_text())
+    for rec in doc["curves"]:
+        if rec["id"] == "t2":
+            rec["id"] = "t1"
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps(doc))
+    code, out = run(capsys, "classify", "--in", str(dup))
+    assert code == 1
+    assert json.loads(out) == {"error": "FormatError", "detail": "curve id 't1' repeated"}
+
+
 def test_adjacency(loch4, capsys):
     code, out = run(capsys, "adjacency", "--in", loch4)
     assert code == 0

@@ -6,9 +6,17 @@ splits into two from the first level on, and the binary tree doubles at
 each level.
 """
 
+import math
+import random
+import time
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelab import (
+    AdjacencyGraph,
     BijectionFailure,
     DepthExceedsTruncation,
     DepthMismatch,
@@ -20,8 +28,10 @@ from curvelab import (
     end_tree,
     end_trees_isomorphic,
     induced_end_correspondence,
+    random_gluing_graph,
     surface_end_tree,
 )
+from curvelab.ends import EndTree, EndTreeNode, default_base
 
 # truncation depth that keeps the end tree of each model safe at query depth d
 MARGIN = {
@@ -160,3 +170,165 @@ def test_correspondence_fails_on_forged_marks():
     g = _safe("ladder", 2)
     ct, pt, mapping = induced_end_correspondence(g, 2)
     assert len(ct.levels[2]) == len(pt.levels[2]) == 2
+
+
+def test_closed_surface_end_tree_is_immediate():
+    g = build_finite_surface(3, 0)
+    start = time.perf_counter()
+    t = surface_end_tree(g, 10**6)
+    elapsed = time.perf_counter() - start
+    assert set(t.leaf_counts()) == {0} and t.depth == 10**6
+    assert t.base == min(g.pants)
+    assert elapsed < 1.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# reference definition: a fresh search and component split at every level
+
+
+def _reference_end_tree(h, marks, depth, base, stride):
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    marks = set(m for m in marks if m in h)
+    if base is None:
+        base = default_base(h, marks)
+    elif base not in h:
+        raise ValueError(f"base {base!r} is not a vertex of this graph")
+    if base is not None:
+        reach = nx.single_source_shortest_path_length(h, base, cutoff=stride * depth)
+        inner = [m for m in marks if reach.get(m, math.inf) <= stride * depth]
+        if inner:
+            raise DepthExceedsTruncation(
+                f"frontier mark {min(inner)!r} lies within distance "
+                f"{stride * depth} of base {base!r}; deepen the truncation"
+            )
+    levels = []
+    prev_index = {}
+    for k in range(depth + 1):
+        ball = (
+            set(nx.single_source_shortest_path_length(h, base, cutoff=stride * k))
+            if base is not None
+            else set()
+        )
+        outside = h.subgraph(v for v in h.nodes if v not in ball)
+        nodes = sorted(
+            (tuple(sorted(comp)), comp)
+            for comp in nx.connected_components(outside)
+            if comp & marks
+        )
+        built, index = [], {}
+        for i, (members, comp) in enumerate(nodes):
+            parent = prev_index[next(iter(comp))] if k > 0 else None
+            built.append(EndTreeNode(level=k, members=members, parent=parent))
+            for v in comp:
+                index[v] = i
+        levels.append(tuple(built))
+        prev_index = index
+    return EndTree(base=base, stride=stride, levels=tuple(levels))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, DepthExceedsTruncation, BijectionFailure) as exc:
+        return type(exc), str(exc)
+
+
+def _end_tree_of(h, marks, depth, stride, base=None):
+    a = AdjacencyGraph(tuple(h.nodes), tuple(h.edges), tuple(marks))
+    return end_tree(a, depth, base=base, stride=stride)
+
+
+def _reference_mapping(g, ct, pt, stride):
+    """Level maps of the correspondence between two end trees, with the
+    pants inside each ball discarded by a fresh search at every level."""
+    h = g.pants_graph
+    mapping = []
+    for k in range(len(pt.levels)):
+        ball = set(nx.single_source_shortest_path_length(h, pt.base, cutoff=stride * k))
+        live = {p: j for j, node in enumerate(pt.levels[k]) for p in node.members}
+        level_map = {}
+        for i, node in enumerate(ct.levels[k]):
+            targets = {
+                live[p]
+                for v in node.members
+                for p in g.pants_of_curve(v)
+                if p not in ball and p in live
+            }
+            if len(targets) != 1:
+                raise BijectionFailure(
+                    f"level {k}: curve component {i} meets {len(targets)} live pants components"
+                )
+            level_map[i] = targets.pop()
+        if sorted(level_map.values()) != list(range(len(pt.levels[k]))):
+            raise BijectionFailure(
+                f"level {k}: map over {len(ct.levels[k])} curve components is not a "
+                f"bijection onto {len(pt.levels[k])} pants components"
+            )
+        for i, node in enumerate(ct.levels[k]):
+            if k > 0 and mapping[k - 1][node.parent] != pt.levels[k][level_map[i]].parent:
+                raise BijectionFailure(
+                    f"level {k}: component {i} maps inconsistently with its parent"
+                )
+        mapping.append(level_map)
+    return mapping
+
+
+def test_end_trees_match_the_reference_on_models_and_census():
+    # Cantor trees stop at depth 9 (about 1,500 pants): the reference's
+    # search per level makes depths 10-12 cost over a minute together.
+    for model in InfiniteModel:
+        for d in range(1, 10 if model is InfiniteModel.CANTOR_TREE else 13):
+            g = build_truncation(model, d)
+            a = adjacency_graph(g)
+            graphs = ((g.pants_graph, g.frontier_pants), (a.to_networkx(), a.marks))
+            for stride in (1, 2, 3):
+                # levels do not depend on the requested depth, so the deepest
+                # depth the guard allows, and the first it refuses, cover all
+                deepest = []
+                for h, marks in graphs:
+                    base = default_base(h, marks)
+                    dist = nx.single_source_shortest_path_length(h, base)
+                    q = (min(dist[m] for m in marks) - 1) // stride
+                    deepest.append(q)
+                    for depth in (q, q + 1):
+                        if depth >= 0:
+                            got = _outcome(_end_tree_of, h, marks, depth, stride)
+                            want = _outcome(_reference_end_tree, h, set(marks), depth, None, stride)
+                            assert got == want, (model, d, stride, depth)
+                if min(deepest) >= 0:
+                    q = min(deepest)
+                    ct = end_tree(a, q, stride=stride)
+                    pt = surface_end_tree(g, q, stride=stride)
+                    got = _outcome(lambda: induced_end_correspondence(g, q, stride=stride)[2])
+                    want = _outcome(_reference_mapping, g, ct, pt, stride)
+                    assert got == want, (model, d, stride)
+    for genus in range(5):
+        for b in range(6):
+            if 3 * genus - 3 + b < 1:
+                continue
+            h = build_finite_surface(genus, b).pants_graph
+            for depth in range(4):
+                assert _end_tree_of(h, (), depth, 2) == _reference_end_tree(h, set(), depth, None, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(0, 8),
+    st.integers(1, 3),
+)
+def test_end_trees_match_the_reference_on_random_graphs(n_pants, seed, curves, depth, stride):
+    rng = random.Random(seed)
+    g = random_gluing_graph(n_pants, rng)
+    h = adjacency_graph(g).to_networkx() if curves else g.pants_graph
+    nodes = sorted(h.nodes)
+    marks = set(rng.sample(nodes, rng.randint(0, min(len(nodes), 4))))
+    base = rng.choice([None, "nope", rng.choice(nodes)]) if nodes else None
+    got = _outcome(_end_tree_of, h, marks, depth, stride, base)
+    want = _outcome(_reference_end_tree, h, marks, depth, base, stride)
+    assert got == want

@@ -7,8 +7,12 @@ single pants with no further gluings, and non-outer separating otherwise.
 """
 
 import random
+import time
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelab import (
     AdjacencyGraph,
@@ -73,6 +77,64 @@ def test_classification_of_finite_surfaces():
     assert classify_all(build_finite_surface(0, 5)) == {"s1": O, "s2": O}
     assert classify_all(build_finite_surface(1, 2)) == {"a": N, "b": N}
     assert classify_all(build_finite_surface(2, 0)) == {"c1": X, "h0": N, "h1": N}
+
+
+def _reference_classes(g):
+    """The definition, one curve at a time: a curve separates when its two
+    pants are disconnected once its edge leaves the pants multigraph, and
+    a separating curve is outer when one side is left with no other curve
+    but frontier ones."""
+    m = g.pants_multigraph()
+    classes = {}
+    for c in g.curves:
+        if c.is_frontier:
+            continue
+        if c.is_self_gluing:
+            classes[c.id] = N
+            continue
+        u, v = c.ends[0].pants, c.ends[1].pants
+        m.remove_edge(u, v, key=c.id)
+        if nx.has_path(m, u, v):
+            classes[c.id] = N
+        elif any(
+            m.degree(side) == 0
+            and all(g.curve_by_id[cid].is_frontier for cid in g.curves_at[side] if cid != c.id)
+            for side in (u, v)
+        ):
+            classes[c.id] = O
+        else:
+            classes[c.id] = X
+        m.add_edge(u, v, key=c.id)
+    return classes
+
+
+REFERENCE_MODELS = [(model, depth) for model in InfiniteModel for depth in range(1, 13)]
+CENSUS = [(genus, b) for genus in range(5) for b in range(6) if 3 * genus - 3 + b >= 1]
+
+
+def test_bridge_pass_matches_the_reference_on_models_and_census():
+    graphs = [build_truncation(m, d) for m, d in REFERENCE_MODELS]
+    graphs += [build_finite_surface(genus, b) for genus, b in CENSUS]
+    for g in graphs:
+        assert classify_all(g) == _reference_classes(g), g.pants[:3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_bridge_pass_matches_the_reference_on_random_graphs(n_pants, seed):
+    g = random_gluing_graph(n_pants, random.Random(seed))
+    assert classify_all(g) == _reference_classes(g)
+
+
+def test_classification_stays_linear_at_scale():
+    # the per-curve reference took about 12.5 s and 20.7 s on these
+    for model, depth in (("loch_ness", 800), ("cantor_tree", 9)):
+        g = build_truncation(model, depth)
+        start = time.perf_counter()
+        classes = classify_all(g)
+        elapsed = time.perf_counter() - start
+        assert len(classes) == sum(not c.is_frontier for c in g.curves)
+        assert elapsed < 2.0, (model, depth, elapsed)
 
 
 def test_parallel_curves_are_nonseparating():

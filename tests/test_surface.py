@@ -255,6 +255,25 @@ def test_json_rejects_garbage():
         surface_from_json({"pants": ["p0"], "curves": [{"id": "a"}], "boundary": []})
 
 
+def test_json_rejects_duplicate_ids():
+    doc = surface_to_json(LOCH_2)
+    cases = {
+        "pants id 'hp0' repeated": {**doc, "pants": doc["pants"] + ["hp0"]},
+        "curve id 'h0' repeated": {
+            **doc,
+            "curves": [{**c, "id": "h0"} if c["id"] == "h1" else c for c in doc["curves"]],
+        },
+        "curve id 'hp1' is also a pants id": {
+            **doc,
+            "curves": [{**c, "id": "hp1"} if c["id"] == "h1" else c for c in doc["curves"]],
+        },
+    }
+    for detail, bad in cases.items():
+        with pytest.raises(FormatError) as exc:
+            surface_from_json(bad)
+        assert str(exc.value) == detail
+
+
 def test_dumps_ends_with_newline():
     assert dumps_surface(LOCH_1).endswith("\n")
 
