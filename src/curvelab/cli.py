@@ -3,8 +3,10 @@
 Every subcommand prints one JSON document to stdout (with a trailing
 newline) and exits 0 on success.  Domain errors, malformed input files
 and I/O problems print {"error": <exception class>, "detail": ...} and
-exit 1; usage errors exit 2.  ``--out FILE`` writes the same document to
-a file and still echoes it.
+exit 1; usage errors exit 2.  Every subcommand that reads ``--in`` except
+``validate`` refuses a surface with any violation as a ``FormatError``
+naming the first one; ``validate`` reports them all and exits 0.
+``--out FILE`` writes the same document to a file and still echoes it.
 """
 
 from __future__ import annotations
@@ -49,9 +51,20 @@ def _emit(obj, out=None):
     sys.stdout.write(text)
 
 
-def _load_surface(path):
+def _read_surface(path):
     with open(path, encoding="utf-8") as fh:
         return surface_from_json(json.load(fh))
+
+
+def _load_surface(path):
+    """Read a surface and refuse it, naming its first violation, unless
+    :func:`validate` finds it well formed."""
+    g = _read_surface(path)
+    violations = validate(g)
+    if violations:
+        v = violations[0]
+        raise FormatError(f"{v.kind}: {v.detail}")
+    return g
 
 
 def _split_inventory(text):
@@ -94,7 +107,7 @@ def cmd_gen(args):
 
 
 def cmd_validate(args):
-    g = _load_surface(args.infile)
+    g = _read_surface(args.infile)
     violations = validate(g)
     _emit(
         {

@@ -23,14 +23,14 @@ from .curves import (
     DualChain,
     PantsCurve,
     WindowCurve,
+    _pairing,
+    _resolve,
     format_ref,
-    global_intersection,
     resolve_ref,
-    window_around,
     window_curve_separates,
 )
 from .errors import NoRoom, UnknownCurve
-from .pants_graphs import CurveClass, adjacency_graph, classify_curve
+from .pants_graphs import CurveClass, classify_curve
 
 _RELATIONS = {"c": "disjointness", "n": "disjointness", "g": "unit_intersection"}
 
@@ -55,12 +55,12 @@ class LocalCurveGraph:
         return _RELATIONS[self.mode]
 
 
-def _is_nonseparating(g, ref):
+def _is_nonseparating(g, r):
+    ref = r.ref
     if isinstance(ref, PantsCurve):
         return classify_curve(g, ref.id) is CurveClass.NONSEPARATING
     if isinstance(ref, WindowCurve):
-        w = window_around(g, ref.center)
-        return not window_curve_separates(g, w, ref.slope)
+        return not window_curve_separates(g, r.window, ref.slope)
     if isinstance(ref, DualChain):
         # a chain crosses its endpoint handles once; odd intersection with
         # anything rules out separating
@@ -76,28 +76,31 @@ def local_graph(g, inventory, mode):
     global_intersection is defined and equals the mode's target value (0
     for disjointness, 1 for unit intersection); undefined pairs are
     reported in ``undefined_pairs``.
+
+    Each inventory entry is resolved, and its support found, once; every
+    pair then goes through global_intersection's table without resolving
+    again, so the cost beyond the pairs is linear in the inventory.
     """
     if mode not in _RELATIONS:
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
-    seen = []
+    seen = {}
     for ref in inventory:
-        resolve_ref(g, ref)
-        if ref not in seen:
-            seen.append(ref)
+        seen.setdefault(ref, _resolve(g, ref))
+    vertices = list(seen.values())
     if mode in ("n", "g"):
-        seen = [ref for ref in seen if _is_nonseparating(g, ref)]
+        vertices = [r for r in vertices if _is_nonseparating(g, r)]
     want = 0 if _RELATIONS[mode] == "disjointness" else 1
     edges = []
     undefined = []
-    for i, u in enumerate(seen):
-        for v in seen[i + 1 :]:
-            val = global_intersection(g, u, v)
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1 :]:
+            val = _pairing(u, v)
             if val is None:
-                undefined.append((u, v))
+                undefined.append((u.ref, v.ref))
             elif val == want:
-                edges.append((u, v))
+                edges.append((u.ref, v.ref))
     return LocalCurveGraph(
-        vertices=tuple(seen), edges=tuple(edges), mode=mode,
+        vertices=tuple(r.ref for r in vertices), edges=tuple(edges), mode=mode,
         undefined_pairs=tuple(undefined),
     )
 
@@ -109,17 +112,18 @@ def disjointness_witness(g, c1, c2):
     Scans decomposition curves in id order, so the witness is deterministic.
     Raises :class:`NoRoom` when no decomposition curve avoids both inputs;
     that means the truncation is too small to show the path and should be
-    deepened.
+    deepened.  Both inputs are resolved once, before the scan.
     """
-    resolve_ref(g, c1)
-    resolve_ref(g, c2)
+    r1 = _resolve(g, c1)
+    r2 = _resolve(g, c2)
     for c in g.curves:
         if c.is_frontier:
             continue
         cand = PantsCurve(c.id)
         if cand == c1 or cand == c2:
             continue
-        if global_intersection(g, cand, c1) == 0 and global_intersection(g, cand, c2) == 0:
+        r = _resolve(g, cand)
+        if _pairing(r, r1) == 0 and _pairing(r, r2) == 0:
             return cand
     raise NoRoom(
         f"no pants curve avoids both {format_ref(c1)} and {format_ref(c2)}; "
@@ -147,15 +151,6 @@ def _bfs_path(adj, start, goal):
     return None
 
 
-def _adjacency_lists(g):
-    a = adjacency_graph(g)
-    adj = {v: set() for v in a.vertices}
-    for u, v in a.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: sorted(nbrs) for v, nbrs in adj.items()}
-
-
 def schmutz_path(g, h1, h2):
     """A path of length at most 4 between two handle curves in the
     unit-intersection graph: [h1, chain, third handle, chain, h2].
@@ -179,7 +174,7 @@ def schmutz_path(g, h1, h2):
             break
     if third is None:
         raise NoRoom("no third handle curve available; deepen the truncation")
-    adj = _adjacency_lists(g)
+    adj = g.adjacency_lists
     legs = []
     for a, b in ((h1.id, third), (third, h2.id)):
         path = _bfs_path(adj, a, b)

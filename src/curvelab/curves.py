@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import NamedTuple
 
 from .errors import (
     FormatError,
@@ -138,8 +137,23 @@ def window_around(g, center_id):
     two distinct pants spans a sphere window provided the union really is a
     four-holed sphere: the two pants share no second curve and neither
     carries a self-gluing.  Raises :class:`UnknownCurve` otherwise.
+
+    Each center is examined once per graph: the answer, a Window or the
+    reason there is none, is kept in :attr:`GluingGraph.window_table`, so a
+    repeated lookup returns the same Window or raises a fresh
+    :class:`UnknownCurve` with the same message.
     """
     c = _ordinary_curve(g, center_id)
+    found = g.window_table.get(center_id)
+    if found is None:
+        found = g.window_table[center_id] = _window_or_reason(g, c)
+    if isinstance(found, str):
+        raise UnknownCurve(found)
+    return found
+
+
+def _window_or_reason(g, c):
+    """The Window spanned by the ordinary curve ``c``, or why it spans none."""
     if c.is_self_gluing:
         p = c.ends[0].pants
         third = ({0, 1, 2} - {c.ends[0].slot, c.ends[1].slot}).pop()
@@ -152,15 +166,15 @@ def window_around(g, center_id):
             for cid in set(g.curves_at[pid]):
                 other = g.curve_by_id[cid]
                 if other.is_self_gluing:
-                    raise UnknownCurve(
-                        f"no sphere window around {center_id!r}: pants {pid!r} "
+                    return (
+                        f"no sphere window around {c.id!r}: pants {pid!r} "
                         f"carries the self-gluing {cid!r}"
                     )
-                if cid != center_id and not other.is_frontier and set(
+                if cid != c.id and not other.is_frontier and set(
                     g.pants_of_curve(cid)
                 ) == set(support):
-                    raise UnknownCurve(
-                        f"no sphere window around {center_id!r}: {cid!r} also "
+                    return (
+                        f"no sphere window around {c.id!r}: {cid!r} also "
                         f"joins its two pants"
                     )
         cuffs = tuple(
@@ -175,7 +189,7 @@ def window_around(g, center_id):
         for s in cuffs
         if (s.pants, s.slot) in g.slot_occupant
     )
-    return Window(kind=kind, center=center_id, support=support,
+    return Window(kind=kind, center=c.id, support=support,
                   cuff_slots=cuffs, frontier=frontier)
 
 
@@ -419,8 +433,48 @@ def ref_support(g, ref):
     raise UnknownCurve(f"unsupported reference {ref!r}")
 
 
-def _rank(ref):
-    return {PantsCurve: 0, WindowCurve: 1, DualChain: 2}[type(ref)]
+_RANKS = {PantsCurve: 0, WindowCurve: 1, DualChain: 2}
+
+
+class _Resolved(NamedTuple):
+    """A reference checked against a graph, with what the pairing table
+    reads: the window of a window curve and the supporting pants."""
+
+    ref: object
+    window: Window | None
+    support: frozenset
+
+
+def _resolve(g, ref):
+    """Check ``ref`` against ``g`` once (:func:`resolve_ref`) and keep the
+    data :func:`_pairing` needs."""
+    found = resolve_ref(g, ref)
+    if isinstance(ref, WindowCurve):
+        return _Resolved(ref, found, frozenset(found.support))
+    return _Resolved(ref, None, frozenset(ref_support(g, ref)))
+
+
+def _pairing(a, b):
+    """The intersection table on two resolved references; see
+    :func:`global_intersection`.  The only home of the pairing rules."""
+    if _RANKS[type(a.ref)] > _RANKS[type(b.ref)]:
+        a, b = b, a
+    c1, c2 = a.ref, b.ref
+    if isinstance(c2, PantsCurve):
+        return 0
+    if isinstance(c1, PantsCurve) and isinstance(c2, WindowCurve):
+        return b.window.scale * abs(c2.slope.p) if c1.id == c2.center else 0
+    if isinstance(c1, PantsCurve):
+        if c1.id in (c2.handle_a, c2.handle_b):
+            return 1
+        return 2 if c1.id in c2.interior else 0
+    if isinstance(c1, WindowCurve) and isinstance(c2, WindowCurve):
+        if c1.center == c2.center:
+            return window_intersection(a.window, c1.slope, c2.slope)
+        return None if a.support & b.support else 0
+    if c1 == c2:
+        return 0
+    return None if a.support & b.support else 0
 
 
 def global_intersection(g, c1, c2):
@@ -435,29 +489,12 @@ def global_intersection(g, c1, c2):
     pants curve not at all; chains against window curves or other chains are
     only defined when supports are disjoint (0) or the refs are equal (0).
     None is a value meaning "outside the table", never an error.
+
+    Resolves ``c1``, then ``c2``, once each (raising :class:`UnknownCurve`
+    for the first that fails) and then applies the table; callers pairing
+    many curves resolve each once and apply the table per pair.
     """
-    resolve_ref(g, c1)
-    resolve_ref(g, c2)
-    if _rank(c1) > _rank(c2):
-        c1, c2 = c2, c1
-    if isinstance(c2, PantsCurve):
-        return 0
-    if isinstance(c1, PantsCurve) and isinstance(c2, WindowCurve):
-        w = window_around(g, c2.center)
-        return w.scale * abs(c2.slope.p) if c1.id == c2.center else 0
-    if isinstance(c1, PantsCurve):
-        if c1.id in (c2.handle_a, c2.handle_b):
-            return 1
-        return 2 if c1.id in c2.interior else 0
-    if isinstance(c1, WindowCurve) and isinstance(c2, WindowCurve):
-        if c1.center == c2.center:
-            return window_intersection(window_around(g, c1.center), c1.slope, c2.slope)
-        if ref_support(g, c1) & ref_support(g, c2):
-            return None
-        return 0
-    if c1 == c2:
-        return 0
-    return None if ref_support(g, c1) & ref_support(g, c2) else 0
+    return _pairing(_resolve(g, c1), _resolve(g, c2))
 
 
 def dt_vector(g, c, coords):
@@ -510,25 +547,15 @@ def window_curve_separates(g, w, s):
     window's four cuffs two against two according to the slope's parity
     class; it separates the surface exactly when no path outside the window
     reconnects the two cuff groups.  Cuffs on surface boundary or frontier
-    reconnect nothing.
+    reconnect nothing.  The paths are searched in the cached
+    :attr:`GluingGraph.pants_graph` with the window's pants left out, from
+    one group's far pants until the other group's is reached.
     """
     if w.kind == "torus":
         return False
-    outside = nx.Graph()
-    support = set(w.support)
-    outside.add_nodes_from(p for p in g.pants if p not in support)
-    for c in g.curves:
-        if len(c.ends) == 2:
-            u, v = c.ends[0].pants, c.ends[1].pants
-            if u not in support and v not in support:
-                outside.add_edge(u, v)
-    comp_of = {}
-    for idx, comp in enumerate(nx.connected_components(outside)):
-        for p in comp:
-            comp_of[p] = idx
     sides = []
     for group in _CUFF_PAIRINGS[(s.p % 2, s.q % 2)]:
-        labels = set()
+        far = set()
         for k in group:
             slot = w.cuff_slots[k]
             cid = g.slot_occupant.get((slot.pants, slot.slot))
@@ -538,6 +565,20 @@ def window_curve_separates(g, w, s):
             if c.is_frontier:
                 continue
             other = next(e for e in c.ends if (e.pants, e.slot) != (slot.pants, slot.slot))
-            labels.add(comp_of[other.pants])
-        sides.append(labels)
-    return not (sides[0] & sides[1])
+            far.add(other.pants)
+        sides.append(far)
+    start, goal = sides
+    if not start or not goal:
+        return True
+    adj = g.pants_graph.adj
+    seen = start | set(w.support)
+    stack = list(start)
+    while stack:
+        u = stack.pop()
+        if u in goal:
+            return False
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return True

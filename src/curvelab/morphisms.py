@@ -29,7 +29,7 @@ from .curves import (
     slopes_up_to,
     window_around,
 )
-from .complexes import _adjacency_lists, _bfs_path
+from .complexes import _bfs_path
 from .ends import DEFAULT_STRIDE, end_trees_isomorphic, surface_end_tree
 from .errors import GadgetTooSmall, NotSeparating, UnknownCurve
 from .pants_graphs import CurveClass, classify_curve
@@ -215,7 +215,7 @@ def _handle_chains(g):
     """One shortest dual chain per unordered handle pair, found by
     breadth-first search in the adjacency graph."""
     handles = [c.id for c in g.curves if c.is_self_gluing]
-    adj = _adjacency_lists(g)
+    adj = g.adjacency_lists
     chains = []
     for i, a in enumerate(handles):
         for b in handles[i + 1 :]:

@@ -51,21 +51,17 @@ class AdjacencyGraph:
 
 
 def adjacency_graph(g):
-    """The adjacency graph of the decomposition encoded by ``g``."""
-    vertices = sorted(c.id for c in g.curves if not c.is_frontier)
-    vertex_set = set(vertices)
-    edges = set()
-    for p in g.pants:
-        here = sorted(set(g.curves_at[p]) & vertex_set)
-        for i, u in enumerate(here):
-            for v in here[i + 1 :]:
-                edges.add((u, v))
-    marks = sorted(
+    """The adjacency graph of the decomposition encoded by ``g``, read off
+    the cached :attr:`GluingGraph.adjacency_lists`."""
+    lists = g.adjacency_lists
+    vertices = tuple(sorted(lists))
+    edges = tuple((u, v) for u in vertices for v in lists[u] if u < v)
+    marks = tuple(
         v
         for v in vertices
         if any(p in g.frontier_pants for p in g.pants_of_curve(v))
     )
-    return AdjacencyGraph(tuple(vertices), tuple(sorted(edges)), tuple(marks))
+    return AdjacencyGraph(vertices, edges, marks)
 
 
 def _ordinary_curve(g, curve_id):

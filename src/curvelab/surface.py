@@ -161,15 +161,27 @@ class GluingGraph:
                 separating.add(ids[0])
         return frozenset(separating)
 
-    def pants_multigraph(self):
-        """The pants-node multigraph: nodes are pants, keyed edges are the
-        two-ended curves.  Frontier half edges do not appear."""
-        m = nx.MultiGraph()
-        m.add_nodes_from(self.pants)
-        for c in self.curves:
-            if not c.is_frontier:
-                m.add_edge(c.ends[0].pants, c.ends[1].pants, key=c.id)
-        return m
+    @cached_property
+    def window_table(self):
+        """The per-graph window table: ordinary curve id -> its
+        :class:`~curvelab.curves.Window`, or the detail of the
+        :class:`~curvelab.errors.UnknownCurve` raised for a curve that
+        spans none.  :func:`curvelab.curves.window_around` fills it on
+        first lookup, so each center is examined once per graph; do not
+        write to it elsewhere."""
+        return {}
+
+    @cached_property
+    def adjacency_lists(self):
+        """Ordinary curve id -> sorted ids of the other ordinary curves
+        sharing a pants with it: the neighbours in the adjacency graph
+        A(P).  Shared by every caller; do not mutate it."""
+        adj = {c.id: set() for c in self.curves if not c.is_frontier}
+        for ids in self.curves_at.values():
+            here = [cid for cid in ids if cid in adj]
+            for u in here:
+                adj[u].update(v for v in here if v != u)
+        return {v: sorted(nbrs) for v, nbrs in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -305,9 +317,14 @@ def validate(g):
                 )
 
     if len(g.pants) > 1:
-        m = g.pants_multigraph()
-        if m.number_of_nodes() and not nx.is_connected(m):
-            parts = sorted(len(c) for c in nx.connected_components(m))
+        h = g.pants_graph
+        # the pants graph leaves out self-gluings, so a self-glued unknown
+        # pants, an isolated part of the surface, is counted apart
+        lone = {
+            c.ends[0].pants for c in g.curves if c.is_self_gluing and c.ends[0].pants not in h
+        }
+        parts = sorted([len(c) for c in nx.connected_components(h)] + [1] * len(lone))
+        if len(parts) > 1:
             violations.append(
                 Violation("ConnectivityError", f"pants graph splits into parts of sizes {parts}")
             )

@@ -88,6 +88,33 @@ def test_classify_rejects_duplicate_ids(loch4, capsys, tmp_path):
     assert json.loads(out) == {"error": "FormatError", "detail": "curve id 't1' repeated"}
 
 
+@pytest.fixture
+def unknown_pants(loch4, tmp_path):
+    doc = json.loads(Path(loch4).read_text())
+    doc["curves"].append({"id": "zz", "ends": [["nope", 0], [doc["pants"][0], 0]]})
+    path = tmp_path / "unknown_pants.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_classify_rejects_an_unknown_pants(unknown_pants, capsys):
+    code, out = run(capsys, "classify", "--in", unknown_pants)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FormatError",
+        "detail": "SlotCountError: curve 'zz' references unknown pants 'nope'",
+    }
+
+
+def test_validate_reports_an_unknown_pants(unknown_pants, capsys):
+    code, out = run(capsys, "validate", "--in", unknown_pants)
+    assert code == 0
+    j = json.loads(out)
+    assert j["valid"] is False
+    assert {"kind": "SlotCountError",
+            "detail": "curve 'zz' references unknown pants 'nope'"} in j["violations"]
+
+
 def test_adjacency(loch4, capsys):
     code, out = run(capsys, "adjacency", "--in", loch4)
     assert code == 0

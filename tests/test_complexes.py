@@ -1,21 +1,43 @@
 """Local curve graphs, disjointness witnesses and handle-to-handle paths."""
 
+import random
+import time
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelab import (
+    CurveClass,
+    CurveLabError,
     DualChain,
+    InfiniteModel,
     NoRoom,
     PantsCurve,
+    PantsSlot,
+    Slope,
     UnknownCurve,
+    Window,
+    WindowCurve,
     build_finite_surface,
     build_truncation,
+    classify_curve,
     disjointness_witness,
     format_ref,
     global_intersection,
     local_graph,
     parse_ref,
+    random_gluing_graph,
+    resolve_ref,
     schmutz_path,
+    slopes_up_to,
+    window_around,
+    window_curve_separates,
+    window_intersection,
 )
+from curvelab.curves import ref_support
+from curvelab.verify import _diameter_inventory
 
 DECOMPOSITION = ("c1", "c2", "c3", "t1", "t2", "t3", "h0", "h1", "h2", "h3")
 
@@ -150,3 +172,351 @@ def test_schmutz_path_trivial_and_failing_cases():
     s20 = build_finite_surface(2, 0)
     with pytest.raises(NoRoom):
         schmutz_path(s20, PantsCurve("h0"), PantsCurve("h1"))
+
+
+# ---------------------------------------------------------------------------
+# the resolve-once layer against the resolve-per-pair reference
+#
+# The references below are the definitions the cached code must agree with:
+# a window examined afresh on every lookup, both references resolved again
+# for every pair, a private outside-the-window graph per separation test
+# and adjacency lists rebuilt from the pants for every path.
+
+
+def _reference_window(g, center_id):
+    c = g.curve_by_id.get(center_id)
+    if c is None:
+        raise UnknownCurve(f"no curve {center_id!r} in this decomposition")
+    if c.is_frontier:
+        raise UnknownCurve(f"curve {center_id!r} is a frontier curve")
+    if c.is_self_gluing:
+        p = c.ends[0].pants
+        third = ({0, 1, 2} - {c.ends[0].slot, c.ends[1].slot}).pop()
+        cuffs = (PantsSlot(p, third),)
+        support = (p,)
+        kind = "torus"
+    else:
+        support = (c.ends[0].pants, c.ends[1].pants)
+        for pid in support:
+            for cid in set(g.curves_at[pid]):
+                other = g.curve_by_id[cid]
+                if other.is_self_gluing:
+                    raise UnknownCurve(
+                        f"no sphere window around {center_id!r}: pants {pid!r} "
+                        f"carries the self-gluing {cid!r}"
+                    )
+                if cid != center_id and not other.is_frontier and set(
+                    g.pants_of_curve(cid)
+                ) == set(support):
+                    raise UnknownCurve(
+                        f"no sphere window around {center_id!r}: {cid!r} also "
+                        f"joins its two pants"
+                    )
+        cuffs = tuple(
+            PantsSlot(end.pants, k) for end in c.ends for k in range(3) if k != end.slot
+        )
+        kind = "sphere"
+    frontier = tuple(
+        g.slot_occupant[(s.pants, s.slot)]
+        for s in cuffs
+        if (s.pants, s.slot) in g.slot_occupant
+    )
+    return Window(kind=kind, center=center_id, support=support,
+                  cuff_slots=cuffs, frontier=frontier)
+
+
+def _reference_resolve(g, ref):
+    if isinstance(ref, WindowCurve):
+        if ref.slope == Slope(0, 1):
+            raise UnknownCurve(f"slope 0/1 duplicates the center; use pants:{ref.center}")
+        return _reference_window(g, ref.center)
+    return resolve_ref(g, ref)
+
+
+def _reference_support(g, ref):
+    if isinstance(ref, WindowCurve):
+        return set(_reference_window(g, ref.center).support)
+    return ref_support(g, ref)
+
+
+def _reference_intersection(g, c1, c2):
+    _reference_resolve(g, c1)
+    _reference_resolve(g, c2)
+    rank = {PantsCurve: 0, WindowCurve: 1, DualChain: 2}
+    if rank[type(c1)] > rank[type(c2)]:
+        c1, c2 = c2, c1
+    if isinstance(c2, PantsCurve):
+        return 0
+    if isinstance(c1, PantsCurve) and isinstance(c2, WindowCurve):
+        w = _reference_window(g, c2.center)
+        return w.scale * abs(c2.slope.p) if c1.id == c2.center else 0
+    if isinstance(c1, PantsCurve):
+        if c1.id in (c2.handle_a, c2.handle_b):
+            return 1
+        return 2 if c1.id in c2.interior else 0
+    if isinstance(c1, WindowCurve) and isinstance(c2, WindowCurve):
+        if c1.center == c2.center:
+            w = _reference_window(g, c1.center)
+            return window_intersection(w, c1.slope, c2.slope)
+        if _reference_support(g, c1) & _reference_support(g, c2):
+            return None
+        return 0
+    if c1 == c2:
+        return 0
+    return None if _reference_support(g, c1) & _reference_support(g, c2) else 0
+
+
+_PARITY_PAIRINGS = {(0, 1): ((0, 1), (2, 3)), (1, 0): ((0, 2), (1, 3)), (1, 1): ((0, 3), (1, 2))}
+
+
+def _reference_separates(g, w, s):
+    if w.kind == "torus":
+        return False
+    outside = nx.Graph()
+    support = set(w.support)
+    outside.add_nodes_from(p for p in g.pants if p not in support)
+    for c in g.curves:
+        if len(c.ends) == 2:
+            u, v = c.ends[0].pants, c.ends[1].pants
+            if u not in support and v not in support:
+                outside.add_edge(u, v)
+    comp_of = {}
+    for idx, comp in enumerate(nx.connected_components(outside)):
+        for p in comp:
+            comp_of[p] = idx
+    sides = []
+    for group in _PARITY_PAIRINGS[(s.p % 2, s.q % 2)]:
+        labels = set()
+        for k in group:
+            slot = w.cuff_slots[k]
+            cid = g.slot_occupant.get((slot.pants, slot.slot))
+            if cid is None or g.curve_by_id[cid].is_frontier:
+                continue
+            other = next(
+                e for e in g.curve_by_id[cid].ends if (e.pants, e.slot) != (slot.pants, slot.slot)
+            )
+            labels.add(comp_of[other.pants])
+        sides.append(labels)
+    return not (sides[0] & sides[1])
+
+
+def _reference_nonseparating(g, ref):
+    if isinstance(ref, PantsCurve):
+        return classify_curve(g, ref.id) is CurveClass.NONSEPARATING
+    if isinstance(ref, WindowCurve):
+        return not _reference_separates(g, _reference_window(g, ref.center), ref.slope)
+    return True
+
+
+def _reference_local_graph(g, inventory, mode):
+    if mode not in ("c", "n", "g"):
+        raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
+    seen = []
+    for ref in inventory:
+        _reference_resolve(g, ref)
+        if ref not in seen:
+            seen.append(ref)
+    if mode in ("n", "g"):
+        seen = [ref for ref in seen if _reference_nonseparating(g, ref)]
+    want = 0 if mode in ("c", "n") else 1
+    edges, undefined = [], []
+    for i, u in enumerate(seen):
+        for v in seen[i + 1 :]:
+            val = _reference_intersection(g, u, v)
+            if val is None:
+                undefined.append((u, v))
+            elif val == want:
+                edges.append((u, v))
+    return tuple(seen), tuple(edges), tuple(undefined)
+
+
+def _reference_witness(g, c1, c2):
+    _reference_resolve(g, c1)
+    _reference_resolve(g, c2)
+    for c in g.curves:
+        if c.is_frontier:
+            continue
+        cand = PantsCurve(c.id)
+        if cand in (c1, c2):
+            continue
+        if _reference_intersection(g, cand, c1) == 0 and _reference_intersection(g, cand, c2) == 0:
+            return cand
+    raise NoRoom(
+        f"no pants curve avoids both {format_ref(c1)} and {format_ref(c2)}; "
+        "deepen the truncation"
+    )
+
+
+def _reference_adjacency(g):
+    """Adjacency lists rebuilt from the pants, as ``schmutz_path`` once did
+    on every call."""
+    vertices = sorted(c.id for c in g.curves if not c.is_frontier)
+    vertex_set = set(vertices)
+    adj = {v: set() for v in vertices}
+    for p in g.pants:
+        here = sorted(set(g.curves_at[p]) & vertex_set)
+        for i, u in enumerate(here):
+            for v in here[i + 1 :]:
+                adj[u].add(v)
+                adj[v].add(u)
+    return {v: sorted(nbrs) for v, nbrs in adj.items()}
+
+
+def _reference_bfs(adj, start, goal):
+    parent = {start: None}
+    queue = [start]
+    for u in queue:
+        for v in adj.get(u, ()):
+            if v not in parent:
+                parent[v] = u
+                if v == goal:
+                    path = [v]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                queue.append(v)
+    return None
+
+
+def _reference_schmutz_path(g, adj, h1, h2):
+    """The path by its definition, over adjacency lists ``adj`` built by
+    :func:`_reference_adjacency`."""
+    for h in (h1, h2):
+        if not resolve_ref(g, h).is_self_gluing:
+            raise UnknownCurve(f"curve {h.id!r} is not a handle curve")
+    if h1 == h2:
+        return [h1]
+    third = next(
+        (c.id for c in g.curves if c.is_self_gluing and c.id not in (h1.id, h2.id)), None
+    )
+    if third is None:
+        raise NoRoom("no third handle curve available; deepen the truncation")
+    legs = []
+    for a, b in ((h1.id, third), (third, h2.id)):
+        path = _reference_bfs(adj, a, b)
+        if path is None:
+            raise NoRoom(f"no chain path from {a!r} to {b!r} in the adjacency graph")
+        legs.append(DualChain(path[0], path[-1], tuple(path[1:-1])))
+    return [h1, legs[0], PantsCurve(third), legs[1], h2]
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return "ok", fn(*args)
+    except (CurveLabError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_inventories(g, rng, windows, adj):
+    """A valid inventory with repeats, and the invalid references to mix in:
+    missing ids, frontier ids, centers spanning no window, broken chains.
+    ``windows`` maps each ordinary curve id to its reference window outcome."""
+    ordinary = [c.id for c in g.curves if not c.is_frontier]
+    handles = [c.id for c in g.curves if c.is_self_gluing]
+    centers = [cid for cid in ordinary if windows[cid][0] == "ok"]
+    windowless = [cid for cid in ordinary if windows[cid][0] != "ok"]
+    slopes = [s for s in slopes_up_to(3) if s != Slope(0, 1)]
+    valid = [PantsCurve(rng.choice(ordinary)) for _ in range(rng.randint(0, 8) if ordinary else 0)]
+    if centers:
+        valid += [
+            WindowCurve(rng.choice(centers), rng.choice(slopes))
+            for _ in range(rng.randint(0, 14))
+        ]
+    if len(handles) >= 2:
+        for _ in range(rng.randint(0, 5)):
+            a, b = rng.sample(handles, 2)
+            path = _reference_bfs(adj, a, b)
+            if path is not None:
+                valid.append(DualChain(path[0], path[-1], tuple(path[1:-1])))
+    valid += [rng.choice(valid) for _ in range(rng.randint(0, 3))] if valid else []
+    rng.shuffle(valid)
+    invalid = [PantsCurve("zz"), WindowCurve("zz", Slope(1, 1))]
+    invalid += [PantsCurve(f) for f in g.frontier[:1]]
+    invalid += [WindowCurve(f, Slope(1, 0)) for f in g.frontier[:1]]
+    invalid += [WindowCurve(cid, rng.choice(slopes)) for cid in windowless[:2]]
+    if handles and len(ordinary) > len(handles):
+        other = next(cid for cid in ordinary if cid not in handles)
+        invalid.append(DualChain(handles[0], other, ()))
+    if len(handles) >= 2:
+        invalid.append(DualChain(handles[0], handles[1], ("zz",)))
+    return valid, invalid
+
+
+def _check_against_reference(g, rng):
+    # every window lookup twice, first on a cold table; a repeated failure
+    # raises a fresh exception
+    windows = {}
+    for cid in [c.id for c in g.curves] + ["zz"]:
+        want = windows[cid] = _outcome(_reference_window, g, cid)
+        assert _outcome(window_around, g, cid) == want, cid
+        assert _outcome(window_around, g, cid) == want, cid
+    raised = []
+    for cid in [cid for cid, want in windows.items() if want[0] == "UnknownCurve"]:
+        for _ in range(2):
+            with pytest.raises(UnknownCurve) as exc:
+                window_around(g, cid)
+            raised.append(exc.value)
+    assert len({id(e) for e in raised}) == len(raised)
+    adj = _reference_adjacency(g)
+    assert g.adjacency_lists == adj
+
+    spans = [want[1] for want in windows.values() if want[0] == "ok"]
+    for w in rng.sample(spans, min(len(spans), 4)):
+        for s in rng.sample([Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(3, 2)], 2):
+            assert window_curve_separates(g, w, s) == _reference_separates(g, w, s), (w, s)
+
+    valid, invalid = _random_inventories(g, rng, windows, adj)
+    for mode in "cng":
+        got = _outcome(local_graph, g, valid, mode)
+        if got[0] == "ok":
+            got = "ok", (got[1].vertices, got[1].edges, got[1].undefined_pairs)
+        assert got == _outcome(_reference_local_graph, g, valid, mode), mode
+        if invalid:
+            mixed = list(valid)
+            mixed.insert(rng.randint(0, len(mixed)), rng.choice(invalid))
+            assert _outcome(local_graph, g, mixed, mode)[0] == "UnknownCurve"
+            assert _outcome(local_graph, g, mixed, mode) == _outcome(
+                _reference_local_graph, g, mixed, mode
+            )
+    pool = valid + invalid
+    for _ in range(40):
+        a, b = rng.choice(pool), rng.choice(pool)
+        assert _outcome(global_intersection, g, a, b) == _outcome(
+            _reference_intersection, g, a, b
+        ), (a, b)
+    for _ in range(10):
+        a, b = rng.choice(pool), rng.choice(pool)
+        assert _outcome(disjointness_witness, g, a, b) == _outcome(
+            _reference_witness, g, a, b
+        ), (a, b)
+    ids = [c.id for c in g.curves if c.is_self_gluing] + [c.id for c in g.curves[:2]] + ["zz"]
+    for _ in range(6):
+        a, b = PantsCurve(rng.choice(ids)), PantsCurve(rng.choice(ids))
+        assert _outcome(schmutz_path, g, a, b) == _outcome(_reference_schmutz_path, g, adj, a, b)
+
+
+@pytest.mark.parametrize("model", list(InfiniteModel))
+def test_resolve_once_matches_the_reference_on_models(model):
+    rng = random.Random(f"{model.value}-oracle")
+    for depth in range(1, 13):
+        _check_against_reference(build_truncation(model, depth), rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_resolve_once_matches_the_reference_on_random_graphs(n_pants, seed):
+    rng = random.Random(seed)
+    _check_against_reference(random_gluing_graph(n_pants, rng), rng)
+
+
+def test_local_graph_stays_fast_on_a_large_inventory():
+    # the resolve-per-pair reference took about 4.6 s here
+    g = build_truncation("loch_ness", 10)
+    inventory = _diameter_inventory(g)
+    assert len(inventory) == 343
+    start = time.perf_counter()
+    lg = local_graph(g, inventory, "c")
+    elapsed = time.perf_counter() - start
+    assert len(lg.vertices) == 343
+    assert elapsed < 1.5, elapsed

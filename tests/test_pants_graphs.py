@@ -84,7 +84,11 @@ def _reference_classes(g):
     pants are disconnected once its edge leaves the pants multigraph, and
     a separating curve is outer when one side is left with no other curve
     but frontier ones."""
-    m = g.pants_multigraph()
+    m = nx.MultiGraph()
+    m.add_nodes_from(g.pants)
+    for c in g.curves:
+        if not c.is_frontier:
+            m.add_edge(c.ends[0].pants, c.ends[1].pants, key=c.id)
     classes = {}
     for c in g.curves:
         if c.is_frontier:

@@ -15,6 +15,7 @@ from curvelab import (
     InfiniteModel,
     NonIntegralGenus,
     PantsSlot,
+    Violation,
     build_finite_surface,
     build_truncation,
     dumps_surface,
@@ -227,6 +228,25 @@ def test_validate_reports_disconnected():
     )
     kinds = {v.kind for v in validate(g)}
     assert "ConnectivityError" in kinds
+
+
+def test_validate_counts_a_self_glued_unknown_pants_as_a_part():
+    # the pants graph has no self-gluings, so "nope" is not one of its
+    # nodes; the self-glued pants is still a part of the surface on its own
+    g = GluingGraph(
+        pants=("p0", "p1"),
+        curves=(
+            Curve("a", (PantsSlot("p0", 0), PantsSlot("p1", 0))),
+            Curve("h", (PantsSlot("nope", 0), PantsSlot("nope", 1))),
+        ),
+        boundary=(PantsSlot("p0", 1), PantsSlot("p0", 2), PantsSlot("p1", 1),
+                  PantsSlot("p1", 2)),
+    )
+    assert validate(g) == (
+        Violation("SlotCountError", "curve 'h' references unknown pants 'nope'"),
+        Violation("SlotCountError", "curve 'h' references unknown pants 'nope'"),
+        Violation("ConnectivityError", "pants graph splits into parts of sizes [1, 2]"),
+    )
 
 
 def test_validate_reports_duplicate_ids():
