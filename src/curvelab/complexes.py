@@ -16,9 +16,9 @@ handle by dual chains.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from ._graph import bfs_path
 from .curves import (
     DualChain,
     PantsCurve,
@@ -131,26 +131,6 @@ def disjointness_witness(g, c1, c2):
     )
 
 
-def _bfs_path(adj, start, goal):
-    """Shortest path with lexicographic tie-breaking; None if unreachable."""
-    if start == goal:
-        return [start]
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, ()):
-            if v not in parent:
-                parent[v] = u
-                if v == goal:
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(v)
-    return None
-
-
 def schmutz_path(g, h1, h2):
     """A path of length at most 4 between two handle curves in the
     unit-intersection graph: [h1, chain, third handle, chain, h2].
@@ -177,7 +157,7 @@ def schmutz_path(g, h1, h2):
     adj = g.adjacency_lists
     legs = []
     for a, b in ((h1.id, third), (third, h2.id)):
-        path = _bfs_path(adj, a, b)
+        path = bfs_path(adj, a, b)
         if path is None:
             raise NoRoom(f"no chain path from {a!r} to {b!r} in the adjacency graph")
         legs.append(DualChain(path[0], path[-1], tuple(path[1:-1])))

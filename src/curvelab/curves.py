@@ -570,7 +570,7 @@ def window_curve_separates(g, w, s):
     start, goal = sides
     if not start or not goal:
         return True
-    adj = g.pants_graph.adj
+    adj = g.pants_graph
     seen = start | set(w.support)
     stack = list(start)
     while stack:

@@ -9,10 +9,12 @@ the surface.  A live component at level k+1 lies inside a unique live
 component at level k, its parent.  Dead components are finite pockets and
 are dropped.
 
-The same construction runs on two graphs: the pants graph of the
-decomposition (marks are the frontier-carrying pants) and the adjacency
-graph A(P) (marks are the curves lying on such pants).  For a decomposition
-of an infinite surface the two trees are isomorphic, and
+The same construction runs on two graphs, each a dict from a vertex to
+its sorted neighbour list: the pants graph of the decomposition
+(:attr:`GluingGraph.pants_graph`; marks are the frontier-carrying pants)
+and the adjacency graph A(P) (:attr:`AdjacencyGraph.adjacency_lists`;
+marks are the curves lying on such pants).  For a decomposition of an
+infinite surface the two trees are isomorphic, and
 :func:`induced_end_correspondence` exhibits the bijection level by level.
 
 A finite surface has no marks, every component is dead, and the tree is
@@ -32,8 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
+from ._graph import bfs_distances
 from .errors import BijectionFailure, DepthExceedsTruncation, DepthMismatch, UnknownCurve
 from .pants_graphs import AdjacencyGraph, adjacency_graph
 
@@ -88,20 +89,14 @@ class EndTree:
         return "(" + "".join(sorted(labels[0])) + ")"
 
 
-def _nearest_mark_distances(h, marks):
-    live_marks = [m for m in marks if m in h]
-    if not live_marks:
-        return {}
-    return nx.multi_source_dijkstra_path_length(h, set(live_marks))
-
-
 def default_base(h, marks):
-    """The vertex farthest from every mark (maximin distance), ties broken
-    by name.  With no marks any vertex does; the smallest is returned."""
-    if h.number_of_nodes() == 0:
+    """The vertex of the graph ``h`` (a dict of sorted neighbour lists)
+    farthest from every mark (maximin distance), ties broken by name.
+    With no marks any vertex does; the smallest is returned."""
+    if not h:
         return None
-    dist = _nearest_mark_distances(h, marks)
-    return min(h.nodes, key=lambda v: (-dist.get(v, math.inf), v))
+    dist = bfs_distances(h, [m for m in marks if m in h])
+    return min(h, key=lambda v: (-dist.get(v, math.inf), v))
 
 
 def _end_tree(h, marks, depth, base, stride):
@@ -117,7 +112,7 @@ def _end_tree(h, marks, depth, base, stride):
     if not marks:
         return EndTree(base=base, stride=stride, levels=((),) * (depth + 1))
 
-    dist = nx.single_source_shortest_path_length(h, base)
+    dist = bfs_distances(h, [base])
     inner = [m for m in marks if dist.get(m, math.inf) <= stride * depth]
     if inner:
         raise DepthExceedsTruncation(
@@ -154,7 +149,7 @@ def _end_tree(h, marks, depth, base, stride):
             members[v] = [v]
             if v in marks:
                 live.add(v)
-            for u in h.adj[v]:
+            for u in h[v]:
                 if u not in root:
                     continue
                 ru, rv = find(u), find(v)
@@ -183,13 +178,14 @@ def _end_tree(h, marks, depth, base, stride):
 
 
 def end_tree(a, depth, base=None, stride=DEFAULT_STRIDE):
-    """End tree of an adjacency graph ``a`` (an :class:`AdjacencyGraph`).
+    """End tree of an adjacency graph ``a`` (an :class:`AdjacencyGraph`),
+    searched in its :attr:`~AdjacencyGraph.adjacency_lists`.
 
     Raises :class:`DepthExceedsTruncation` when some mark falls inside the
     deepest ball, since then the truncation is too shallow for the requested
     depth and deeper levels would be artifacts of the cut.
     """
-    return _end_tree(a.to_networkx(), set(a.marks), depth, base, stride)
+    return _end_tree(a.adjacency_lists, set(a.marks), depth, base, stride)
 
 
 def surface_end_tree(g, depth, base=None, stride=DEFAULT_STRIDE):
@@ -220,6 +216,11 @@ def induced_end_correspondence(g, depth, base=None, stride=DEFAULT_STRIDE):
     node i of the curve tree to node j of the pants tree at level k.  Raises
     :class:`BijectionFailure` if any assignment is ambiguous, the level maps
     fail to be bijections, or parents do not match.
+
+    The correspondence is checked at the default stride 2.  At stride 1,
+    and on the Cantor tree at stride 3, the balls of the two trees need not
+    line up, and the ladder and the Cantor tree raise
+    :class:`BijectionFailure` at most query depths.
     """
     a = adjacency_graph(g)
     curve_base = None

@@ -18,18 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._graph import bfs_path
 from .curves import (
     DualChain,
     PantsCurve,
     WindowCurve,
+    _pairing,
+    _resolve,
     format_ref,
-    global_intersection,
     make_slope,
     resolve_ref,
     slopes_up_to,
     window_around,
 )
-from .complexes import _bfs_path
 from .ends import DEFAULT_STRIDE, end_trees_isomorphic, surface_end_tree
 from .errors import GadgetTooSmall, NotSeparating, UnknownCurve
 from .pants_graphs import CurveClass, classify_curve
@@ -80,13 +81,27 @@ def check_superinjective(m, pairs):
     Returns a report dict with the number of pairs checked, the list of
     violating pairs with their intersection numbers on both sides, and the
     pairs skipped because an intersection number was undefined.
+
+    Each reference is resolved once on its side, in the order
+    :func:`~curvelab.curves.global_intersection` would for the pair (x and
+    y on the source, then their images on the target), and every pair
+    goes through the pairing table.
     """
+    source, target = {}, {}
+
+    def resolved(memo, g, ref):
+        r = memo.get(ref)
+        if r is None:
+            r = memo[ref] = _resolve(g, ref)
+        return r
+
     checked = 0
     violations = []
     skipped = []
     for x, y in pairs:
-        i_src = global_intersection(m.source, x, y)
-        i_tgt = global_intersection(m.target, m.apply(x), m.apply(y))
+        i_src = _pairing(resolved(source, m.source, x), resolved(source, m.source, y))
+        x_img, y_img = m.apply(x), m.apply(y)
+        i_tgt = _pairing(resolved(target, m.target, x_img), resolved(target, m.target, y_img))
         if i_src is None or i_tgt is None:
             skipped.append((format_ref(x), format_ref(y)))
             continue
@@ -219,7 +234,7 @@ def _handle_chains(g):
     chains = []
     for i, a in enumerate(handles):
         for b in handles[i + 1 :]:
-            path = _bfs_path(adj, a, b)
+            path = bfs_path(adj, a, b)
             if path is not None:
                 chains.append(DualChain(path[0], path[-1], tuple(path[1:-1])))
     return chains

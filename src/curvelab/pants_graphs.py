@@ -18,9 +18,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-import networkx as nx
-
+from ._graph import components, lowpoints, neighbour_lists
 from .errors import DisconnectedGraph, UnknownCurve
 from .surface import Curve, GluingGraph, PantsSlot
 
@@ -43,11 +43,11 @@ class AdjacencyGraph:
     edges: tuple[tuple[str, str], ...]
     marks: tuple[str, ...]
 
-    def to_networkx(self):
-        h = nx.Graph()
-        h.add_nodes_from(self.vertices)
-        h.add_edges_from(self.edges)
-        return h
+    @cached_property
+    def adjacency_lists(self):
+        """Vertex -> sorted list of its neighbours, the one graph shape of
+        the library (see :attr:`GluingGraph.adjacency_lists`)."""
+        return neighbour_lists(self.vertices, self.edges)
 
 
 def adjacency_graph(g):
@@ -111,16 +111,18 @@ def classify_all(g):
 
 
 def cut_vertices(a):
-    """Cut vertices of an adjacency graph, sorted.
+    """Cut vertices of an adjacency graph, sorted, read from one
+    depth-first search over its :attr:`AdjacencyGraph.adjacency_lists`.
 
     Raises :class:`DisconnectedGraph` when A(P) is not connected, since cut
     vertices of a disconnected graph do not mean what callers expect.
     """
-    h = a.to_networkx()
-    if h.number_of_nodes() and not nx.is_connected(h):
-        sizes = sorted(len(c) for c in nx.connected_components(h))
+    h = a.adjacency_lists
+    parts = components(h)
+    if len(parts) > 1:
+        sizes = sorted(len(c) for c in parts)
         raise DisconnectedGraph(f"adjacency graph has components of sizes {sizes}")
-    return tuple(sorted(nx.articulation_points(h)))
+    return tuple(sorted(lowpoints(h)[1]))
 
 
 def outer_degree_check(g, classes=None):
@@ -134,12 +136,11 @@ def outer_degree_check(g, classes=None):
     """
     if classes is None:
         classes = classify_all(g)
-    a = adjacency_graph(g)
-    h = a.to_networkx()
+    lists = g.adjacency_lists
     violations = []
-    for v in a.vertices:
+    for v in sorted(lists):
         bound = 2 if classes.get(v) is CurveClass.OUTER else 4
-        d = h.degree(v)
+        d = len(lists[v])
         if d > bound:
             violations.append((v, d, bound))
     return tuple(violations)

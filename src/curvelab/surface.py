@@ -22,8 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
+from ._graph import components, lowpoints, neighbour_lists
 from .errors import ComplexityTooLow, FormatError, NonIntegralGenus
 
 SLOTS_PER_PANTS = 3
@@ -133,29 +132,33 @@ class GluingGraph:
 
     @cached_property
     def pants_graph(self):
-        """The simple pants graph: nodes are pants, one edge per pair of
-        pants joined by at least one two-ended curve.  Self-gluings and
-        frontier half edges do not appear.  Shared by every caller; do not
-        mutate it."""
-        h = nx.Graph()
-        h.add_nodes_from(self.pants)
-        for c in self.curves:
-            if not c.is_frontier and not c.is_self_gluing:
-                h.add_edge(c.ends[0].pants, c.ends[1].pants)
-        return h
+        """The simple pants graph as a dict from each pants to the sorted
+        list of pants joined to it by at least one two-ended curve.
+        Self-gluings and frontier half edges do not appear; a pants named
+        only by a curve end is a vertex too.  Shared by every caller; do
+        not mutate it."""
+        return neighbour_lists(
+            self.pants,
+            (
+                (c.ends[0].pants, c.ends[1].pants)
+                for c in self.curves
+                if not c.is_frontier and not c.is_self_gluing
+            ),
+        )
 
     @cached_property
     def separating_curves(self):
         """Ids of the two-ended curves whose removal disconnects the pants
         multigraph, found in one bridge pass over :attr:`pants_graph`
-        (Tarjan 1974).  A self-gluing never separates, and neither does a
-        curve doubled by another curve between the same two pants."""
+        (:func:`curvelab._graph.lowpoints`).  A self-gluing never
+        separates, and neither does a curve doubled by another curve
+        between the same two pants."""
         between = {}
         for c in self.curves:
             if not c.is_frontier and not c.is_self_gluing:
                 between.setdefault((c.ends[0].pants, c.ends[1].pants), []).append(c.id)
         separating = set()
-        for u, v in nx.bridges(self.pants_graph):
+        for u, v in lowpoints(self.pants_graph)[0]:
             ids = between[(u, v) if u < v else (v, u)]
             if len(ids) == 1:
                 separating.add(ids[0])
@@ -323,7 +326,7 @@ def validate(g):
         lone = {
             c.ends[0].pants for c in g.curves if c.is_self_gluing and c.ends[0].pants not in h
         }
-        parts = sorted([len(c) for c in nx.connected_components(h)] + [1] * len(lone))
+        parts = sorted([len(c) for c in components(h)] + [1] * len(lone))
         if len(parts) > 1:
             violations.append(
                 Violation("ConnectivityError", f"pants graph splits into parts of sizes {parts}")

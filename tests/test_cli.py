@@ -185,11 +185,16 @@ def test_sch04(capsys):
     assert json.loads(out) == {"a": "0/1", "b": "1/0", "solutions": ["-1/1", "1/1"]}
 
 
-def test_cli_import_does_not_load_numpy():
+def test_cli_import_does_not_load_numpy_or_networkx():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    check = (
+        "import curvelab.cli, sys; "
+        "loaded = {'numpy', 'networkx'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import curvelab.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", check],
         env=env,
         capture_output=True,
         text=True,

@@ -1,5 +1,7 @@
 """Vertex maps, superinjectivity checks and the cut-and-glue construction."""
 
+import random
+
 import pytest
 
 from curvelab import (
@@ -88,6 +90,71 @@ def test_superinjectivity_check_skips_undefined_pairs():
     report = check_superinjective(m, [(a, b)])
     assert report["checked"] == 0
     assert len(report["skipped"]) == 1
+
+
+def _reference_check_superinjective(m, pairs):
+    """The per-pair definition: both intersection numbers from
+    global_intersection, which resolves both references every time."""
+    checked = 0
+    violations = []
+    skipped = []
+    for x, y in pairs:
+        i_src = global_intersection(m.source, x, y)
+        i_tgt = global_intersection(m.target, m.apply(x), m.apply(y))
+        if i_src is None or i_tgt is None:
+            skipped.append((format_ref(x), format_ref(y)))
+            continue
+        checked += 1
+        if (i_src == 0) != (i_tgt == 0):
+            violations.append(
+                {
+                    "pair": [format_ref(x), format_ref(y)],
+                    "source_intersection": i_src,
+                    "target_intersection": i_tgt,
+                }
+            )
+    return {"checked": checked, "violations": violations, "skipped": skipped}
+
+
+def _check_outcome(check, m, pairs):
+    try:
+        return check(m, pairs)
+    except UnknownCurve as exc:
+        return type(exc), str(exc)
+
+
+def test_resolve_once_check_matches_the_reference():
+    g = build_truncation("loch_ness", 10)
+    rng = random.Random(5)
+    maps = [cut_and_glue(g, "c5", gadget=gadget).map for gadget in ("ladder", "s12")]
+    # a scrambled map has violations and skipped pairs on both sides
+    m = maps[0]
+    images = [img for _, img in m.assoc]
+    rng.shuffle(images)
+    maps.append(VertexMap(m.source, m.target, tuple(zip(m.domain, images))))
+    for m in maps:
+        domain = m.domain
+        pairs = [(rng.choice(domain), rng.choice(domain)) for _ in range(1500)]
+        want = _reference_check_superinjective(m, pairs)
+        assert check_superinjective(m, pairs) == want
+    assert want["violations"] and want["skipped"]
+
+
+def test_resolve_once_check_fails_like_the_reference():
+    g = build_truncation("loch_ness", 4)
+    h0, h1, c1, zz = (PantsCurve(i) for i in ("h0", "h1", "c1", "zz"))
+    m = VertexMap(g, g, ((c1, c1), (h0, zz), (zz, h1)))
+    cases = [
+        [(c1, c1), (c1, h1)],  # h1 is outside the domain
+        [(c1, c1), (c1, h0)],  # the image zz does not resolve on the target
+        [(h0, h1)],  # the image zz fails later than h1 leaves the domain
+        [(c1, zz)],  # zz does not resolve on the source
+        [(PantsCurve("nope"), zz)],  # the first failing reference is reported
+    ]
+    for pairs in cases:
+        want = _check_outcome(_reference_check_superinjective, m, pairs)
+        assert isinstance(want, tuple), pairs
+        assert _check_outcome(check_superinjective, m, pairs) == want, pairs
 
 
 # --- cut and glue ------------------------------------------------------------
