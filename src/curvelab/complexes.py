@@ -5,7 +5,8 @@ Three graphs on a curve inventory matter here: the curve complex skeleton
 unit-intersection graph (edges = curves crossing exactly once, vertices
 nonseparating).  Only finite inventories are built, and only pairs whose
 intersection number is defined contribute; the rest are recorded, never
-guessed.
+guessed.  :func:`curve_inventory` is the standard inventory: pants curves,
+window curves up to a slope bound and one dual chain per handle pair.
 
 The witness constructions back the small-diameter statements: any two
 inventory curves admit a common disjoint pants curve (a length-2 path in
@@ -22,11 +23,14 @@ from ._graph import bfs_path
 from .curves import (
     DualChain,
     PantsCurve,
+    Slope,
     WindowCurve,
     _pairing,
     _resolve,
     format_ref,
     resolve_ref,
+    slopes_up_to,
+    window_around,
     window_curve_separates,
 )
 from .errors import NoRoom, UnknownCurve
@@ -55,17 +59,65 @@ class LocalCurveGraph:
         return _RELATIONS[self.mode]
 
 
-def _is_nonseparating(g, r):
+def _is_nonseparating(g, r, separates):
+    """Whether the resolved reference ``r`` is nonseparating.  A window
+    curve's answer depends only on its window and its slope's parity
+    class, so it is kept in ``separates`` under (center, p % 2, q % 2)."""
     ref = r.ref
     if isinstance(ref, PantsCurve):
         return classify_curve(g, ref.id) is CurveClass.NONSEPARATING
     if isinstance(ref, WindowCurve):
-        return not window_curve_separates(g, r.window, ref.slope)
+        key = (ref.center, ref.slope.p % 2, ref.slope.q % 2)
+        if key not in separates:
+            separates[key] = window_curve_separates(g, r.found, ref.slope)
+        return not separates[key]
     if isinstance(ref, DualChain):
         # a chain crosses its endpoint handles once; odd intersection with
         # anything rules out separating
         return True
     raise UnknownCurve(f"unsupported reference {ref!r}")
+
+
+def _dual_chain(adj, a, b):
+    """The shortest dual chain between handles ``a`` and ``b``: a
+    breadth-first path in the adjacency lists ``adj``, or None."""
+    path = bfs_path(adj, a, b)
+    if path is None:
+        return None
+    return DualChain(path[0], path[-1], tuple(path[1:-1]))
+
+
+def curve_inventory(g, slope_bound):
+    """The standard finite inventory of ``g``, in order: the ordinary
+    decomposition curves; the window curves with coordinates up to
+    ``slope_bound`` at every curve that spans a window; one shortest dual
+    chain per unordered handle pair, found by breadth-first search in the
+    adjacency graph.
+
+    The ``diameter`` suite samples it, and
+    :func:`~curvelab.morphisms.cut_and_glue` maps it.
+    """
+    refs = [PantsCurve(c.id) for c in g.curves if not c.is_frontier]
+    centers = []
+    for c in g.curves:
+        if c.is_frontier:
+            continue
+        try:
+            window_around(g, c.id)
+        except UnknownCurve:
+            continue
+        centers.append(c.id)
+    if centers:
+        slopes = [s for s in slopes_up_to(slope_bound) if s != Slope(0, 1)]
+        refs.extend(WindowCurve(cid, s) for cid in centers for s in slopes)
+    handles = [c.id for c in g.curves if c.is_self_gluing]
+    adj = g.adjacency_lists
+    for i, a in enumerate(handles):
+        for b in handles[i + 1 :]:
+            chain = _dual_chain(adj, a, b)
+            if chain is not None:
+                refs.append(chain)
+    return refs
 
 
 def local_graph(g, inventory, mode):
@@ -79,7 +131,9 @@ def local_graph(g, inventory, mode):
 
     Each inventory entry is resolved, and its support found, once; every
     pair then goes through global_intersection's table without resolving
-    again, so the cost beyond the pairs is linear in the inventory.
+    again, so the cost beyond the pairs is linear in the inventory.  The
+    separation test searches at most once per window and slope parity
+    class.
     """
     if mode not in _RELATIONS:
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
@@ -88,7 +142,8 @@ def local_graph(g, inventory, mode):
         seen.setdefault(ref, _resolve(g, ref))
     vertices = list(seen.values())
     if mode in ("n", "g"):
-        vertices = [r for r in vertices if _is_nonseparating(g, r)]
+        separates = {}
+        vertices = [r for r in vertices if _is_nonseparating(g, r, separates)]
     want = 0 if _RELATIONS[mode] == "disjointness" else 1
     edges = []
     undefined = []
@@ -157,8 +212,8 @@ def schmutz_path(g, h1, h2):
     adj = g.adjacency_lists
     legs = []
     for a, b in ((h1.id, third), (third, h2.id)):
-        path = bfs_path(adj, a, b)
-        if path is None:
+        chain = _dual_chain(adj, a, b)
+        if chain is None:
             raise NoRoom(f"no chain path from {a!r} to {b!r} in the adjacency graph")
-        legs.append(DualChain(path[0], path[-1], tuple(path[1:-1])))
+        legs.append(chain)
     return [h1, legs[0], PantsCurve(third), legs[1], h2]

@@ -193,30 +193,6 @@ def _window_or_reason(g, c):
                   cuff_slots=cuffs, frontier=frontier)
 
 
-class WindowSet:
-    """Window registry enforcing the support discipline: any two registered
-    windows either coincide or have disjoint supports."""
-
-    def __init__(self, g):
-        self.g = g
-        self._by_center = {}
-
-    def add(self, center_id):
-        if center_id in self._by_center:
-            return self._by_center[center_id]
-        w = window_around(self.g, center_id)
-        for other in self._by_center.values():
-            if set(other.support) & set(w.support):
-                raise ValueError(
-                    f"window at {center_id!r} overlaps the window at {other.center!r}"
-                )
-        self._by_center[center_id] = w
-        return w
-
-    def windows(self):
-        return [self._by_center[k] for k in sorted(self._by_center)]
-
-
 def window_intersection(w, s1, s2):
     """Geometric intersection number of two slope curves in one window."""
     return w.scale * abs(_det(s1, s2))
@@ -389,16 +365,38 @@ def resolve_ref(g, ref):
 
     Returns the Window for a WindowCurve, the full path for a DualChain and
     the curve record for a PantsCurve.  Raises :class:`UnknownCurve` with
-    the failing condition otherwise.
+    the failing condition otherwise.  This is the ``found`` part of
+    :func:`_resolve`, the one place references are checked.
     """
+    return _resolve(g, ref).found
+
+
+_RANKS = {PantsCurve: 0, WindowCurve: 1, DualChain: 2}
+
+
+class _Resolved(NamedTuple):
+    """A reference checked against a graph: what :func:`resolve_ref`
+    returns for it, and the pants supporting it (the region the curve
+    lives in)."""
+
+    ref: object
+    found: object
+    support: frozenset
+
+
+def _resolve(g, ref):
+    """Check ``ref`` against ``g`` and collect its support from the same
+    lookups; the one type dispatch over references."""
     if isinstance(ref, PantsCurve):
-        return _ordinary_curve(g, ref.id)
+        c = _ordinary_curve(g, ref.id)
+        return _Resolved(ref, c, frozenset(g.pants_of_curve(ref.id)))
     if isinstance(ref, WindowCurve):
         if ref.slope == Slope(0, 1):
             raise UnknownCurve(
                 f"slope 0/1 duplicates the center; use pants:{ref.center}"
             )
-        return window_around(g, ref.center)
+        w = window_around(g, ref.center)
+        return _Resolved(ref, w, frozenset(w.support))
     if isinstance(ref, DualChain):
         if ref.handle_a == ref.handle_b:
             raise UnknownCurve("a dual chain needs two distinct handles")
@@ -410,48 +408,14 @@ def resolve_ref(g, ref):
             raise UnknownCurve(f"chain path {path} repeats a curve")
         for cid in ref.interior:
             _ordinary_curve(g, cid)
+        pants = {cid: set(g.pants_of_curve(cid)) for cid in path}
         for u, w_ in zip(path, path[1:]):
-            if not set(g.pants_of_curve(u)) & set(g.pants_of_curve(w_)):
+            if not pants[u] & pants[w_]:
                 raise UnknownCurve(
                     f"chain path breaks between {u!r} and {w_!r}: no common pants"
                 )
-        return path
+        return _Resolved(ref, path, frozenset().union(*pants.values()))
     raise UnknownCurve(f"unsupported reference {ref!r}")
-
-
-def ref_support(g, ref):
-    """The pants supporting a reference (the region the curve lives in)."""
-    if isinstance(ref, PantsCurve):
-        return set(g.pants_of_curve(ref.id))
-    if isinstance(ref, WindowCurve):
-        return set(window_around(g, ref.center).support)
-    if isinstance(ref, DualChain):
-        out = set()
-        for cid in ref.path:
-            out.update(g.pants_of_curve(cid))
-        return out
-    raise UnknownCurve(f"unsupported reference {ref!r}")
-
-
-_RANKS = {PantsCurve: 0, WindowCurve: 1, DualChain: 2}
-
-
-class _Resolved(NamedTuple):
-    """A reference checked against a graph, with what the pairing table
-    reads: the window of a window curve and the supporting pants."""
-
-    ref: object
-    window: Window | None
-    support: frozenset
-
-
-def _resolve(g, ref):
-    """Check ``ref`` against ``g`` once (:func:`resolve_ref`) and keep the
-    data :func:`_pairing` needs."""
-    found = resolve_ref(g, ref)
-    if isinstance(ref, WindowCurve):
-        return _Resolved(ref, found, frozenset(found.support))
-    return _Resolved(ref, None, frozenset(ref_support(g, ref)))
 
 
 def _pairing(a, b):
@@ -463,14 +427,14 @@ def _pairing(a, b):
     if isinstance(c2, PantsCurve):
         return 0
     if isinstance(c1, PantsCurve) and isinstance(c2, WindowCurve):
-        return b.window.scale * abs(c2.slope.p) if c1.id == c2.center else 0
+        return b.found.scale * abs(c2.slope.p) if c1.id == c2.center else 0
     if isinstance(c1, PantsCurve):
         if c1.id in (c2.handle_a, c2.handle_b):
             return 1
         return 2 if c1.id in c2.interior else 0
     if isinstance(c1, WindowCurve) and isinstance(c2, WindowCurve):
         if c1.center == c2.center:
-            return window_intersection(a.window, c1.slope, c2.slope)
+            return window_intersection(a.found, c1.slope, c2.slope)
         return None if a.support & b.support else 0
     if c1 == c2:
         return 0

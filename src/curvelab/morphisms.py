@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._graph import bfs_path
+from .complexes import curve_inventory
 from .curves import (
     DualChain,
     PantsCurve,
@@ -28,15 +28,11 @@ from .curves import (
     format_ref,
     make_slope,
     resolve_ref,
-    slopes_up_to,
-    window_around,
 )
 from .ends import DEFAULT_STRIDE, end_trees_isomorphic, surface_end_tree
 from .errors import GadgetTooSmall, NotSeparating, UnknownCurve
 from .pants_graphs import CurveClass, classify_curve
 from .surface import Curve, GluingGraph, InfiniteModel, PantsSlot, build_truncation, signature
-
-ZERO_ONE = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -208,38 +204,6 @@ def _gadget_pieces(kind, used_pants, used_curves):
     return pants, curves, gp0, n["gs"], handle
 
 
-def _window_centers(g, bound):
-    """Window curve references with coordinates up to ``bound`` at every
-    curve admitting a window."""
-    refs = []
-    for c in g.curves:
-        if c.is_frontier:
-            continue
-        try:
-            window_around(g, c.id)
-        except UnknownCurve:
-            continue
-        for s in slopes_up_to(bound):
-            if (s.p, s.q) == ZERO_ONE:
-                continue
-            refs.append(WindowCurve(c.id, s))
-    return refs
-
-
-def _handle_chains(g):
-    """One shortest dual chain per unordered handle pair, found by
-    breadth-first search in the adjacency graph."""
-    handles = [c.id for c in g.curves if c.is_self_gluing]
-    adj = g.adjacency_lists
-    chains = []
-    for i, a in enumerate(handles):
-        for b in handles[i + 1 :]:
-            path = bfs_path(adj, a, b)
-            if path is not None:
-                chains.append(DualChain(path[0], path[-1], tuple(path[1:-1])))
-    return chains
-
-
 def _alpha_side(g, curve_id, p_side, q_side):
     pants = set(g.pants_of_curve(curve_id))
     on_p = p_side in pants
@@ -289,11 +253,11 @@ def cut_and_glue(g, alpha, gadget="genus1_two_boundary", slope_bound=2):
     first slot keeps ``alpha`` as its gluing curve, the other side
     receives the fresh curve ``gs``.
 
-    Returns a :class:`CutGlueResult` whose map covers the ordinary
-    decomposition curves, window curves with coordinates up to
-    ``slope_bound`` at every window of the source, and one dual chain per
-    handle pair; the witnesses are curves of the glued gadget that no
-    source curve maps to.
+    Returns a :class:`CutGlueResult` whose map covers
+    :func:`~curvelab.complexes.curve_inventory` of ``g`` at
+    ``slope_bound``: every curve maps to itself except the dual chains,
+    which are rerouted through the seam.  The witnesses are curves of the
+    glued gadget that no source curve maps to.
     """
     kind = _gadget_name(gadget)
     curve = g.curve_by_id.get(alpha)
@@ -316,15 +280,12 @@ def cut_and_glue(g, alpha, gadget="genus1_two_boundary", slope_bound=2):
     )
 
     assoc = []
-    for c in g.curves:
-        if not c.is_frontier:
-            assoc.append((PantsCurve(c.id), PantsCurve(c.id)))
-    for ref in _window_centers(g, slope_bound):
-        assoc.append((ref, ref))
-    for chain in _handle_chains(g):
-        image = _reroute_chain(g, chain, alpha, gs_id, p_end.pants, q_end.pants)
-        resolve_ref(target, image)
-        assoc.append((chain, image))
+    for ref in curve_inventory(g, slope_bound):
+        image = ref
+        if isinstance(ref, DualChain):
+            image = _reroute_chain(g, ref, alpha, gs_id, p_end.pants, q_end.pants)
+            resolve_ref(target, image)
+        assoc.append((ref, image))
 
     witnesses = (
         PantsCurve(handle),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import disjointness_witness, schmutz_path
+from .complexes import curve_inventory, disjointness_witness, schmutz_path
 from .curves import (
     PantsCurve,
     abstract_window,
@@ -33,8 +33,6 @@ from .curves import (
 from .ends import end_trees_isomorphic, induced_end_correspondence
 from .errors import CurveLabError
 from .morphisms import (
-    _handle_chains,
-    _window_centers,
     check_superinjective,
     cut_and_glue,
     nonhomeomorphic_counterexample,
@@ -276,20 +274,13 @@ def verify_dtcoords(slope_bound=10, max_twist=5, dt_bound=20):
     )
 
 
-def _diameter_inventory(g, slope_bound=3):
-    refs = [PantsCurve(c.id) for c in g.curves if not c.is_frontier]
-    refs.extend(_window_centers(g, slope_bound))
-    refs.extend(_handle_chains(g))
-    return refs
-
-
 def verify_diameter(trunc_depth=5, samples=100, handle_samples=50, seed=DEFAULT_SEED):
     """Distance-two and distance-four witnesses on a chain-surface
     truncation: random curve pairs get a common disjoint pants curve, and
     random handle pairs get a path of unit crossings through a third
     handle."""
     g = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
-    inventory = _diameter_inventory(g)
+    inventory = curve_inventory(g, 3)
     handles = [c.id for c in g.curves if c.is_self_gluing]
     rng = random.Random(seed)
     failures = []

@@ -23,6 +23,7 @@ from curvelab import (
     build_finite_surface,
     build_truncation,
     classify_curve,
+    curve_inventory,
     disjointness_witness,
     format_ref,
     global_intersection,
@@ -36,8 +37,6 @@ from curvelab import (
     window_curve_separates,
     window_intersection,
 )
-from curvelab.curves import ref_support
-from curvelab.verify import _diameter_inventory
 
 DECOMPOSITION = ("c1", "c2", "c3", "t1", "t2", "t3", "h0", "h1", "h2", "h3")
 
@@ -179,16 +178,22 @@ def test_schmutz_path_trivial_and_failing_cases():
 #
 # The references below are the definitions the cached code must agree with:
 # a window examined afresh on every lookup, both references resolved again
-# for every pair, a private outside-the-window graph per separation test
-# and adjacency lists rebuilt from the pants for every path.
+# for every pair, an outside-the-window graph per window and adjacency
+# lists rebuilt from the pants for every path.  None calls the library's
+# resolver, so they check it rather than themselves.
+
+
+def _reference_curve(g, curve_id):
+    c = g.curve_by_id.get(curve_id)
+    if c is None:
+        raise UnknownCurve(f"no curve {curve_id!r} in this decomposition")
+    if c.is_frontier:
+        raise UnknownCurve(f"curve {curve_id!r} is a frontier curve")
+    return c
 
 
 def _reference_window(g, center_id):
-    c = g.curve_by_id.get(center_id)
-    if c is None:
-        raise UnknownCurve(f"no curve {center_id!r} in this decomposition")
-    if c.is_frontier:
-        raise UnknownCurve(f"curve {center_id!r} is a frontier curve")
+    c = _reference_curve(g, center_id)
     if c.is_self_gluing:
         p = c.ends[0].pants
         third = ({0, 1, 2} - {c.ends[0].slot, c.ends[1].slot}).pop()
@@ -226,17 +231,44 @@ def _reference_window(g, center_id):
 
 
 def _reference_resolve(g, ref):
+    """A reference validated condition by condition, in the documented
+    order: the value ``resolve_ref`` returns, or the error it raises."""
+    if isinstance(ref, PantsCurve):
+        return _reference_curve(g, ref.id)
     if isinstance(ref, WindowCurve):
         if ref.slope == Slope(0, 1):
             raise UnknownCurve(f"slope 0/1 duplicates the center; use pants:{ref.center}")
         return _reference_window(g, ref.center)
-    return resolve_ref(g, ref)
+    if isinstance(ref, DualChain):
+        if ref.handle_a == ref.handle_b:
+            raise UnknownCurve("a dual chain needs two distinct handles")
+        for h in (ref.handle_a, ref.handle_b):
+            if not _reference_curve(g, h).is_self_gluing:
+                raise UnknownCurve(f"chain endpoint {h!r} is not a handle curve")
+        path = ref.path
+        if len(set(path)) != len(path):
+            raise UnknownCurve(f"chain path {path} repeats a curve")
+        for cid in ref.interior:
+            _reference_curve(g, cid)
+        for u, v in zip(path, path[1:]):
+            if not set(g.pants_of_curve(u)) & set(g.pants_of_curve(v)):
+                raise UnknownCurve(
+                    f"chain path breaks between {u!r} and {v!r}: no common pants"
+                )
+        return path
+    raise UnknownCurve(f"unsupported reference {ref!r}")
 
 
 def _reference_support(g, ref):
+    """The pants a resolved reference lives on."""
+    if isinstance(ref, PantsCurve):
+        return set(g.pants_of_curve(ref.id))
     if isinstance(ref, WindowCurve):
         return set(_reference_window(g, ref.center).support)
-    return ref_support(g, ref)
+    out = set()
+    for cid in ref.path:
+        out.update(g.pants_of_curve(cid))
+    return out
 
 
 def _reference_intersection(g, c1, c2):
@@ -269,21 +301,32 @@ def _reference_intersection(g, c1, c2):
 _PARITY_PAIRINGS = {(0, 1): ((0, 1), (2, 3)), (1, 0): ((0, 2), (1, 3)), (1, 1): ((0, 3), (1, 2))}
 
 
-def _reference_separates(g, w, s):
+def _outside_components(g, w, outside):
+    """Component labels of the pants outside the window ``w``, built once
+    per window of ``g`` and kept in ``outside`` under its center."""
+    comp_of = outside.get(w.center)
+    if comp_of is None:
+        graph = nx.Graph()
+        support = set(w.support)
+        graph.add_nodes_from(p for p in g.pants if p not in support)
+        for c in g.curves:
+            if len(c.ends) == 2:
+                u, v = c.ends[0].pants, c.ends[1].pants
+                if u not in support and v not in support:
+                    graph.add_edge(u, v)
+        comp_of = outside[w.center] = {}
+        for idx, comp in enumerate(nx.connected_components(graph)):
+            for p in comp:
+                comp_of[p] = idx
+    return comp_of
+
+
+def _reference_separates(g, w, s, outside):
+    """Whether no path outside the window joins the two cuff groups of
+    slope ``s``; ``outside`` holds the components per window of ``g``."""
     if w.kind == "torus":
         return False
-    outside = nx.Graph()
-    support = set(w.support)
-    outside.add_nodes_from(p for p in g.pants if p not in support)
-    for c in g.curves:
-        if len(c.ends) == 2:
-            u, v = c.ends[0].pants, c.ends[1].pants
-            if u not in support and v not in support:
-                outside.add_edge(u, v)
-    comp_of = {}
-    for idx, comp in enumerate(nx.connected_components(outside)):
-        for p in comp:
-            comp_of[p] = idx
+    comp_of = _outside_components(g, w, outside)
     sides = []
     for group in _PARITY_PAIRINGS[(s.p % 2, s.q % 2)]:
         labels = set()
@@ -300,15 +343,16 @@ def _reference_separates(g, w, s):
     return not (sides[0] & sides[1])
 
 
-def _reference_nonseparating(g, ref):
+def _reference_nonseparating(g, ref, outside):
     if isinstance(ref, PantsCurve):
         return classify_curve(g, ref.id) is CurveClass.NONSEPARATING
     if isinstance(ref, WindowCurve):
-        return not _reference_separates(g, _reference_window(g, ref.center), ref.slope)
+        w = _reference_window(g, ref.center)
+        return not _reference_separates(g, w, ref.slope, outside)
     return True
 
 
-def _reference_local_graph(g, inventory, mode):
+def _reference_local_graph(g, inventory, mode, outside):
     if mode not in ("c", "n", "g"):
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
     seen = []
@@ -317,7 +361,7 @@ def _reference_local_graph(g, inventory, mode):
         if ref not in seen:
             seen.append(ref)
     if mode in ("n", "g"):
-        seen = [ref for ref in seen if _reference_nonseparating(g, ref)]
+        seen = [ref for ref in seen if _reference_nonseparating(g, ref, outside)]
     want = 0 if mode in ("c", "n") else 1
     edges, undefined = [], []
     for i, u in enumerate(seen):
@@ -382,7 +426,7 @@ def _reference_schmutz_path(g, adj, h1, h2):
     """The path by its definition, over adjacency lists ``adj`` built by
     :func:`_reference_adjacency`."""
     for h in (h1, h2):
-        if not resolve_ref(g, h).is_self_gluing:
+        if not _reference_resolve(g, h).is_self_gluing:
             raise UnknownCurve(f"curve {h.id!r} is not a handle curve")
     if h1 == h2:
         return [h1]
@@ -461,25 +505,36 @@ def _check_against_reference(g, rng):
     adj = _reference_adjacency(g)
     assert g.adjacency_lists == adj
 
+    outside = {}
     spans = [want[1] for want in windows.values() if want[0] == "ok"]
     for w in rng.sample(spans, min(len(spans), 4)):
         for s in rng.sample([Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(3, 2)], 2):
-            assert window_curve_separates(g, w, s) == _reference_separates(g, w, s), (w, s)
+            want = _reference_separates(g, w, s, outside)
+            assert window_curve_separates(g, w, s) == want, (w, s)
 
     valid, invalid = _random_inventories(g, rng, windows, adj)
     for mode in "cng":
         got = _outcome(local_graph, g, valid, mode)
         if got[0] == "ok":
             got = "ok", (got[1].vertices, got[1].edges, got[1].undefined_pairs)
-        assert got == _outcome(_reference_local_graph, g, valid, mode), mode
+        assert got == _outcome(_reference_local_graph, g, valid, mode, outside), mode
         if invalid:
             mixed = list(valid)
             mixed.insert(rng.randint(0, len(mixed)), rng.choice(invalid))
             assert _outcome(local_graph, g, mixed, mode)[0] == "UnknownCurve"
             assert _outcome(local_graph, g, mixed, mode) == _outcome(
-                _reference_local_graph, g, mixed, mode
+                _reference_local_graph, g, mixed, mode, outside
             )
     pool = valid + invalid
+    # failures the random inventories never draw, each checked for its message
+    ordinary = [c.id for c in g.curves if not c.is_frontier]
+    handles = [c.id for c in g.curves if c.is_self_gluing]
+    unusual = [WindowCurve(cid, Slope(0, 1)) for cid in ordinary[:1]]
+    unusual += [DualChain(h, h, ()) for h in handles[:1]]
+    if len(handles) >= 2:
+        unusual += [DualChain(handles[0], handles[1], (x, x)) for x in (ordinary[0], "zz")]
+    for ref in pool + unusual:
+        assert _outcome(resolve_ref, g, ref) == _outcome(_reference_resolve, g, ref), ref
     for _ in range(40):
         a, b = rng.choice(pool), rng.choice(pool)
         assert _outcome(global_intersection, g, a, b) == _outcome(
@@ -507,13 +562,67 @@ def test_resolve_once_matches_the_reference_on_models(model):
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_resolve_once_matches_the_reference_on_random_graphs(n_pants, seed):
     rng = random.Random(seed)
-    _check_against_reference(random_gluing_graph(n_pants, rng), rng)
+    g = random_gluing_graph(n_pants, rng)
+    _check_inventory(g)
+    _check_against_reference(g, rng)
+
+
+def _reference_window_centers(g, bound):
+    """Window curves with coordinates up to ``bound`` at every curve
+    admitting a window."""
+    refs = []
+    for c in g.curves:
+        if c.is_frontier:
+            continue
+        try:
+            _reference_window(g, c.id)
+        except UnknownCurve:
+            continue
+        for s in slopes_up_to(bound):
+            if (s.p, s.q) == (0, 1):
+                continue
+            refs.append(WindowCurve(c.id, s))
+    return refs
+
+
+def _reference_handle_chains(g):
+    """One shortest dual chain per unordered handle pair."""
+    handles = [c.id for c in g.curves if c.is_self_gluing]
+    adj = _reference_adjacency(g)
+    chains = []
+    for i, a in enumerate(handles):
+        for b in handles[i + 1 :]:
+            path = _reference_bfs(adj, a, b)
+            if path is not None:
+                chains.append(DualChain(path[0], path[-1], tuple(path[1:-1])))
+    return chains
+
+
+def _check_inventory(g):
+    pants = [PantsCurve(c.id) for c in g.curves if not c.is_frontier]
+    chains = _reference_handle_chains(g)
+    for bound in (1, 2, 3):
+        want = pants + _reference_window_centers(g, bound) + chains
+        assert curve_inventory(g, bound) == want, bound
+
+
+CENSUS = [(genus, b) for genus in range(5) for b in range(6) if 3 * genus - 3 + b >= 1]
+
+
+def test_curve_inventory_matches_the_reference_on_models_and_census():
+    # Cantor trees stop at depth 5: every handle pair is searched, and
+    # depth 12 has 4,095 handles
+    for model in InfiniteModel:
+        for depth in range(1, 6 if model is InfiniteModel.CANTOR_TREE else 9):
+            _check_inventory(build_truncation(model, depth))
+    for genus, b in CENSUS:
+        _check_inventory(build_finite_surface(genus, b))
 
 
 def test_local_graph_stays_fast_on_a_large_inventory():
     # the resolve-per-pair reference took about 4.6 s here
     g = build_truncation("loch_ness", 10)
-    inventory = _diameter_inventory(g)
+    inventory = curve_inventory(g, 3)
     assert len(inventory) == 343
     start = time.perf_counter()
     lg = local_graph(g, inventory, "c")

@@ -21,7 +21,6 @@ from curvelab import (
     PantsCurve,
     UnknownCurve,
     WindowCurve,
-    WindowSet,
     WrongIntersection,
     ZeroSlope,
     abstract_window,
@@ -372,16 +371,6 @@ def test_window_around_rejects_double_gluings():
     g = build_finite_surface(1, 2)  # curves a, b join the same two pants
     with pytest.raises(UnknownCurve):
         window_around(g, "a")
-
-
-def test_window_set_requires_disjoint_supports():
-    g = build_truncation("loch_ness", 5)
-    ws = WindowSet(g)
-    ws.add("c2")
-    ws.add("h0")
-    with pytest.raises(ValueError):
-        ws.add("c3")  # shares the pants cp2 with the window at c2
-    assert [w.center for w in ws.windows()] == ["c2", "h0"]
 
 
 # --- the global intersection table ------------------------------------------

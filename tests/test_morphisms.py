@@ -16,6 +16,7 @@ from curvelab import (
     build_finite_surface,
     build_truncation,
     check_superinjective,
+    curve_inventory,
     cut_and_glue,
     format_ref,
     global_intersection,
@@ -197,6 +198,14 @@ def test_cut_and_glue_reroutes_chains_through_the_seam():
     }
     # chains on one side of the cut are untouched
     assert (parse_ref("chain:h0:h1:c1,t1"), parse_ref("chain:h0:h1:c1,t1")) in res.map.assoc
+
+
+def test_cut_and_glue_map_covers_the_curve_inventory():
+    for depth in (4, 10):
+        g = build_truncation("loch_ness", depth)
+        for gadget in ("s12", "ladder"):
+            res = cut_and_glue(g, "c2", gadget=gadget)
+            assert res.map.domain == tuple(curve_inventory(g, 2)), (depth, gadget)
 
 
 def test_cut_and_glue_map_is_superinjective_on_decomposition_pairs():
