@@ -57,24 +57,45 @@ def bfs_distances(adj, sources):
     return dist
 
 
-def bfs_path(adj, start, goal):
-    """Shortest path with lexicographic tie-breaking; None if unreachable."""
-    if start == goal:
-        return [start]
+def bfs_parents(adj, start, goals):
+    """Breadth-first search from ``start`` with lexicographic
+    tie-breaking: the parent of each reached vertex at its first
+    discovery, with ``start`` mapped to None.  The search stops as soon
+    as every vertex of ``goals`` is reached, so a goal's parents are the
+    same whichever other goals are asked for."""
     parent = {start: None}
+    left = set(goals)
+    left.discard(start)
+    if not left:
+        return parent
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in adj.get(u, ()):
             if v not in parent:
                 parent[v] = u
-                if v == goal:
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
+                if v in left:
+                    left.discard(v)
+                    if not left:
+                        return parent
                 queue.append(v)
-    return None
+    return parent
+
+
+def path_to(parent, goal):
+    """The search path from the start of :func:`bfs_parents` to
+    ``goal``; None if the search did not reach it."""
+    if goal not in parent:
+        return None
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def bfs_path(adj, start, goal):
+    """Shortest path with lexicographic tie-breaking; None if unreachable."""
+    return path_to(bfs_parents(adj, start, (goal,)), goal)
 
 
 def lowpoints(adj):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._graph import bfs_path
+from ._graph import bfs_parents, bfs_path, path_to
 from .curves import (
     DualChain,
     PantsCurve,
@@ -78,10 +78,9 @@ def _is_nonseparating(g, r, separates):
     raise UnknownCurve(f"unsupported reference {ref!r}")
 
 
-def _dual_chain(adj, a, b):
-    """The shortest dual chain between handles ``a`` and ``b``: a
-    breadth-first path in the adjacency lists ``adj``, or None."""
-    path = bfs_path(adj, a, b)
+def _dual_chain(path):
+    """The dual chain along a breadth-first path between two handles, or
+    None for no path."""
     if path is None:
         return None
     return DualChain(path[0], path[-1], tuple(path[1:-1]))
@@ -92,7 +91,7 @@ def curve_inventory(g, slope_bound):
     decomposition curves; the window curves with coordinates up to
     ``slope_bound`` at every curve that spans a window; one shortest dual
     chain per unordered handle pair, found by breadth-first search in the
-    adjacency graph.
+    adjacency graph: one search per handle reaches every later handle.
 
     The ``diameter`` suite samples it, and
     :func:`~curvelab.morphisms.cut_and_glue` maps it.
@@ -113,8 +112,10 @@ def curve_inventory(g, slope_bound):
     handles = [c.id for c in g.curves if c.is_self_gluing]
     adj = g.adjacency_lists
     for i, a in enumerate(handles):
-        for b in handles[i + 1 :]:
-            chain = _dual_chain(adj, a, b)
+        later = handles[i + 1 :]
+        parent = bfs_parents(adj, a, later)
+        for b in later:
+            chain = _dual_chain(path_to(parent, b))
             if chain is not None:
                 refs.append(chain)
     return refs
@@ -212,7 +213,7 @@ def schmutz_path(g, h1, h2):
     adj = g.adjacency_lists
     legs = []
     for a, b in ((h1.id, third), (third, h2.id)):
-        chain = _dual_chain(adj, a, b)
+        chain = _dual_chain(bfs_path(adj, a, b))
         if chain is None:
             raise NoRoom(f"no chain path from {a!r} to {b!r} in the adjacency graph")
         legs.append(chain)

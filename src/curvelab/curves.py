@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -35,9 +36,15 @@ from .pants_graphs import _ordinary_curve
 from .surface import PantsSlot
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Slope:
-    """A coprime pair naming a curve in a window; q > 0, or (p,q) = (1,0)."""
+    """A coprime pair naming a curve in a window; q > 0, or (p,q) = (1,0).
+
+    An immutable, slotted pair, ordered and hashed as the tuple (p, q).
+    The public constructor validates: ``Slope(p, q)`` raises ValueError
+    unless the pair is already reduced and sign-normalized.  To name the
+    slope of an arbitrary nonzero integer pair, use :func:`make_slope`.
+    """
 
     p: int
     q: int
@@ -52,18 +59,38 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
+_new_slope = object.__new__
+_set_p = Slope.__dict__["p"].__set__
+_set_q = Slope.__dict__["q"].__set__
+
+
+def _trusted_slope(p, q):
+    """A Slope from a pair that is already reduced and sign-normalized,
+    built without the constructor's validation; only :func:`make_slope`,
+    which establishes both, calls it."""
+    s = _new_slope(Slope)
+    _set_p(s, p)
+    _set_q(s, q)
+    return s
+
+
 def make_slope(p, q):
     """Reduce and sign-normalize an integer pair into a Slope.
 
-    Raises :class:`ZeroSlope` on (0, 0), which names no curve.
+    One gcd reduces the pair (the division is skipped when it is already
+    coprime), the sign is normalized, and the Slope is built without
+    running the constructor's validation again, since the pair is valid
+    by construction.  Raises :class:`ZeroSlope` on (0, 0), which names no
+    curve.
     """
-    if p == 0 and q == 0:
-        raise ZeroSlope("the pair (0, 0) names no curve")
-    d = math.gcd(abs(p), abs(q))
-    p, q = p // d, q // d
+    d = math.gcd(p, q)
+    if d != 1:
+        if d == 0:
+            raise ZeroSlope("the pair (0, 0) names no curve")
+        p, q = p // d, q // d
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    return Slope(p, q)
+    return _trusted_slope(p, q)
 
 
 def parse_slope(text):
@@ -86,12 +113,13 @@ def slopes_up_to(bound):
     """All normalized slopes with |p|, |q| <= bound, sorted."""
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    out = [Slope(1, 0)]
-    for q in range(1, bound + 1):
-        for p in range(-bound, bound + 1):
-            if math.gcd(abs(p), q) == 1:
-                out.append(Slope(p, q))
-    return sorted(out)
+    # emitted in (p, q) order, the Slope order
+    return [
+        make_slope(p, q)
+        for p in range(-bound, bound + 1)
+        for q in range(bound + 1)
+        if (q > 0 or p == 1) and math.gcd(p, q) == 1
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +141,7 @@ class Window:
     cuff_slots: tuple[PantsSlot, ...]
     frontier: tuple[str, ...]
 
-    @property
+    @cached_property
     def scale(self):
         """Intersection-number multiplier: 1 on the torus, 2 on the sphere."""
         return 1 if self.kind == "torus" else 2

@@ -610,13 +610,25 @@ CENSUS = [(genus, b) for genus in range(5) for b in range(6) if 3 * genus - 3 + 
 
 
 def test_curve_inventory_matches_the_reference_on_models_and_census():
-    # Cantor trees stop at depth 5: every handle pair is searched, and
-    # depth 12 has 4,095 handles
+    # Cantor trees stop at depth 7: the reference searches every handle
+    # pair, and depth 12 has 4,095 handles
     for model in InfiniteModel:
-        for depth in range(1, 6 if model is InfiniteModel.CANTOR_TREE else 9):
+        for depth in range(1, 8 if model is InfiniteModel.CANTOR_TREE else 9):
             _check_inventory(build_truncation(model, depth))
     for genus, b in CENSUS:
         _check_inventory(build_finite_surface(genus, b))
+
+
+def test_curve_inventory_stays_fast_with_many_handles():
+    # one search per handle pair took about 7.7 s here
+    g = build_truncation("cantor_tree", 8)
+    start = time.perf_counter()
+    inventory = curve_inventory(g, 1)
+    elapsed = time.perf_counter() - start
+    handles = sum(c.is_self_gluing for c in g.curves)
+    assert handles == 255
+    assert sum(isinstance(r, DualChain) for r in inventory) == handles * (handles - 1) // 2
+    assert elapsed < 2.0, elapsed
 
 
 def test_local_graph_stays_fast_on_a_large_inventory():

@@ -7,6 +7,9 @@ two-crossing neighbor sets are compared against an exhaustive search of
 the coordinate box.
 """
 
+import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,7 @@ from curvelab import (
     IntersectionTooSmall,
     NotTorusWindow,
     PantsCurve,
+    Slope,
     UnknownCurve,
     WindowCurve,
     WrongIntersection,
@@ -102,6 +106,105 @@ def test_slopes_up_to_is_sorted_and_complete():
     assert make_slope(-1, 2) in slopes
     for s in slopes:
         assert abs(s.p) <= 2 and s.q <= 2
+    for bound in range(1, 13):
+        want = sorted(
+            {
+                _reference_slope(p, q)
+                for p in range(-bound, bound + 1)
+                for q in range(-bound, bound + 1)
+                if (p, q) != (0, 0)
+            }
+        )
+        assert slopes_up_to(bound) == want, bound
+
+
+# --- the Slope constructor and the make_slope fast path -------------------
+
+
+def _reference_slope(p, q):
+    """Reduce, sign-normalize, then build through the validating
+    constructor."""
+    d = math.gcd(abs(p), abs(q))
+    p, q = p // d, q // d
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return Slope(p, q)
+
+
+def _reference_twist(along, s, direction):
+    d = s.p * along.q - s.q * along.p
+    return _reference_slope(s.p + direction * d * along.p, s.q + direction * d * along.q)
+
+
+def _assert_same_slope(got, want):
+    assert type(got) is Slope
+    assert (got.p, got.q) == (want.p, want.q)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and str(got) == str(want)
+    assert Slope(got.p, got.q) == got
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (1, -2), (-1, 0), (0, 0), (0, 2), (-3, -1)])
+def test_slope_constructor_validates(p, q):
+    with pytest.raises(ValueError):
+        Slope(p, q)
+
+
+def test_slope_constructor_accepts_normalized_pairs():
+    assert (Slope(1, 0).p, Slope(1, 0).q) == (1, 0)
+    assert Slope(-3, 7) == make_slope(6, -14)
+    assert repr(Slope(-3, 7)) == "Slope(p=-3, q=7)"
+    assert str(Slope(-3, 7)) == "-3/7"
+
+
+def test_slopes_are_frozen():
+    for s in (Slope(1, 2), make_slope(4, 8)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.p = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.q = 5
+        assert (s.p, s.q) == (1, 2)
+
+
+def test_slopes_sort_as_their_pairs():
+    rng = random.Random(7)
+    slopes = slopes_up_to(6) + [make_slope(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(200)]
+    rng.shuffle(slopes)
+    assert [(s.p, s.q) for s in sorted(slopes)] == sorted((s.p, s.q) for s in slopes)
+
+
+_COORDS = st.one_of(
+    st.just(0), st.integers(-12, 12), st.integers(-(10**12), 10**12)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_COORDS, _COORDS, st.integers(1, 10**6))
+def test_make_slope_matches_the_reference(p, q, k):
+    for x, y in ((p, q), (k * p, k * q), (-k * p, k * q), (k * q, -k * p)):
+        if (x, y) == (0, 0):
+            with pytest.raises(ZeroSlope):
+                make_slope(x, y)
+            continue
+        _assert_same_slope(make_slope(x, y), _reference_slope(x, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from("TtS"), max_size=12),
+    st.lists(st.sampled_from("TtS"), max_size=12),
+    st.sampled_from((1, -1)),
+)
+def test_twist_powers_match_the_reference(moves_a, moves_b, direction):
+    a, b = _word_columns(moves_a)
+    c, _ = _word_columns(moves_b)
+    along = _reference_slope(*a)
+    for start in (b, c, (c[0] + 3 * b[0], c[1] + 3 * b[1])):
+        got = want = _reference_slope(*start)
+        for _ in range(5):
+            got = twist(TORUS, along, got, direction)
+            want = _reference_twist(along, want, direction)
+            _assert_same_slope(got, want)
 
 
 # --- window intersection against the geometric oracle ---------------------
@@ -247,8 +350,8 @@ def test_sch04_pinned_examples():
     assert sols == {make_slope(1, 1), make_slope(-1, 1)}
 
 
-def _unimodular_pair(moves):
-    """Slopes from the columns of an SL(2, Z) word in T, T^-1 and S."""
+def _word_columns(moves):
+    """The integer columns of an SL(2, Z) word in T, T^-1 and S."""
     a, b = (1, 0), (0, 1)
     for m in moves:
         if m == "T":
@@ -257,6 +360,12 @@ def _unimodular_pair(moves):
             b = (b[0] - a[0], b[1] - a[1])
         else:
             a, b = b, (-a[0], -a[1])
+    return a, b
+
+
+def _unimodular_pair(moves):
+    """Slopes from the columns of an SL(2, Z) word in T, T^-1 and S."""
+    a, b = _word_columns(moves)
     return make_slope(*a), make_slope(*b)
 
 
