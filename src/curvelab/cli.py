@@ -1,12 +1,14 @@
 """Command line front end.
 
-Every subcommand prints one JSON document to stdout (with a trailing
-newline) and exits 0 on success.  Domain errors, malformed input files
-and I/O problems print {"error": <exception class>, "detail": ...} and
-exit 1; usage errors exit 2.  Every subcommand that reads ``--in`` except
-``validate`` refuses a surface with any violation as a ``FormatError``
-naming the first one; ``validate`` reports them all and exits 0.
-``--out FILE`` writes the same document to a file and still echoes it.
+Every subcommand returns one JSON document, which :func:`main` prints to
+stdout (with a trailing newline); it exits 0 on success, and ``verify``
+exits 1 when its report counts failures.  Domain errors, malformed input
+files and I/O problems print {"error": <exception class>, "detail": ...}
+and exit 1; usage errors exit 2.  Every subcommand that reads ``--in``
+except ``validate`` refuses a surface with any violation as a
+``FormatError`` naming the first one; ``validate`` reports them all and
+exits 0.  ``--out FILE`` writes the same document to a file and still
+echoes it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .curves import (
 )
 from .ends import end_tree, surface_end_tree
 from .errors import CurveLabError, FormatError
-from .morphisms import check_superinjective, cut_and_glue, surfaces_homeomorphic
+from .morphisms import GADGETS, check_superinjective, cut_and_glue, surfaces_homeomorphic
 from .pants_graphs import adjacency_graph, classify_all, classify_curve
 from .surface import (
     InfiniteModel,
@@ -102,48 +104,34 @@ def cmd_gen(args):
         g = build_finite_surface(args.genus, args.boundary)
     else:
         raise FormatError("provide --model with --depth, or --genus with --boundary")
-    _emit(surface_to_json(g), args.out)
-    return 0
+    return surface_to_json(g)
 
 
 def cmd_validate(args):
     g = _read_surface(args.infile)
     violations = validate(g)
-    _emit(
-        {
-            "valid": not violations,
-            "violations": [{"kind": v.kind, "detail": v.detail} for v in violations],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "valid": not violations,
+        "violations": [{"kind": v.kind, "detail": v.detail} for v in violations],
+    }
 
 
 def cmd_classify(args):
     g = _load_surface(args.infile)
     if args.curve is not None:
-        _emit({"curve": args.curve, "class": classify_curve(g, args.curve).value}, args.out)
-    else:
-        classes = classify_all(g)
-        _emit(
-            {"classes": {cid: cls.value for cid, cls in sorted(classes.items())}},
-            args.out,
-        )
-    return 0
+        return {"curve": args.curve, "class": classify_curve(g, args.curve).value}
+    classes = classify_all(g)
+    return {"classes": {cid: cls.value for cid, cls in sorted(classes.items())}}
 
 
 def cmd_adjacency(args):
     g = _load_surface(args.infile)
     a = adjacency_graph(g)
-    _emit(
-        {
-            "vertices": list(a.vertices),
-            "edges": [list(e) for e in a.edges],
-            "marks": list(a.marks),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "vertices": list(a.vertices),
+        "edges": [list(e) for e in a.edges],
+        "marks": list(a.marks),
+    }
 
 
 def cmd_ends(args):
@@ -152,8 +140,7 @@ def cmd_ends(args):
         tree = end_tree(adjacency_graph(g), args.depth, base=args.base, stride=args.stride)
     else:
         tree = surface_end_tree(g, args.depth, base=args.base, stride=args.stride)
-    _emit(_tree_json(tree, args.graph), args.out)
-    return 0
+    return _tree_json(tree, args.graph)
 
 
 def cmd_intersect(args):
@@ -161,16 +148,12 @@ def cmd_intersect(args):
     a = parse_ref(args.a)
     b = parse_ref(args.b)
     val = global_intersection(g, a, b)
-    _emit(
-        {
-            "a": format_ref(a),
-            "b": format_ref(b),
-            "defined": val is not None,
-            "intersection": val,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "a": format_ref(a),
+        "b": format_ref(b),
+        "defined": val is not None,
+        "intersection": val,
+    }
 
 
 def cmd_triple(args):
@@ -178,8 +161,7 @@ def cmd_triple(args):
     a = parse_slope(args.a)
     b = parse_slope(args.b)
     g, g2 = triple_completion(w, a, b)
-    _emit({"a": str(a), "b": str(b), "g": str(g), "g2": str(g2)}, args.out)
-    return 0
+    return {"a": str(a), "b": str(b), "g": str(g), "g2": str(g2)}
 
 
 def cmd_sch04(args):
@@ -187,40 +169,26 @@ def cmd_sch04(args):
     a = parse_slope(args.a)
     b = parse_slope(args.b)
     sols = sch04_common_neighbors(w, a, b, args.bound)
-    _emit(
-        {"a": str(a), "b": str(b), "solutions": sorted(str(s) for s in sols)},
-        args.out,
-    )
-    return 0
+    return {"a": str(a), "b": str(b), "solutions": sorted(str(s) for s in sols)}
 
 
 def cmd_graph(args):
     g = _load_surface(args.infile)
     inventory = [parse_ref(text) for text in _split_inventory(args.inventory)]
     lg = local_graph(g, inventory, args.mode)
-    _emit(
-        {
-            "mode": lg.mode,
-            "relation": lg.relation,
-            "vertices": [format_ref(v) for v in lg.vertices],
-            "edges": [[format_ref(u), format_ref(v)] for u, v in lg.edges],
-            "undefined_pairs": [
-                [format_ref(u), format_ref(v)] for u, v in lg.undefined_pairs
-            ],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "mode": lg.mode,
+        "relation": lg.relation,
+        "vertices": [format_ref(v) for v in lg.vertices],
+        "edges": [[format_ref(u), format_ref(v)] for u, v in lg.edges],
+        "undefined_pairs": [[format_ref(u), format_ref(v)] for u, v in lg.undefined_pairs],
+    }
 
 
 def cmd_path(args):
     g = _load_surface(args.infile)
     path = schmutz_path(g, PantsCurve(args.src), PantsCurve(args.dst))
-    _emit(
-        {"path": [format_ref(ref) for ref in path], "length": len(path) - 1},
-        args.out,
-    )
-    return 0
+    return {"path": [format_ref(ref) for ref in path], "length": len(path) - 1}
 
 
 def cmd_counterexample(args):
@@ -234,19 +202,15 @@ def cmd_counterexample(args):
     ]
     report = check_superinjective(result.map, pairs)
     homeomorphic = surfaces_homeomorphic(source, result.target, args.depth)
-    _emit(
-        {
-            "gadget": args.gadget,
-            "alpha": args.alpha,
-            "checked": report["checked"],
-            "skipped": len(report["skipped"]),
-            "violations": report["violations"],
-            "witnesses": [format_ref(w) for w in result.witnesses],
-            "homeomorphic": homeomorphic,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "gadget": args.gadget,
+        "alpha": args.alpha,
+        "checked": report["checked"],
+        "skipped": len(report["skipped"]),
+        "violations": report["violations"],
+        "witnesses": [format_ref(w) for w in result.witnesses],
+        "homeomorphic": homeomorphic,
+    }
 
 
 def cmd_verify(args):
@@ -260,9 +224,7 @@ def cmd_verify(args):
         if name not in accepted:
             raise FormatError(f"suite {args.suite!r} does not accept --{name.replace('_', '-')}")
         overrides[name] = value
-    report = run_suite(args.suite, **overrides)
-    _emit(report, args.out)
-    return 0 if report["failures"] == 0 else 1
+    return run_suite(args.suite, **overrides)
 
 
 def build_parser():
@@ -272,31 +234,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", help="also write the JSON document to this file")
-
     p = sub.add_parser("gen", help="generate a surface gluing graph")
     p.add_argument("--model", choices=["loch_ness", "ladder", "cantor_tree"])
     p.add_argument("--depth", type=int)
     p.add_argument("--genus", type=int)
     p.add_argument("--boundary", type=int, default=0)
-    add_out(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("validate", help="check a gluing graph for defects")
     p.add_argument("--in", dest="infile", required=True)
-    add_out(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("classify", help="classify decomposition curves")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--curve")
-    add_out(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("adjacency", help="adjacency graph of the decomposition")
     p.add_argument("--in", dest="infile", required=True)
-    add_out(p)
     p.set_defaults(fn=cmd_adjacency)
 
     p = sub.add_parser("ends", help="end tree of a truncation")
@@ -305,54 +260,47 @@ def build_parser():
     p.add_argument("--graph", choices=["pants", "curves"], default="pants")
     p.add_argument("--base")
     p.add_argument("--stride", type=int, default=2)
-    add_out(p)
     p.set_defaults(fn=cmd_ends)
 
     p = sub.add_parser("intersect", help="intersection number of two curve references")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    add_out(p)
     p.set_defaults(fn=cmd_intersect)
 
     p = sub.add_parser("triple", help="complete two torus-window slopes to a triple")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    add_out(p)
     p.set_defaults(fn=cmd_triple)
 
     p = sub.add_parser("sch04", help="slopes crossing two sphere-window slopes twice")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--bound", type=int, default=100)
-    add_out(p)
     p.set_defaults(fn=cmd_sch04)
 
     p = sub.add_parser("graph", help="finite curve graph over an inventory")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--inventory", required=True)
     p.add_argument("--mode", choices=["c", "n", "g"], required=True)
-    add_out(p)
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("path", help="short path between two handle curves")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
-    add_out(p)
     p.set_defaults(fn=cmd_path)
 
     p = sub.add_parser(
         "counterexample",
         help="cut-and-glue map with superinjectivity and homeomorphism report",
     )
-    p.add_argument("--gadget", choices=["s12", "ladder", "cantor"], default="ladder")
+    p.add_argument("--gadget", choices=GADGETS, default="ladder")
     p.add_argument("--alpha", default="c2")
     p.add_argument("--trunc-depth", dest="trunc_depth", type=int, default=4)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_out(p)
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("verify", help="run a verification sweep")
@@ -363,10 +311,11 @@ def build_parser():
     p.add_argument("--trunc-depth", dest="trunc_depth", type=int)
     p.add_argument("--bound", type=int)
     p.add_argument("--alpha")
-    p.add_argument("--gadget", choices=["s12", "ladder", "cantor"])
-    add_out(p)
+    p.add_argument("--gadget", choices=GADGETS)
     p.set_defaults(fn=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="also write the JSON document to this file")
     return parser
 
 
@@ -374,10 +323,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        doc = args.fn(args)
+        _emit(doc, args.out)
     except (CurveLabError, ValueError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 1
+    return 1 if args.command == "verify" and doc["failures"] else 0
 
 
 if __name__ == "__main__":

@@ -128,26 +128,10 @@ class CutGlueResult:
             raise ValueError(f"witnesses meet the image: {clash!r}")
 
 
-_ARM_GADGETS = ("ladder", "ladder_arm", "loch_ness")
-_STUB_GADGETS = ("cantor", "cantor_stub", "cantor_tree")
-_FINITE_GADGETS = ("s12", "genus1_two_boundary")
-
-
-def _gadget_name(gadget):
-    if isinstance(gadget, InfiniteModel):
-        gadget = gadget.value
-    if isinstance(gadget, tuple):
-        raise GadgetTooSmall(
-            "a finite gadget adds no end, so the glued surface stays "
-            "homeomorphic to the original"
-        )
-    if gadget in _FINITE_GADGETS:
-        return "s12"
-    if gadget in _ARM_GADGETS:
-        return "arm"
-    if gadget in _STUB_GADGETS:
-        return "stub"
-    raise ValueError(f"unknown gadget {gadget!r}")
+# The gadgets cut_and_glue can glue in: ``s12`` is the finite genus-1
+# surface with two boundary circles, ``ladder`` a one-ended arm of handle
+# blocks, and ``cantor`` a stub that branches into two ends.
+GADGETS = ("s12", "ladder", "cantor")
 
 
 def _fresh(name, used):
@@ -156,7 +140,7 @@ def _fresh(name, used):
     return name
 
 
-def _gadget_pieces(kind, used_pants, used_curves):
+def _gadget_pieces(gadget, used_pants, used_curves):
     """Pants and curves of the gadget, minus the two splice slots.
 
     Every gadget presents slot 0 of its pants ``gp0`` to the cut curve and
@@ -171,14 +155,14 @@ def _gadget_pieces(kind, used_pants, used_curves):
     taken = used_pants | used_curves
     n = {name: _fresh(name, taken) for name in names}
     gp0 = n["gp0"]
-    if kind == "s12":
+    if gadget == "s12":
         gp1 = n["gp1"]
         pants = [gp0, gp1]
         curves = [
             Curve(n["gc"], (PantsSlot(gp0, 1), PantsSlot(gp1, 0))),
             Curve(n["gh"], (PantsSlot(gp1, 1), PantsSlot(gp1, 2))),
         ]
-    elif kind == "arm":
+    elif gadget == "ladder":
         acp1, ahp1 = n["acp1"], n["ahp1"]
         pants = [gp0, acp1, ahp1]
         curves = [
@@ -187,7 +171,7 @@ def _gadget_pieces(kind, used_pants, used_curves):
             Curve(n["ah1"], (PantsSlot(ahp1, 1), PantsSlot(ahp1, 2))),
             Curve(n["ga1"], (PantsSlot(acp1, 2),)),
         ]
-    elif kind == "stub":
+    else:
         acp1, ahp1, abp1 = n["acp1"], n["ahp1"], n["abp1"]
         pants = [gp0, acp1, ahp1, abp1]
         curves = [
@@ -198,9 +182,7 @@ def _gadget_pieces(kind, used_pants, used_curves):
             Curve(n["gb0"], (PantsSlot(abp1, 1),)),
             Curve(n["gb1"], (PantsSlot(abp1, 2),)),
         ]
-    else:
-        raise ValueError(f"unknown gadget kind {kind!r}")
-    handle = n["gh"] if kind == "s12" else n["ah1"]
+    handle = n["gh"] if gadget == "s12" else n["ah1"]
     return pants, curves, gp0, n["gs"], handle
 
 
@@ -244,22 +226,24 @@ def _reroute_chain(g, chain, alpha, gs_id, p_side, q_side):
     return DualChain(new_path[0], new_path[-1], tuple(new_path[1:-1]))
 
 
-def cut_and_glue(g, alpha, gadget="genus1_two_boundary", slope_bound=2):
+def cut_and_glue(g, alpha, gadget="s12"):
     """Cut along a separating decomposition curve and glue in a gadget.
 
-    ``alpha`` must be a separating ordinary curve (its removal must
-    disconnect the pants graph).  The gadget's two splice points absorb
-    the two cut ends: the side of the cut containing the lexicographically
-    first slot keeps ``alpha`` as its gluing curve, the other side
-    receives the fresh curve ``gs``.
+    ``gadget`` is one of :data:`GADGETS`; any other value raises
+    ``ValueError``.  ``alpha`` must be a separating ordinary curve (its
+    removal must disconnect the pants graph).  The gadget's two splice
+    points absorb the two cut ends: the side of the cut containing the
+    lexicographically first slot keeps ``alpha`` as its gluing curve, the
+    other side receives the fresh curve ``gs``.
 
     Returns a :class:`CutGlueResult` whose map covers
-    :func:`~curvelab.complexes.curve_inventory` of ``g`` at
-    ``slope_bound``: every curve maps to itself except the dual chains,
-    which are rerouted through the seam.  The witnesses are curves of the
-    glued gadget that no source curve maps to.
+    :func:`~curvelab.complexes.curve_inventory` of ``g`` at slope bound 2:
+    every curve maps to itself except the dual chains, which are rerouted
+    through the seam.  The witnesses are curves of the glued gadget that
+    no source curve maps to.
     """
-    kind = _gadget_name(gadget)
+    if gadget not in GADGETS:
+        raise ValueError(f"unknown gadget {gadget!r}")
     curve = g.curve_by_id.get(alpha)
     if curve is None or curve.is_frontier:
         raise UnknownCurve(f"no ordinary curve named {alpha!r}")
@@ -268,7 +252,7 @@ def cut_and_glue(g, alpha, gadget="genus1_two_boundary", slope_bound=2):
     p_end, q_end = curve.ends
     used_pants = set(g.pants)
     used_curves = set(g.curve_by_id)
-    pieces, gadget_curves, gp0, gs_id, handle = _gadget_pieces(kind, used_pants, used_curves)
+    pieces, gadget_curves, gp0, gs_id, handle = _gadget_pieces(gadget, used_pants, used_curves)
     new_curves = [c for c in g.curves if c.id != alpha]
     new_curves.extend(gadget_curves)
     new_curves.append(Curve(alpha, (p_end, PantsSlot(gp0, 0))))
@@ -280,7 +264,7 @@ def cut_and_glue(g, alpha, gadget="genus1_two_boundary", slope_bound=2):
     )
 
     assoc = []
-    for ref in curve_inventory(g, slope_bound):
+    for ref in curve_inventory(g, 2):
         image = ref
         if isinstance(ref, DualChain):
             image = _reroute_chain(g, ref, alpha, gs_id, p_end.pants, q_end.pants)
@@ -298,7 +282,7 @@ def cut_and_glue(g, alpha, gadget="genus1_two_boundary", slope_bound=2):
         source=g,
         target=target,
         assoc=tuple(assoc),
-        provenance=f"cut at {alpha!r}, glue {kind}",
+        provenance=f"cut at {alpha!r}, glue {gadget}",
     )
     return CutGlueResult(target=target, map=m, witnesses=witnesses)
 
@@ -331,12 +315,12 @@ def nonhomeomorphic_counterexample(gadget, trunc_depth=4, alpha=None):
     """A superinjective curve map between non-homeomorphic surfaces.
 
     Cuts a truncated one-ended chain surface at a separating chain curve
-    and glues in a one-ended gadget, creating a second end that the end
-    trees detect.  Returns (source, target, map).  Finite gadgets raise
-    :class:`GadgetTooSmall` since they cannot change the end space.
+    and glues in the ``ladder`` or ``cantor`` gadget, whose ends the end
+    trees detect.  Returns (source, target, map).  The finite ``s12``
+    gadget raises :class:`GadgetTooSmall` since it cannot change the end
+    space.
     """
-    kind = _gadget_name(gadget)
-    if kind == "s12":
+    if gadget == "s12":
         raise GadgetTooSmall(
             "the two-boundary genus-1 gadget is finite; the glued surface "
             "remains homeomorphic to the original"

@@ -166,13 +166,13 @@ def peripheral_pairs(g):
     return tuple(sorted(pairs))
 
 
-def random_gluing_graph(n_pants, rng=None, boundary_bias=0.25):
+def random_gluing_graph(n_pants, rng=None):
     """A random valid connected gluing graph on ``n_pants`` pants.
 
     Grows a random spanning tree of pants, then closes remaining slots by
     random matching; each leftover slot independently becomes boundary with
-    probability ``boundary_bias``, and an odd leftover forces one more
-    boundary mark.  Deterministic for a given ``rng``.
+    probability 1/4, and an odd leftover forces one more boundary mark.
+    Deterministic for a given ``rng``.
     """
     if n_pants < 1:
         raise ValueError("need at least one pants")
@@ -197,7 +197,7 @@ def random_gluing_graph(n_pants, rng=None, boundary_bias=0.25):
     boundary = []
     while loose:
         s = loose.pop()
-        if not loose or rng.random() < boundary_bias:
+        if not loose or rng.random() < 0.25:
             boundary.append(s)
         else:
             t = loose.pop()

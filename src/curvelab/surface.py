@@ -338,6 +338,19 @@ def validate(g):
 # generators
 
 
+def _handle_block(pants, curves, open_slot, tag):
+    """Append one handle block to ``pants`` and ``curves``: the connector
+    pants ``cp{tag}`` glued to ``open_slot`` along ``c{tag}``, the tube
+    ``t{tag}`` to the handle pants ``hp{tag}`` and its self-gluing
+    ``h{tag}``.  Returns the connector's free slot."""
+    cp, hp = f"cp{tag}", f"hp{tag}"
+    pants += [cp, hp]
+    curves.append(Curve(f"c{tag}", (open_slot, PantsSlot(cp, 0))))
+    curves.append(Curve(f"t{tag}", (PantsSlot(cp, 1), PantsSlot(hp, 0))))
+    curves.append(Curve(f"h{tag}", (PantsSlot(hp, 1), PantsSlot(hp, 2))))
+    return PantsSlot(cp, 2)
+
+
 def build_finite_surface(genus, boundary):
     """Canonical pants decomposition of the compact surface S_{genus,boundary}.
 
@@ -394,12 +407,7 @@ def build_finite_surface(genus, boundary):
         legs = max(boundary - 1, 0)
 
     for k in handles:
-        cp, hp = f"cp{k}", f"hp{k}"
-        pants += [cp, hp]
-        curves.append(Curve(f"c{k}", (open_slot, slot(cp, 0))))
-        curves.append(Curve(f"t{k}", (slot(cp, 1), slot(hp, 0))))
-        curves.append(Curve(f"h{k}", (slot(hp, 1), slot(hp, 2))))
-        open_slot = slot(cp, 2)
+        open_slot = _handle_block(pants, curves, open_slot, k)
 
     for j in range(1, legs + 1):
         mp = f"mp{j}"
@@ -424,12 +432,7 @@ def _loch_ness(depth):
     curves = [Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2)))]
     open_slot = PantsSlot("hp0", 0)
     for k in range(1, depth):
-        cp, hp = f"cp{k}", f"hp{k}"
-        pants += [cp, hp]
-        curves.append(Curve(f"c{k}", (open_slot, PantsSlot(cp, 0))))
-        curves.append(Curve(f"t{k}", (PantsSlot(cp, 1), PantsSlot(hp, 0))))
-        curves.append(Curve(f"h{k}", (PantsSlot(hp, 1), PantsSlot(hp, 2))))
-        open_slot = PantsSlot(cp, 2)
+        open_slot = _handle_block(pants, curves, open_slot, k)
     curves.append(Curve(f"c{depth}", (open_slot,)))
     return GluingGraph(pants, curves)
 
@@ -443,12 +446,7 @@ def _ladder(depth):
     for side, start in (("l", PantsSlot("cp0", 1)), ("r", PantsSlot("cp0", 2))):
         open_slot = start
         for k in range(1, depth):
-            cp, hp = f"cp{side}{k}", f"hp{side}{k}"
-            pants += [cp, hp]
-            curves.append(Curve(f"c{side}{k}", (open_slot, PantsSlot(cp, 0))))
-            curves.append(Curve(f"t{side}{k}", (PantsSlot(cp, 1), PantsSlot(hp, 0))))
-            curves.append(Curve(f"h{side}{k}", (PantsSlot(hp, 1), PantsSlot(hp, 2))))
-            open_slot = PantsSlot(cp, 2)
+            open_slot = _handle_block(pants, curves, open_slot, f"{side}{k}")
         curves.append(Curve(f"c{side}{depth}", (open_slot,)))
     return GluingGraph(pants, curves)
 
@@ -465,12 +463,10 @@ def _cantor_tree(depth):
     for _ in range(depth - 1):
         next_level = []
         for a in level:
-            cp, hp, bp = f"cp{a}", f"hp{a}", f"bp{a}"
-            pants += [cp, hp, bp]
-            curves.append(Curve(f"c{a}", (child_slot.pop(a), PantsSlot(cp, 0))))
-            curves.append(Curve(f"t{a}", (PantsSlot(cp, 1), PantsSlot(hp, 0))))
-            curves.append(Curve(f"h{a}", (PantsSlot(hp, 1), PantsSlot(hp, 2))))
-            curves.append(Curve(f"s{a}", (PantsSlot(cp, 2), PantsSlot(bp, 0))))
+            free = _handle_block(pants, curves, child_slot.pop(a), a)
+            bp = f"bp{a}"
+            pants.append(bp)
+            curves.append(Curve(f"s{a}", (free, PantsSlot(bp, 0))))
             child_slot[a + "0"] = PantsSlot(bp, 1)
             child_slot[a + "1"] = PantsSlot(bp, 2)
             next_level += [a + "0", a + "1"]
@@ -516,23 +512,41 @@ def surface_to_json(g):
     }
 
 
+def _array(value, what):
+    if type(value) is not list:
+        raise FormatError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _slot(pair, what):
+    p, k = pair
+    if type(k) is not int:
+        raise FormatError(f"{what} has a slot index that is not an integer: {k!r}")
+    return PantsSlot(str(p), k)
+
+
 def surface_from_json(doc):
     """Rebuild a GluingGraph from its dict form.
 
-    Raises :class:`FormatError` on schema problems, including a repeated
-    pants or curve id, a curve id equal to a pants id, and a ``frontier``
-    list inconsistent with the one-ended curves.
+    Raises :class:`FormatError` on schema problems, including a field that
+    is not a JSON array where one is due (``pants``, ``curves``,
+    ``boundary``, a curve's ``ends``, ``frontier``), a slot index that is
+    not a JSON integer, a repeated pants or curve id, a curve id equal to
+    a pants id, and a ``frontier`` list inconsistent with the one-ended
+    curves.
     """
     try:
-        pants = [str(p) for p in doc["pants"]]
+        pants = [str(p) for p in _array(doc["pants"], "pants")]
         curves = []
-        for rec in doc["curves"]:
-            ends = tuple(PantsSlot(str(p), int(k)) for p, k in rec["ends"])
+        for rec in _array(doc["curves"], "curves"):
+            raw_ends = rec["ends"]
+            what = f"curve {rec.get('id')!r}"
+            ends = tuple(_slot(pair, what) for pair in _array(raw_ends, f"{what} ends"))
             if not 1 <= len(ends) <= 2:
-                raise FormatError(f"curve {rec.get('id')!r} has {len(ends)} ends")
+                raise FormatError(f"{what} has {len(ends)} ends")
             curves.append(Curve(str(rec["id"]), ends))
-        boundary = [PantsSlot(str(p), int(k)) for p, k in doc["boundary"]]
-        declared = sorted(str(i) for i in doc.get("frontier", []))
+        boundary = [_slot(pair, "boundary mark") for pair in _array(doc["boundary"], "boundary")]
+        declared = sorted(str(i) for i in _array(doc.get("frontier", []), "frontier"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed surface document: {exc}") from exc
     pants_ids = set()

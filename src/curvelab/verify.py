@@ -58,11 +58,6 @@ _MARGINS = {
 }
 
 
-def _sweep(items, check):
-    """Run ``check`` over ``items`` in order, collecting non-None results."""
-    return [res for res in map(check, items) if res is not None]
-
-
 def _report(suite, params, checked, failures, **extra):
     rep = {"suite": suite}
     rep.update(params)
@@ -73,36 +68,34 @@ def _report(suite, params, checked, failures, **extra):
     return rep
 
 
-def verify_cutpoints(depths=(1, 2, 3, 4, 5), samples=200, max_pants=40, seed=DEFAULT_SEED):
+def verify_cutpoints(samples=200, seed=DEFAULT_SEED):
     """Cut vertices of the adjacency graph against the separating-curve
-    classification, over the model truncations and random surfaces."""
-    cases = []
-    for model in InfiniteModel:
-        for d in depths:
-            cases.append((f"{model.value}-{d}", build_truncation(model, d)))
+    classification, over the model truncations at depths 1-5 and
+    ``samples`` random surfaces of 2-40 pants."""
+    depths = [1, 2, 3, 4, 5]
+    max_pants = 40
+    cases = [(f"{m.value}-{d}", build_truncation(m, d)) for m in InfiniteModel for d in depths]
     rng = random.Random(seed)
     for i in range(samples):
         n = rng.randint(2, max_pants)
         cases.append((f"random-{i}(n={n})", random_gluing_graph(n, rng)))
-
-    def check(case):
-        label, g = case
+    failures = []
+    for label, g in cases:
         cuts = set(cut_vertices(adjacency_graph(g)))
         non_outer = {
             cid for cid, cls in classify_all(g).items() if cls is CurveClass.NON_OUTER
         }
         if cuts != non_outer:
-            return {
-                "case": label,
-                "cut_not_classified": sorted(cuts - non_outer),
-                "classified_not_cut": sorted(non_outer - cuts),
-            }
-        return None
-
-    failures = _sweep(cases, check)
+            failures.append(
+                {
+                    "case": label,
+                    "cut_not_classified": sorted(cuts - non_outer),
+                    "classified_not_cut": sorted(non_outer - cuts),
+                }
+            )
     return _report(
         "cutpoints",
-        {"depths": list(depths), "samples": samples, "max_pants": max_pants, "seed": seed},
+        {"depths": depths, "samples": samples, "max_pants": max_pants, "seed": seed},
         len(cases),
         failures,
     )
@@ -153,19 +146,15 @@ def verify_triples(bound=50):
     w = abstract_window("torus")
     a = make_slope(0, 1)
     items = [b for b in slopes_up_to(bound) if window_intersection(w, a, b) >= 2]
-
-    def check(b):
+    failures = []
+    for b in items:
         g, g2 = triple_completion(w, a, b)
-        ok = (
+        if not (
             is_triple(w, a, g, g2)
             and window_intersection(w, g, b) + window_intersection(w, g2, b)
             == window_intersection(w, a, b)
-        )
-        if not ok:
-            return {"b": str(b), "g": str(g), "g2": str(g2)}
-        return None
-
-    failures = _sweep(items, check)
+        ):
+            failures.append({"b": str(b), "g": str(g), "g2": str(g2)})
     return _report("triples", {"bound": bound}, len(items), failures)
 
 
@@ -194,74 +183,80 @@ def _box_common_neighbors(a, b, bound):
     }
 
 
-def verify_sch04(coord_bound=20, search_bound=100):
-    """Common-neighbor counts in a sphere window: every pair of slopes
-    crossing exactly twice has exactly two slopes crossing both twice.
+def verify_sch04():
+    """Common-neighbor counts in a sphere window: every pair of slopes with
+    |p|, |q| <= 20 crossing exactly twice has exactly two slopes crossing
+    both twice.
 
-    The closed-form answer must equal the exhaustive box search at
-    ``search_bound``; the closed form always has two elements, so equality
+    The closed-form answer must equal the exhaustive search of the box
+    |p|, |q| <= 100; the closed form always has two elements, so equality
     also checks the count.
     """
+    coord_bound = 20
+    search_bound = 100
     w = abstract_window("sphere")
     slopes = slopes_up_to(coord_bound)
-    items = []
+    checked = 0
+    failures = []
     for i, a in enumerate(slopes):
         for b in slopes[i + 1 :]:
-            if window_intersection(w, a, b) == 2:
-                items.append((a, b))
-
-    def check(pair):
-        a, b = pair
-        try:
-            sols = sch04_common_neighbors(w, a, b, search_bound)
-        except CurveLabError as exc:
-            return {"a": str(a), "b": str(b), "error": f"{type(exc).__name__}: {exc}"}
-        if sols != _box_common_neighbors(a, b, search_bound):
-            return {"a": str(a), "b": str(b), "solutions": sorted(str(c) for c in sols)}
-        return None
-
-    failures = _sweep(items, check)
+            if window_intersection(w, a, b) != 2:
+                continue
+            checked += 1
+            try:
+                sols = sch04_common_neighbors(w, a, b, search_bound)
+            except CurveLabError as exc:
+                failures.append(
+                    {"a": str(a), "b": str(b), "error": f"{type(exc).__name__}: {exc}"}
+                )
+                continue
+            if sols != _box_common_neighbors(a, b, search_bound):
+                failures.append(
+                    {"a": str(a), "b": str(b), "solutions": sorted(str(c) for c in sols)}
+                )
     return _report(
         "sch04",
         {"coord_bound": coord_bound, "search_bound": search_bound},
-        len(items),
+        checked,
         failures,
     )
 
 
-def verify_dtcoords(slope_bound=10, max_twist=5, dt_bound=20):
+def verify_dtcoords():
     """Twist invariance and coordinate injectivity in both window kinds.
 
     Twisting along a slope preserves the crossing number with that slope
-    for every power up to ``max_twist``, and the coordinate triple against
-    0/1, 1/0, 1/1 separates slopes up to ``dt_bound``.
+    for every slope pair with |p|, |q| <= 10 and every power up to 5, and
+    the coordinate triple against 0/1, 1/0, 1/1 separates slopes up to 20.
     """
+    slope_bound = 10
+    max_twist = 5
+    dt_bound = 20
     failures = []
     checked = 0
     slopes = slopes_up_to(slope_bound)
     for kind in ("torus", "sphere"):
         w = abstract_window(kind)
-        items = [(along, s) for along in slopes for s in slopes]
-
-        def check(pair, w=w):
-            along, s = pair
-            want = window_intersection(w, s, along)
-            t = s
-            for k in range(1, max_twist + 1):
-                t = twist(w, along, t)
-                if window_intersection(w, t, along) != want:
-                    return {
-                        "kind": w.kind,
-                        "along": str(along),
-                        "s": str(s),
-                        "power": k,
-                        "got": window_intersection(w, t, along),
-                        "want": want,
-                    }
-            return None
-
-        failures.extend(_sweep(items, check))
-        checked += len(items)
+        for along in slopes:
+            for s in slopes:
+                checked += 1
+                want = window_intersection(w, s, along)
+                t = s
+                for k in range(1, max_twist + 1):
+                    t = twist(w, along, t)
+                    got = window_intersection(w, t, along)
+                    if got != want:
+                        failures.append(
+                            {
+                                "kind": kind,
+                                "along": str(along),
+                                "s": str(s),
+                                "power": k,
+                                "got": got,
+                                "want": want,
+                            }
+                        )
+                        break
         collision = dt_uniqueness_check(w, dt_bound)
         checked += 1
         if collision is not None:
@@ -274,11 +269,12 @@ def verify_dtcoords(slope_bound=10, max_twist=5, dt_bound=20):
     )
 
 
-def verify_diameter(trunc_depth=5, samples=100, handle_samples=50, seed=DEFAULT_SEED):
+def verify_diameter(trunc_depth=5, samples=100, seed=DEFAULT_SEED):
     """Distance-two and distance-four witnesses on a chain-surface
-    truncation: random curve pairs get a common disjoint pants curve, and
-    random handle pairs get a path of unit crossings through a third
-    handle."""
+    truncation: ``samples`` random curve pairs get a common disjoint pants
+    curve, and 50 random handle pairs get a path of unit crossings through
+    a third handle."""
+    handle_samples = 50
     g = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
     inventory = curve_inventory(g, 3)
     handles = [c.id for c in g.curves if c.is_self_gluing]

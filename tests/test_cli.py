@@ -265,3 +265,38 @@ def test_missing_input_file_reports_cleanly(capsys):
     code, out = run(capsys, "validate", "--in", "/no/such/file.json")
     assert code == 1
     assert json.loads(out)["error"] == "FileNotFoundError"
+
+
+def test_verify_with_failures_still_prints_and_writes_the_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out = run(
+        capsys, "verify", "--suite", "diameter", "--trunc-depth", "1", "--samples", "2",
+        "--out", str(path),
+    )
+    assert code == 1
+    assert json.loads(out)["failures"] > 0
+    assert path.read_text() == out
+
+
+def test_out_into_a_missing_directory_is_an_error_document(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    code, out = run(capsys, "triple", "--a", "0/1", "--b", "2/5", "--out", str(missing))
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error", "detail"}
+    assert doc["error"] == "FileNotFoundError"
+
+
+def test_validate_rejects_an_infinite_slot_index(loch4, capsys, tmp_path):
+    doc = json.loads(Path(loch4).read_text())
+    for rec in doc["curves"]:
+        if rec["id"] == "t1":
+            rec["ends"][0][1] = 987654321
+    bad = tmp_path / "inf_slot.json"
+    bad.write_text(json.dumps(doc).replace("987654321", "1e999"))
+    code, out = run(capsys, "validate", "--in", str(bad))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FormatError",
+        "detail": "curve 't1' has a slot index that is not an integer: inf",
+    }

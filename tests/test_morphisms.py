@@ -300,7 +300,5 @@ def test_nonhomeomorphic_counterexample():
 def test_counterexample_needs_an_end_changing_gadget():
     with pytest.raises(GadgetTooSmall):
         nonhomeomorphic_counterexample("s12")
-    with pytest.raises(GadgetTooSmall):
-        nonhomeomorphic_counterexample(("genus", 1))
     with pytest.raises(ValueError):
         nonhomeomorphic_counterexample("mystery")

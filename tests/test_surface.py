@@ -294,6 +294,39 @@ def test_json_rejects_duplicate_ids():
         assert str(exc.value) == detail
 
 
+@pytest.mark.parametrize("index", ["1e999", "NaN", "0.9", "true", '"1"'])
+def test_json_rejects_slot_indices_that_are_not_integers(index):
+    # in S_{2,1} the slot ["hp1", 0] ends the curve t1 and ["cp1", 2] is the
+    # boundary mark
+    text = dumps_surface(build_finite_surface(2, 1))
+    shown = {"1e999": "inf", "NaN": "nan", "true": "True", '"1"': "'1'"}.get(index, index)
+    for pants, slot, what in (("hp1", 0, "curve 't1'"), ("cp1", 2, "boundary mark")):
+        old = f'["{pants}", {slot}]'
+        assert text.count(old) == 1
+        with pytest.raises(FormatError) as exc:
+            loads_surface(text.replace(old, f'["{pants}", {index}]'))
+        assert str(exc.value) == f"{what} has a slot index that is not an integer: {shown}"
+
+
+def test_json_rejects_fields_that_are_not_arrays():
+    doc = surface_to_json(LOCH_2)
+    c1 = doc["curves"][0]
+    cases = {
+        "pants must be a JSON array, got str": {**doc, "pants": "ab"},
+        "curves must be a JSON array, got dict": {**doc, "curves": {"c1": c1}},
+        "boundary must be a JSON array, got str": {**doc, "boundary": "hp0"},
+        "frontier must be a JSON array, got str": {**doc, "frontier": "c2"},
+        "curve 'c1' ends must be a JSON array, got str": {
+            **doc,
+            "curves": [{**c1, "ends": "hp0"}] + doc["curves"][1:],
+        },
+    }
+    for detail, bad in cases.items():
+        with pytest.raises(FormatError) as exc:
+            surface_from_json(bad)
+        assert str(exc.value) == detail
+
+
 def test_dumps_ends_with_newline():
     assert dumps_surface(LOCH_1).endswith("\n")
 
