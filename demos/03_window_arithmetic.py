@@ -50,7 +50,7 @@ print(f"i({b}, {g1}) + i({b}, {g2}) = "
 # In a four-holed sphere, two curves crossing twice have exactly two
 # common neighbors that cross each of them twice: the sum and the
 # difference of their slopes.
-sols = sch04_common_neighbors(sphere, make_slope(0, 1), make_slope(1, 1), 100)
+sols = sch04_common_neighbors(sphere, make_slope(0, 1), make_slope(1, 1))
 print(f"\ntwo-crossing neighbors of 0/1 and 1/1: {sorted(map(str, sols))}")
 
 # Intersections against a small fixed family pin a slope down uniquely.

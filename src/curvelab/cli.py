@@ -168,7 +168,7 @@ def cmd_sch04(args):
     w = abstract_window("sphere")
     a = parse_slope(args.a)
     b = parse_slope(args.b)
-    sols = sch04_common_neighbors(w, a, b, args.bound)
+    sols = sch04_common_neighbors(w, a, b)
     return {"a": str(a), "b": str(b), "solutions": sorted(str(s) for s in sols)}
 
 
@@ -194,12 +194,7 @@ def cmd_path(args):
 def cmd_counterexample(args):
     source = build_truncation(InfiniteModel.LOCH_NESS, args.trunc_depth)
     result = cut_and_glue(source, args.alpha, gadget=args.gadget)
-    domain = list(result.map.domain)
-    rng = random.Random(args.seed)
-    pairs = [
-        (domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])
-        for _ in range(args.samples)
-    ]
+    pairs = result.map.sample_pairs(args.samples, random.Random(args.seed))
     report = check_superinjective(result.map, pairs)
     homeomorphic = surfaces_homeomorphic(source, result.target, args.depth)
     return {
@@ -276,7 +271,6 @@ def build_parser():
     p = sub.add_parser("sch04", help="slopes crossing two sphere-window slopes twice")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--bound", type=int, default=100)
     p.set_defaults(fn=cmd_sch04)
 
     p = sub.add_parser("graph", help="finite curve graph over an inventory")

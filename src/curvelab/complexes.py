@@ -71,11 +71,9 @@ def _is_nonseparating(g, r, separates):
         if key not in separates:
             separates[key] = window_curve_separates(g, r.found, ref.slope)
         return not separates[key]
-    if isinstance(ref, DualChain):
-        # a chain crosses its endpoint handles once; odd intersection with
-        # anything rules out separating
-        return True
-    raise UnknownCurve(f"unsupported reference {ref!r}")
+    # a dual chain crosses its endpoint handles once; odd intersection with
+    # anything rules out separating
+    return True
 
 
 def _dual_chain(path):
@@ -140,7 +138,8 @@ def local_graph(g, inventory, mode):
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
     seen = {}
     for ref in inventory:
-        seen.setdefault(ref, _resolve(g, ref))
+        if ref not in seen:
+            seen[ref] = _resolve(g, ref)
     vertices = list(seen.values())
     if mode in ("n", "g"):
         separates = {}

@@ -132,30 +132,25 @@ class Window:
 
     ``cuff_slots`` are the pants slots along which the window meets the rest
     of the surface (one for a torus window, four for a sphere window, in
-    support order); ``frontier`` lists the curves occupying those slots.
+    support order).
     """
 
     kind: str
     center: str
     support: tuple[str, ...]
     cuff_slots: tuple[PantsSlot, ...]
-    frontier: tuple[str, ...]
 
     @cached_property
     def scale(self):
         """Intersection-number multiplier: 1 on the torus, 2 on the sphere."""
         return 1 if self.kind == "torus" else 2
 
-    @property
-    def dual(self):
-        return Slope(1, 0)
-
 
 def abstract_window(kind):
     """A detached window for pure slope arithmetic with no ambient surface."""
     if kind not in ("torus", "sphere"):
         raise ValueError(f"window kind must be torus or sphere, got {kind!r}")
-    return Window(kind=kind, center="window", support=(), cuff_slots=(), frontier=())
+    return Window(kind=kind, center="window", support=(), cuff_slots=())
 
 
 def window_around(g, center_id):
@@ -191,7 +186,7 @@ def _window_or_reason(g, c):
     else:
         support = (c.ends[0].pants, c.ends[1].pants)
         for pid in support:
-            for cid in set(g.curves_at[pid]):
+            for cid in dict.fromkeys(g.curves_at[pid]):
                 other = g.curve_by_id[cid]
                 if other.is_self_gluing:
                     return (
@@ -212,13 +207,7 @@ def _window_or_reason(g, c):
             if k != end.slot
         )
         kind = "sphere"
-    frontier = tuple(
-        g.slot_occupant[(s.pants, s.slot)]
-        for s in cuffs
-        if (s.pants, s.slot) in g.slot_occupant
-    )
-    return Window(kind=kind, center=c.id, support=support,
-                  cuff_slots=cuffs, frontier=frontier)
+    return Window(kind=kind, center=c.id, support=support, cuff_slots=cuffs)
 
 
 def window_intersection(w, s1, s2):
@@ -290,25 +279,20 @@ def triple_completion(w, a, b):
     return g, g2
 
 
-def sch04_common_neighbors(w, a, b, search_bound):
+def sch04_common_neighbors(w, a, b):
     """All slopes meeting both ``a`` and ``b`` twice in a sphere window.
 
     For a pair meeting twice, |det(a, b)| = 1, so every slope c is x*a + y*b
     with det(c, a) = -y*det(a, b) and det(c, b) = x*det(a, b).  Meeting both
     twice forces |x| = |y| = 1, leaving exactly the sum a + b and the
-    difference a - b.  ``search_bound`` is the box |p|, |q| <= search_bound
-    the answer must lie in, so it has to cover the coordinate sums;
-    :func:`curvelab.verify.verify_sch04` checks the closed form against an
-    exhaustive search of that box.
+    difference a - b; :func:`curvelab.verify.verify_sch04` checks this
+    closed form against an exhaustive search of a coordinate box.
     """
     if w.kind != "sphere":
         raise ValueError(f"common-neighbor counting needs a sphere window, not {w.kind}")
     i = window_intersection(w, a, b)
     if i != 2:
         raise WrongIntersection(f"i(a, b) = {i}, need exactly 2")
-    need = max(abs(a.p) + abs(b.p), a.q + b.q)
-    if search_bound < need:
-        raise ValueError(f"search_bound {search_bound} is below the safe bound {need}")
     return {make_slope(a.p + b.p, a.q + b.q), make_slope(a.p - b.p, a.q - b.q)}
 
 

@@ -43,10 +43,10 @@ DEFAULT_STRIDE = 2
 
 @dataclass(frozen=True)
 class EndTreeNode:
-    """One live component: its level, sorted member vertices, and the index
-    of its parent in the previous level (None at level 0)."""
+    """One live component: its sorted member vertices and the index of its
+    parent in the previous level (None at level 0); its level is its index
+    in :attr:`EndTree.levels`."""
 
-    level: int
     members: tuple[str, ...]
     parent: int | None
 
@@ -169,7 +169,7 @@ def _end_tree(h, marks, depth, base, stride):
     parents[0] = [None] * len(level_members[0])
     levels = tuple(
         tuple(
-            EndTreeNode(level=k, members=m, parent=p)
+            EndTreeNode(members=m, parent=p)
             for m, p in zip(level_members[k], parents[k])
         )
         for k in range(depth + 1)

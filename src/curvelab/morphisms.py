@@ -29,7 +29,7 @@ from .curves import (
     make_slope,
     resolve_ref,
 )
-from .ends import DEFAULT_STRIDE, end_trees_isomorphic, surface_end_tree
+from .ends import end_trees_isomorphic, surface_end_tree
 from .errors import GadgetTooSmall, NotSeparating, UnknownCurve
 from .pants_graphs import CurveClass, classify_curve
 from .surface import Curve, GluingGraph, InfiniteModel, PantsSlot, build_truncation, signature
@@ -63,6 +63,15 @@ class VertexMap:
     @property
     def domain(self):
         return tuple(ref for ref, _ in self.assoc)
+
+    def sample_pairs(self, count, rng):
+        """``count`` pairs drawn uniformly, with repetition, from the
+        domain by ``rng``: first element, then second, pair by pair."""
+        domain = self.domain
+        return [
+            (domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])
+            for _ in range(count)
+        ]
 
     def apply(self, ref):
         try:
@@ -244,12 +253,9 @@ def cut_and_glue(g, alpha, gadget="s12"):
     """
     if gadget not in GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}")
-    curve = g.curve_by_id.get(alpha)
-    if curve is None or curve.is_frontier:
-        raise UnknownCurve(f"no ordinary curve named {alpha!r}")
     if classify_curve(g, alpha) is CurveClass.NONSEPARATING:
         raise NotSeparating(f"curve {alpha!r} does not separate")
-    p_end, q_end = curve.ends
+    p_end, q_end = g.curve_by_id[alpha].ends
     used_pants = set(g.pants)
     used_curves = set(g.curve_by_id)
     pieces, gadget_curves, gp0, gs_id, handle = _gadget_pieces(gadget, used_pants, used_curves)
@@ -287,12 +293,13 @@ def cut_and_glue(g, alpha, gadget="s12"):
     return CutGlueResult(target=target, map=m, witnesses=witnesses)
 
 
-def surfaces_homeomorphic(g1, g2, depth, stride=DEFAULT_STRIDE):
+def surfaces_homeomorphic(g1, g2, depth):
     """Decide homeomorphism at the resolution the truncations allow.
 
     Compares real boundary counts, finiteness, genus when both surfaces
-    are finite, and the canonical end trees at the given depth.  A True
-    answer means no invariant distinguishes the surfaces at this depth.
+    are finite, and the canonical end trees at the given depth and the
+    default stride.  A True answer means no invariant distinguishes the
+    surfaces at this depth.
     """
     if len(g1.boundary) != len(g2.boundary):
         return False
@@ -306,8 +313,8 @@ def surfaces_homeomorphic(g1, g2, depth, stride=DEFAULT_STRIDE):
         if sig1.genus != sig2.genus:
             return False
         return True
-    t1 = surface_end_tree(g1, depth, stride=stride)
-    t2 = surface_end_tree(g2, depth, stride=stride)
+    t1 = surface_end_tree(g1, depth)
+    t2 = surface_end_tree(g2, depth)
     return end_trees_isomorphic(t1, t2)
 
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._graph import components, lowpoints, neighbour_lists
+from ._graph import components, lowpoints
 from .errors import DisconnectedGraph, UnknownCurve
 from .surface import Curve, GluingGraph, PantsSlot
 
@@ -35,33 +35,38 @@ class CurveClass(str, enum.Enum):
 class AdjacencyGraph:
     """A(P) together with the frontier marks inherited from the truncation.
 
-    ``vertices`` are ordinary (two-ended) curve ids, ``edges`` unordered
-    pairs, ``marks`` the vertices lying on a pants that touches the frontier.
+    ``adjacency_lists`` maps each ordinary (two-ended) curve id to the
+    sorted list of its neighbours, the one graph shape of the library (see
+    :attr:`GluingGraph.adjacency_lists`, shared with it, so do not mutate
+    it); ``marks`` are the vertices lying on a pants that touches the
+    frontier.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    adjacency_lists: dict
     marks: tuple[str, ...]
 
     @cached_property
-    def adjacency_lists(self):
-        """Vertex -> sorted list of its neighbours, the one graph shape of
-        the library (see :attr:`GluingGraph.adjacency_lists`)."""
-        return neighbour_lists(self.vertices, self.edges)
+    def vertices(self):
+        """The vertices, sorted."""
+        return tuple(sorted(self.adjacency_lists))
+
+    @cached_property
+    def edges(self):
+        """The edges as sorted pairs, in order of their first vertex."""
+        lists = self.adjacency_lists
+        return tuple((u, v) for u in self.vertices for v in lists[u] if u < v)
 
 
 def adjacency_graph(g):
-    """The adjacency graph of the decomposition encoded by ``g``, read off
+    """The adjacency graph of the decomposition encoded by ``g``, sharing
     the cached :attr:`GluingGraph.adjacency_lists`."""
     lists = g.adjacency_lists
-    vertices = tuple(sorted(lists))
-    edges = tuple((u, v) for u in vertices for v in lists[u] if u < v)
     marks = tuple(
         v
-        for v in vertices
+        for v in sorted(lists)
         if any(p in g.frontier_pants for p in g.pants_of_curve(v))
     )
-    return AdjacencyGraph(vertices, edges, marks)
+    return AdjacencyGraph(lists, marks)
 
 
 def _ordinary_curve(g, curve_id):

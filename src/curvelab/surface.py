@@ -257,6 +257,23 @@ def signature(g):
     return SurfaceSignature(genus=two_genus // 2, boundary=b)
 
 
+def _duplicate_ids(pants, curve_ids):
+    """Describe each repeated pants id, then each curve id that repeats
+    an earlier curve id or equals a pants id, in list order."""
+    pants_ids = set()
+    for p in pants:
+        if p in pants_ids:
+            yield f"pants id {p!r} repeated"
+        pants_ids.add(p)
+    seen = set()
+    for cid in curve_ids:
+        if cid in seen:
+            yield f"curve id {cid!r} repeated"
+        elif cid in pants_ids:
+            yield f"curve id {cid!r} is also a pants id"
+        seen.add(cid)
+
+
 def validate(g):
     """Check well-formedness and return a tuple of violations (empty if ok).
 
@@ -265,16 +282,10 @@ def validate(g):
     of the pants graph.  This reports rather than raises so that a malformed
     graph can be inspected.
     """
-    violations = []
-    seen = set()
-    for p in g.pants:
-        if p in seen:
-            violations.append(Violation("DuplicateId", f"pants id {p!r} repeated"))
-        seen.add(p)
-    for c in g.curves:
-        if c.id in seen:
-            violations.append(Violation("DuplicateId", f"curve id {c.id!r} repeated or collides"))
-        seen.add(c.id)
+    violations = [
+        Violation("DuplicateId", detail)
+        for detail in _duplicate_ids(g.pants, [c.id for c in g.curves])
+    ]
 
     pants_set = set(g.pants)
     usage = {}
@@ -518,11 +529,17 @@ def _array(value, what):
     return value
 
 
+def _string(value, what):
+    if type(value) is not str:
+        raise FormatError(f"{what} is not a JSON string: {value!r}")
+    return value
+
+
 def _slot(pair, what):
     p, k = pair
     if type(k) is not int:
         raise FormatError(f"{what} has a slot index that is not an integer: {k!r}")
-    return PantsSlot(str(p), k)
+    return PantsSlot(_string(p, f"pants of {what}"), k)
 
 
 def surface_from_json(doc):
@@ -531,12 +548,13 @@ def surface_from_json(doc):
     Raises :class:`FormatError` on schema problems, including a field that
     is not a JSON array where one is due (``pants``, ``curves``,
     ``boundary``, a curve's ``ends``, ``frontier``), a slot index that is
-    not a JSON integer, a repeated pants or curve id, a curve id equal to
-    a pants id, and a ``frontier`` list inconsistent with the one-ended
-    curves.
+    not a JSON integer, a pants id, curve id, slot pants or ``frontier``
+    entry that is not a JSON string, a repeated pants or curve id, a curve
+    id equal to a pants id, and a ``frontier`` list inconsistent with the
+    one-ended curves.
     """
     try:
-        pants = [str(p) for p in _array(doc["pants"], "pants")]
+        pants = [_string(p, "pants id") for p in _array(doc["pants"], "pants")]
         curves = []
         for rec in _array(doc["curves"], "curves"):
             raw_ends = rec["ends"]
@@ -544,23 +562,16 @@ def surface_from_json(doc):
             ends = tuple(_slot(pair, what) for pair in _array(raw_ends, f"{what} ends"))
             if not 1 <= len(ends) <= 2:
                 raise FormatError(f"{what} has {len(ends)} ends")
-            curves.append(Curve(str(rec["id"]), ends))
+            curves.append(Curve(_string(rec["id"], "curve id"), ends))
         boundary = [_slot(pair, "boundary mark") for pair in _array(doc["boundary"], "boundary")]
-        declared = sorted(str(i) for i in _array(doc.get("frontier", []), "frontier"))
+        declared = sorted(
+            _string(i, "frontier entry") for i in _array(doc.get("frontier", []), "frontier")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed surface document: {exc}") from exc
-    pants_ids = set()
-    for p in pants:
-        if p in pants_ids:
-            raise FormatError(f"pants id {p!r} repeated")
-        pants_ids.add(p)
-    curve_ids = set()
-    for c in curves:
-        if c.id in curve_ids:
-            raise FormatError(f"curve id {c.id!r} repeated")
-        if c.id in pants_ids:
-            raise FormatError(f"curve id {c.id!r} is also a pants id")
-        curve_ids.add(c.id)
+    duplicate = next(_duplicate_ids(pants, [c.id for c in curves]), None)
+    if duplicate is not None:
+        raise FormatError(duplicate)
     g = GluingGraph(pants, curves, boundary)
     if declared != sorted(g.frontier):
         raise FormatError(

@@ -204,7 +204,7 @@ def verify_sch04():
                 continue
             checked += 1
             try:
-                sols = sch04_common_neighbors(w, a, b, search_bound)
+                sols = sch04_common_neighbors(w, a, b)
             except CurveLabError as exc:
                 failures.append(
                     {"a": str(a), "b": str(b), "error": f"{type(exc).__name__}: {exc}"}
@@ -343,13 +343,8 @@ def verify_counterexample(
     of the surfaces to be homeomorphic once the gadget adds an end."""
     source = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
     result = cut_and_glue(source, alpha)
-    domain = list(result.map.domain)
     rng = random.Random(seed)
-    pairs = [
-        (domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])
-        for _ in range(samples)
-    ]
-    si = check_superinjective(result.map, pairs)
+    si = check_superinjective(result.map, result.map.sample_pairs(samples, rng))
     failures = list(si["violations"])
 
     image = {img for _, img in result.map.assoc}
@@ -363,14 +358,7 @@ def verify_counterexample(
         failures.append({"error": "fewer than three witnesses"})
 
     src, tgt, gadget_map = nonhomeomorphic_counterexample(gadget, trunc_depth, alpha)
-    gadget_pairs = [
-        (
-            gadget_map.domain[rng.randrange(len(gadget_map.domain))],
-            gadget_map.domain[rng.randrange(len(gadget_map.domain))],
-        )
-        for _ in range(samples // 2)
-    ]
-    gadget_si = check_superinjective(gadget_map, gadget_pairs)
+    gadget_si = check_superinjective(gadget_map, gadget_map.sample_pairs(samples // 2, rng))
     failures.extend(gadget_si["violations"])
     homeomorphic = surfaces_homeomorphic(src, tgt, depth=1)
     if homeomorphic:

@@ -159,7 +159,7 @@ def test_4_two_crossing_neighbor_count(capsys):
                 continue
             checked += 1
             box = _box_common_neighbors(a, b, 100)
-            if len(box) != 2 or sch04_common_neighbors(SPHERE, a, b, 100) != box:
+            if len(box) != 2 or sch04_common_neighbors(SPHERE, a, b) != box:
                 anomalies += 1
     elapsed = time.perf_counter() - start
     ok = anomalies == 0 and checked > 0

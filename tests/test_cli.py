@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from curvelab import build_truncation, loads_surface
+from curvelab import build_truncation, loads_surface, surface_to_json
 from curvelab.cli import main
 
 
@@ -202,6 +202,50 @@ def test_cli_import_does_not_load_numpy_or_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
+# two pants joined by three curves, slot k to slot k
+THETA = {
+    "pants": ["p", "q"],
+    "curves": [{"id": cid, "ends": [["p", k], ["q", k]]} for k, cid in enumerate("abc")],
+    "boundary": [],
+    "frontier": [],
+}
+
+
+def test_output_does_not_depend_on_the_hash_seed(loch4, capsys, tmp_path):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(THETA))
+    ladder = tmp_path / "lad3.json"
+    code, _ = run(capsys, "gen", "--model", "ladder", "--depth", "3", "--out", str(ladder))
+    assert code == 0
+    inventory = (
+        "pants:c1,pants:h0,pants:h1,win:c2:1/0,win:h1:1/0,win:h1:1/1,win:h2:2/1,"
+        "chain:h0:h1:c1,t1"
+    )
+    calls = [
+        ["intersect", "--in", str(theta), "--a", "win:a:1/0", "--b", "pants:b"],
+        ["graph", "--in", loch4, "--inventory", inventory, "--mode", "n"],
+        ["ends", "--in", str(ladder), "--depth", "1", "--graph", "curves"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for argv in calls:
+        seen = set()
+        for seed in ("0", "1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvelab.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+            )
+            seen.add((proc.returncode, proc.stdout))
+        assert len(seen) == 1, argv
+        outputs.append(seen.pop())
+    assert json.loads(outputs[0][1]) == {
+        "error": "UnknownCurve",
+        "detail": "no sphere window around 'a': 'b' also joins its two pants",
+    }
+
+
 def test_graph_with_chain_inventory(loch4, capsys):
     code, out = run(
         capsys,
@@ -285,6 +329,20 @@ def test_out_into_a_missing_directory_is_an_error_document(tmp_path, capsys):
     doc = json.loads(out)
     assert set(doc) == {"error", "detail"}
     assert doc["error"] == "FileNotFoundError"
+
+
+def test_validate_rejects_ids_that_are_not_strings(capsys, tmp_path):
+    # a null curve id and a pants renamed to the integer 7 everywhere
+    doc = surface_to_json(build_truncation("loch_ness", 2))
+    text = json.dumps(doc).replace('"id": "c1"', '"id": null').replace('"hp1"', "7")
+    bad = tmp_path / "ids.json"
+    bad.write_text(text)
+    code, out = run(capsys, "validate", "--in", str(bad))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FormatError",
+        "detail": "pants id is not a JSON string: 7",
+    }
 
 
 def test_validate_rejects_an_infinite_slot_index(loch4, capsys, tmp_path):

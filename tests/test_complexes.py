@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvelab import complexes
 from curvelab import (
     CurveClass,
     CurveLabError,
@@ -96,6 +97,20 @@ def test_inventory_is_deduplicated_in_order():
     inventory = refs("pants:h1", "pants:h0", "pants:h1")
     lg = local_graph(g, inventory, "c")
     assert [format_ref(v) for v in lg.vertices] == ["pants:h1", "pants:h0"]
+
+
+def test_local_graph_resolves_each_distinct_entry_once(monkeypatch):
+    g = build_truncation("loch_ness", 4)
+    resolve = complexes._resolve
+    calls = []
+
+    def counting(g, ref):
+        calls.append(ref)
+        return resolve(g, ref)
+
+    monkeypatch.setattr(complexes, "_resolve", counting)
+    local_graph(g, refs("pants:h1", "win:h1:1/0", "pants:h1", "win:h1:1/0"), "c")
+    assert [format_ref(r) for r in calls] == ["pants:h1", "win:h1:1/0"]
 
 
 def test_local_graph_validates_references():
@@ -203,7 +218,7 @@ def _reference_window(g, center_id):
     else:
         support = (c.ends[0].pants, c.ends[1].pants)
         for pid in support:
-            for cid in set(g.curves_at[pid]):
+            for cid in dict.fromkeys(g.curves_at[pid]):
                 other = g.curve_by_id[cid]
                 if other.is_self_gluing:
                     raise UnknownCurve(
@@ -221,13 +236,7 @@ def _reference_window(g, center_id):
             PantsSlot(end.pants, k) for end in c.ends for k in range(3) if k != end.slot
         )
         kind = "sphere"
-    frontier = tuple(
-        g.slot_occupant[(s.pants, s.slot)]
-        for s in cuffs
-        if (s.pants, s.slot) in g.slot_occupant
-    )
-    return Window(kind=kind, center=center_id, support=support,
-                  cuff_slots=cuffs, frontier=frontier)
+    return Window(kind=kind, center=center_id, support=support, cuff_slots=cuffs)
 
 
 def _reference_resolve(g, ref):

@@ -341,13 +341,12 @@ def test_is_triple():
 
 
 def test_sch04_pinned_examples():
-    sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 0), 100)
+    sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 0))
     assert sols == {make_slope(1, 1), make_slope(-1, 1)}
-    sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 1), 100)
+    sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 1))
     assert sols == {make_slope(1, 0), make_slope(1, 2)}
-    # the answer is closed form, so a huge bound costs nothing
-    sols = sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(1, 0), 10**12)
-    assert sols == {make_slope(1, 1), make_slope(-1, 1)}
+    sols = sch04_common_neighbors(SPHERE, make_slope(100, 1), make_slope(101, 1))
+    assert sols == {make_slope(1, 0), make_slope(201, 2)}
 
 
 def _word_columns(moves):
@@ -374,28 +373,21 @@ def _unimodular_pair(moves):
 def test_sch04_matches_box_search_on_random_unimodular_pairs(moves):
     a, b = _unimodular_pair(moves)
     assert window_intersection(SPHERE, a, b) == 2
+    sols = sch04_common_neighbors(SPHERE, a, b)
     safe = max(abs(a.p) + abs(b.p), a.q + b.q)
     for bound in range(safe, safe + 41):
-        assert sch04_common_neighbors(SPHERE, a, b, bound) == _box_common_neighbors(
-            a, b, bound
-        )
+        assert sols == _box_common_neighbors(a, b, bound)
 
 
 def test_sch04_requires_two_crossings():
     # the pair 0/1, 2/1 meets four times in a sphere window
     with pytest.raises(WrongIntersection):
-        sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(2, 1), 100)
-
-
-def test_sch04_requires_room_to_search():
-    # 18/19 and 19/20 are unimodular but their sum is far outside bound 10
-    with pytest.raises(ValueError):
-        sch04_common_neighbors(SPHERE, make_slope(18, 19), make_slope(19, 20), 10)
+        sch04_common_neighbors(SPHERE, make_slope(0, 1), make_slope(2, 1))
 
 
 def test_sch04_requires_sphere_window():
     with pytest.raises(ValueError):
-        sch04_common_neighbors(TORUS, make_slope(0, 1), make_slope(1, 0), 100)
+        sch04_common_neighbors(TORUS, make_slope(0, 1), make_slope(1, 0))
 
 
 # --- coordinate vectors -----------------------------------------------------

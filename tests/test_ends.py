@@ -31,6 +31,7 @@ from curvelab import (
     random_gluing_graph,
     surface_end_tree,
 )
+from curvelab._graph import neighbour_lists
 from curvelab.ends import EndTree, EndTreeNode, default_base
 
 # truncation depth that keeps the end tree of each model safe at query depth d
@@ -235,7 +236,7 @@ def _reference_end_tree(h, marks, depth, base, stride):
         built, index = [], {}
         for i, (members, comp) in enumerate(nodes):
             parent = prev_index[next(iter(comp))] if k > 0 else None
-            built.append(EndTreeNode(level=k, members=members, parent=parent))
+            built.append(EndTreeNode(members=members, parent=parent))
             for v in comp:
                 index[v] = i
         levels.append(tuple(built))
@@ -251,7 +252,7 @@ def _outcome(build, *args):
 
 
 def _end_tree_of(h, marks, depth, stride, base=None):
-    a = AdjacencyGraph(tuple(h.nodes), tuple(h.edges), tuple(marks))
+    a = AdjacencyGraph(neighbour_lists(h.nodes, h.edges), tuple(marks))
     return end_tree(a, depth, base=base, stride=stride)
 
 

@@ -104,8 +104,8 @@ PROBES = [
      "677f19946beff49555fe33733300c5001d5a847b1dcb2aeaddb8f14fb97a3cc7"),
     ("sch04 --a 0/1 --b 1/1", 0,
      "47c7f4f64e5afd92045a9e09d88556c96d081711397bfc0d0215cc567c9a17ba"),
-    ("sch04 --a 1/2 --b 1/0 --bound 1", 1,
-     "b0781439c1f5ddb692230aec34f6eb399cf7dde05fe16e7be970e0f531c4cdf0"),
+    ("sch04 --a 100/1 --b 101/1", 0,
+     "a4a423ea078f4e7362ee4b6b1ad8e454750c27458dcb431c0f0bbad2d5e34f6b"),
     ("graph --in {d}/l4.json --inventory pants:h0,pants:h1,chain:h0:h1:c1,t1 --mode g", 0,
      "9e16497767caedd4891317cf4ae965382ea243a660c0a2a1c4fb81e7cd3c89f9"),
     ("graph --in {d}/l4.json --inventory pants:c1,pants:c2,win:c2:1/0,win:c2:1/1 --mode c", 0,

@@ -30,6 +30,7 @@ from curvelab import (
     random_gluing_graph,
     validate,
 )
+from curvelab._graph import neighbour_lists
 
 N = CurveClass.NONSEPARATING
 O = CurveClass.OUTER
@@ -42,6 +43,12 @@ def test_adjacency_graph_of_small_chain():
     assert a.vertices == ("c1", "h0", "h1", "t1")
     assert set(a.edges) == {("c1", "h0"), ("c1", "t1"), ("h1", "t1")}
     assert a.marks == ("c1", "t1")
+
+
+def test_adjacency_graph_shares_the_cached_lists():
+    for model in InfiniteModel:
+        g = build_truncation(model, 3)
+        assert adjacency_graph(g).adjacency_lists is g.adjacency_lists
 
 
 def test_adjacency_excludes_frontier():
@@ -161,7 +168,7 @@ def test_cut_points_are_exactly_non_outer():
 
 
 def test_cut_vertices_requires_connected():
-    a = AdjacencyGraph(vertices=("u", "v"), edges=(), marks=())
+    a = AdjacencyGraph(neighbour_lists(("u", "v"), ()), marks=())
     with pytest.raises(DisconnectedGraph):
         cut_vertices(a)
 

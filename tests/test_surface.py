@@ -327,6 +327,26 @@ def test_json_rejects_fields_that_are_not_arrays():
         assert str(exc.value) == detail
 
 
+@pytest.mark.parametrize("value", [None, 7, True, ["hp0"]])
+def test_json_rejects_ids_that_are_not_strings(value):
+    doc = surface_to_json(LOCH_2)
+    c1, rest = doc["curves"][0], doc["curves"][1:]
+    cases = {
+        "pants id": {**doc, "pants": [value] + doc["pants"][1:]},
+        "curve id": {**doc, "curves": [{**c1, "id": value}] + rest},
+        "pants of curve 'c1'": {
+            **doc,
+            "curves": [{**c1, "ends": [[value, 0], c1["ends"][1]]}] + rest,
+        },
+        "pants of boundary mark": {**doc, "boundary": [[value, 0]]},
+        "frontier entry": {**doc, "frontier": [value]},
+    }
+    for what, bad in cases.items():
+        with pytest.raises(FormatError) as exc:
+            surface_from_json(bad)
+        assert str(exc.value) == f"{what} is not a JSON string: {value!r}"
+
+
 def test_dumps_ends_with_newline():
     assert dumps_surface(LOCH_1).endswith("\n")
 
