@@ -66,8 +66,8 @@ _set_q = Slope.__dict__["q"].__set__
 
 def _trusted_slope(p, q):
     """A Slope from a pair that is already reduced and sign-normalized,
-    built without the constructor's validation; only :func:`make_slope`,
-    which establishes both, calls it."""
+    built without the constructor's validation; only :func:`make_slope`
+    and :func:`twist`, which establish both, call it."""
     s = _new_slope(Slope)
     _set_p(s, p)
     _set_q(s, q)
@@ -103,10 +103,6 @@ def parse_slope(text):
         return make_slope(int(p_text), int(q_text))
     except (ValueError, ZeroSlope) as exc:
         raise FormatError(f"expected a slope like 3/2, got {text!r}") from exc
-
-
-def _det(a, b):
-    return a.p * b.q - a.q * b.p
 
 
 def slopes_up_to(bound):
@@ -212,7 +208,7 @@ def _window_or_reason(g, c):
 
 def window_intersection(w, s1, s2):
     """Geometric intersection number of two slope curves in one window."""
-    return w.scale * abs(_det(s1, s2))
+    return w.scale * abs(s1.p * s2.q - s1.q * s2.p)
 
 
 def twist(w, along, s, direction=1):
@@ -222,11 +218,19 @@ def twist(w, along, s, direction=1):
     ``along`` and preserves every pairwise window intersection number.  The
     window argument only fixes the ambient naming; the formula does not
     depend on its kind.
+
+    The action is a unimodular linear map, so it sends a coprime pair to a
+    coprime pair: the image of a Slope needs no gcd, only the sign
+    normalization (q > 0, or the pair (1, 0)).
     """
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    d = _det(s, along)
-    return make_slope(s.p + direction * d * along.p, s.q + direction * d * along.q)
+    d = direction * (s.p * along.q - s.q * along.p)
+    p = s.p + d * along.p
+    q = s.q + d * along.q
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return _trusted_slope(p, q)
 
 
 def is_triple(w, a, b, c):
@@ -237,7 +241,9 @@ def is_triple(w, a, b, c):
     if len({a, b, c}) != 3:
         return False
     return (
-        abs(_det(a, b)) == 1 and abs(_det(b, c)) == 1 and abs(_det(a, c)) == 1
+        window_intersection(w, a, b) == 1
+        and window_intersection(w, b, c) == 1
+        and window_intersection(w, a, c) == 1
     )
 
 
@@ -266,7 +272,7 @@ def triple_completion(w, a, b):
     """
     if w.kind != "torus":
         raise NotTorusWindow(f"triple completion needs a torus window, not {w.kind}")
-    n = abs(_det(a, b))
+    n = window_intersection(w, a, b)
     if n < 2:
         raise IntersectionTooSmall(f"i(a, b) = {n}; completion needs at least 2")
     u, v = _bezout(a.p, a.q)

@@ -66,7 +66,10 @@ class VertexMap:
 
     def sample_pairs(self, count, rng):
         """``count`` pairs drawn uniformly, with repetition, from the
-        domain by ``rng``: first element, then second, pair by pair."""
+        domain by ``rng``: first element, then second, pair by pair.
+        Raises ValueError when ``count`` is negative."""
+        if count < 0:
+            raise ValueError(f"samples must be at least 0, got {count}")
         domain = self.domain
         return [
             (domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])

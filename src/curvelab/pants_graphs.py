@@ -59,12 +59,12 @@ class AdjacencyGraph:
 
 def adjacency_graph(g):
     """The adjacency graph of the decomposition encoded by ``g``, sharing
-    the cached :attr:`GluingGraph.adjacency_lists`."""
+    the cached :attr:`GluingGraph.adjacency_lists`.  The marks are read
+    from the curves on the frontier pants."""
     lists = g.adjacency_lists
+    at = g.curves_at
     marks = tuple(
-        v
-        for v in sorted(lists)
-        if any(p in g.frontier_pants for p in g.pants_of_curve(v))
+        sorted({v for p in g.frontier_pants for v in at.get(p, ()) if v in lists})
     )
     return AdjacencyGraph(lists, marks)
 
@@ -190,12 +190,15 @@ def random_gluing_graph(n_pants, rng=None):
     def take(p):
         return free[p].pop(rng.randrange(len(free[p])))
 
-    attached = [names[0]]
+    # the attached pants with a free slot, in order of attachment
+    open_pants = [names[0]]
     for p in names[1:]:
-        anchor = rng.choice([q for q in attached if free[q]])
+        anchor = rng.choice(open_pants)
         curves.append(Curve(f"e{counter}", (PantsSlot(anchor, take(anchor)), PantsSlot(p, take(p)))))
         counter += 1
-        attached.append(p)
+        if not free[anchor]:
+            open_pants.remove(anchor)
+        open_pants.append(p)
 
     loose = [PantsSlot(p, s) for p in names for s in free[p]]
     rng.shuffle(loose)

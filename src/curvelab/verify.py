@@ -7,12 +7,17 @@ seeded, so reports are reproducible, and the sweeps run sequentially.
 
 The ``sch04`` suite checks the closed form of
 :func:`~curvelab.curves.sch04_common_neighbors` (the sum and difference of
-the two slopes) against an exhaustive search of the coordinate box.
+the two slopes) against an exhaustive search of the coordinate box.  It
+lists its pairs instead of filtering all pairs: one row search of the box
+per slope ``a`` yields every slope crossing ``a`` twice, which gives both
+the pairs through ``a`` and, for each, the search the closed form is
+compared with.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 from .complexes import curve_inventory, disjointness_witness, schmutz_path
 from .curves import (
@@ -71,7 +76,10 @@ def _report(suite, params, checked, failures, **extra):
 def verify_cutpoints(samples=200, seed=DEFAULT_SEED):
     """Cut vertices of the adjacency graph against the separating-curve
     classification, over the model truncations at depths 1-5 and
-    ``samples`` random surfaces of 2-40 pants."""
+    ``samples`` random surfaces of 2-40 pants.  Raises ValueError when
+    ``samples`` is negative."""
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     depths = [1, 2, 3, 4, 5]
     max_pants = 40
     cases = [(f"{m.value}-{d}", build_truncation(m, d)) for m in InfiniteModel for d in depths]
@@ -112,7 +120,10 @@ def _expected_leaf_counts(model, depth):
 def verify_ends(max_depth=6):
     """End-space bookkeeping for the three standard models: live component
     counts per level, curve-tree/pants-tree isomorphism, and the level-wise
-    correspondence between them."""
+    correspondence between them.  Raises ValueError when ``max_depth`` is
+    below 1."""
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     failures = []
     checked = 0
     for model in InfiniteModel:
@@ -158,29 +169,57 @@ def verify_triples(bound=50):
     return _report("triples", {"bound": bound}, len(items), failures)
 
 
-def _box_common_neighbors(a, b, bound):
-    """Every slope with |p|, |q| <= bound meeting both ``a`` and ``b`` in
-    a unit determinant, found by exhaustive search of that box.
+def _unit_neighbors(a, bound):
+    """Every slope with |p|, |q| <= bound at unit determinant from ``a``
+    (meeting it twice in a sphere window), sorted: one search of the box,
+    row by row.
 
-    Meeting ``a`` means p*a.q - q*a.p = +-1.  For a = 1/0 that is the whole
-    row q = 1; otherwise each row q holds at most the two solutions
-    p = (q*a.p +- 1) / a.q.  Of those candidates the ones meeting ``b`` the
-    same way are kept, so the search is complete in O(bound) steps.
+    Unit determinant means p*a.q - q*a.p = s with s = +-1.  For a = 1/0
+    that is the whole row q = 1.  Otherwise the row q holds a solution for
+    sign s exactly when q*a.p + s is divisible by a.q, that is when q is
+    -s / a.p modulo a.q, so the rows of each sign are read off in steps of
+    a.q from the first, with p = (q*a.p + s) / a.q.  When a.q = 1 the
+    rows q = 0 of both signs name 1/0, which is listed once.
     """
     if a.q == 0:
-        candidates = [(p, 1) for p in range(-bound, bound + 1)]
-    else:
-        candidates = [
-            ((q * a.p + s) // a.q, q)
-            for q in range(bound + 1)
-            for s in (1, -1)
-            if (q * a.p + s) % a.q == 0
-        ]
-    return {
-        make_slope(p, q)
-        for p, q in candidates
-        if max(abs(p), q) <= bound and abs(p * b.q - q * b.p) == 1
-    }
+        return [make_slope(p, 1) for p in range(-bound, bound + 1)]
+    pairs = set()
+    for s in (1, -1):
+        first = 0 if a.q == 1 else -s * pow(a.p, -1, a.q) % a.q
+        for q in range(first, bound + 1, a.q):
+            p = (q * a.p + s) // a.q
+            if -bound <= p <= bound:
+                pairs.add((p, q) if q else (1, 0))
+    return [make_slope(p, q) for p, q in sorted(pairs)]
+
+
+def _meeting(row, b):
+    """The members of ``row`` at unit determinant from ``b``."""
+    return {c for c in row if abs(c.p * b.q - c.q * b.p) == 1}
+
+
+def _box_common_neighbors(a, b, bound):
+    """Every slope with |p|, |q| <= bound meeting both ``a`` and ``b`` in
+    a unit determinant, found by exhaustive search of that box: the row
+    search of :func:`_unit_neighbors` for ``a``, kept where it meets
+    ``b``."""
+    return _meeting(_unit_neighbors(a, bound), b)
+
+
+def _unit_pairs(coord_bound, search_bound):
+    """Each pair a < b of slopes with |p|, |q| <= coord_bound at unit
+    determinant, in slope order, with the row search of the box
+    |p|, |q| <= search_bound around ``a`` (which holds ``b``, given
+    search_bound >= coord_bound).
+
+    Each ``a`` is searched once; its pairs are the members of its row
+    after it in slope order that lie in the smaller box.
+    """
+    for a in slopes_up_to(coord_bound):
+        row = _unit_neighbors(a, search_bound)
+        for b in row[bisect_right(row, a) :]:
+            if b.q <= coord_bound and -coord_bound <= b.p <= coord_bound:
+                yield a, b, row
 
 
 def verify_sch04():
@@ -188,32 +227,32 @@ def verify_sch04():
     |p|, |q| <= 20 crossing exactly twice has exactly two slopes crossing
     both twice.
 
-    The closed-form answer must equal the exhaustive search of the box
-    |p|, |q| <= 100; the closed form always has two elements, so equality
-    also checks the count.
+    The pairs are listed, not filtered: one row search of the box
+    |p|, |q| <= 100 per slope ``a`` finds every slope crossing ``a``
+    twice, and its members after ``a`` with coordinates up to 20 are the
+    pairs.  For each pair the closed-form answer must equal the members of
+    the same search crossing ``b`` twice, the exhaustive search of that
+    box; the closed form always has two elements, so equality also checks
+    the count.
     """
     coord_bound = 20
     search_bound = 100
     w = abstract_window("sphere")
-    slopes = slopes_up_to(coord_bound)
     checked = 0
     failures = []
-    for i, a in enumerate(slopes):
-        for b in slopes[i + 1 :]:
-            if window_intersection(w, a, b) != 2:
-                continue
-            checked += 1
-            try:
-                sols = sch04_common_neighbors(w, a, b)
-            except CurveLabError as exc:
-                failures.append(
-                    {"a": str(a), "b": str(b), "error": f"{type(exc).__name__}: {exc}"}
-                )
-                continue
-            if sols != _box_common_neighbors(a, b, search_bound):
-                failures.append(
-                    {"a": str(a), "b": str(b), "solutions": sorted(str(c) for c in sols)}
-                )
+    for a, b, row in _unit_pairs(coord_bound, search_bound):
+        checked += 1
+        try:
+            sols = sch04_common_neighbors(w, a, b)
+        except CurveLabError as exc:
+            failures.append(
+                {"a": str(a), "b": str(b), "error": f"{type(exc).__name__}: {exc}"}
+            )
+            continue
+        if sols != _meeting(row, b):
+            failures.append(
+                {"a": str(a), "b": str(b), "solutions": sorted(str(c) for c in sols)}
+            )
     return _report(
         "sch04",
         {"coord_bound": coord_bound, "search_bound": search_bound},
@@ -273,7 +312,9 @@ def verify_diameter(trunc_depth=5, samples=100, seed=DEFAULT_SEED):
     """Distance-two and distance-four witnesses on a chain-surface
     truncation: ``samples`` random curve pairs get a common disjoint pants
     curve, and 50 random handle pairs get a path of unit crossings through
-    a third handle."""
+    a third handle.  Raises ValueError when ``samples`` is negative."""
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     handle_samples = 50
     g = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
     inventory = curve_inventory(g, 3)

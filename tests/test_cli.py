@@ -290,6 +290,23 @@ def test_verify_subcommand(capsys):
     assert json.loads(out)["failures"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        ("verify --suite cutpoints --samples -1", "samples must be at least 0, got -1"),
+        ("verify --suite diameter --samples -1", "samples must be at least 0, got -1"),
+        ("verify --suite counterexample --samples -2", "samples must be at least 0, got -2"),
+        ("counterexample --samples -2", "samples must be at least 0, got -2"),
+        ("verify --suite ends --max-depth 0", "max_depth must be at least 1, got 0"),
+    ],
+    ids=["cutpoints", "diameter", "verify-counterexample", "counterexample", "ends"],
+)
+def test_vacuous_sizes_are_refused(capsys, argv, detail):
+    code, out = run(capsys, *argv.split())
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "detail": detail}
+
+
 def test_verify_rejects_foreign_flags(capsys):
     code, out = run(capsys, "verify", "--suite", "triples", "--alpha", "c2")
     assert code == 1

@@ -10,10 +10,11 @@ the coordinate box.
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvelab import (
@@ -47,7 +48,7 @@ from curvelab import (
     window_intersection,
 )
 from curvelab import Curve, GluingGraph, PantsSlot
-from curvelab.verify import _box_common_neighbors
+from curvelab.verify import _box_common_neighbors, _unit_neighbors, _unit_pairs
 
 TORUS = abstract_window("torus")
 SPHERE = abstract_window("sphere")
@@ -195,6 +196,13 @@ def test_make_slope_matches_the_reference(p, q, k):
     st.lists(st.sampled_from("TtS"), max_size=12),
     st.sampled_from((1, -1)),
 )
+# Along 0/1, the first twist's raw image needs the sign step: 1/0 goes to
+# (1, -1) and -3/1 to (-3, -2); -1/1 goes to (-1, 0).  1/1 goes to (1, 0),
+# which must stay.  A raw (-1, 0) never arises at direction -1.
+@example(["S"], [], -1)
+@example(["S"], ["S"], 1)
+@example(["S"], ["t", "S"], 1)
+@example(["S"], ["T", "S"], -1)
 def test_twist_powers_match_the_reference(moves_a, moves_b, direction):
     a, b = _word_columns(moves_a)
     c, _ = _word_columns(moves_b)
@@ -377,6 +385,40 @@ def test_sch04_matches_box_search_on_random_unimodular_pairs(moves):
     safe = max(abs(a.p) + abs(b.p), a.q + b.q)
     for bound in range(safe, safe + 41):
         assert sols == _box_common_neighbors(a, b, bound)
+
+
+def test_unit_neighbors_match_the_all_pairs_filter():
+    for bound in range(1, 21):
+        slopes = slopes_up_to(bound)
+        for a in slopes:
+            want = [b for b in slopes if window_intersection(SPHERE, a, b) == 2]
+            assert _unit_neighbors(a, bound) == want, (a, bound)
+
+
+def test_sch04_pairs_match_the_all_pairs_filter():
+    for coord_bound in range(1, 21):
+        slopes = slopes_up_to(coord_bound)
+        want = [
+            (a, b)
+            for i, a in enumerate(slopes)
+            for b in slopes[i + 1 :]
+            if window_intersection(SPHERE, a, b) == 2
+        ]
+        got = []
+        for a, b, row in _unit_pairs(coord_bound, 100):
+            assert row == _unit_neighbors(a, 100)
+            got.append((a, b))
+        assert got == want, coord_bound
+
+
+def test_unit_pairs_stay_fast_at_scale():
+    # filtering all pairs of slopes_up_to(60) takes about 10^7 determinants
+    start = time.perf_counter()
+    pairs = [(a, b) for a, b, _ in _unit_pairs(60, 60)]
+    elapsed = time.perf_counter() - start
+    assert all(window_intersection(SPHERE, a, b) == 2 for a, b in pairs)
+    assert len(set(pairs)) == len(pairs) > 0
+    assert elapsed < 2.0, elapsed
 
 
 def test_sch04_requires_two_crossings():

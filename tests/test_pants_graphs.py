@@ -16,15 +16,19 @@ from hypothesis import strategies as st
 
 from curvelab import (
     AdjacencyGraph,
+    Curve,
     CurveClass,
     DisconnectedGraph,
+    GluingGraph,
     InfiniteModel,
+    PantsSlot,
     adjacency_graph,
     build_finite_surface,
     build_truncation,
     classify_all,
     classify_curve,
     cut_vertices,
+    dumps_surface,
     outer_degree_check,
     peripheral_pairs,
     random_gluing_graph,
@@ -204,6 +208,84 @@ def test_peripheral_pairs_require_nonseparating():
     # the middle pants of S_{0,5} carries two curves and one boundary leg,
     # but both curves are outer separating
     assert peripheral_pairs(build_finite_surface(0, 5)) == ()
+
+
+def _reference_random_gluing_graph(n_pants, rng):
+    """random_gluing_graph with its anchor drawn from a list rebuilt for
+    every pants: the attached pants that still have a free slot."""
+    names = [f"p{i}" for i in range(n_pants)]
+    free = {p: [0, 1, 2] for p in names}
+    curves = []
+    counter = 0
+
+    def take(p):
+        return free[p].pop(rng.randrange(len(free[p])))
+
+    attached = [names[0]]
+    for p in names[1:]:
+        anchor = rng.choice([q for q in attached if free[q]])
+        curves.append(Curve(f"e{counter}", (PantsSlot(anchor, take(anchor)), PantsSlot(p, take(p)))))
+        counter += 1
+        attached.append(p)
+
+    loose = [PantsSlot(p, s) for p in names for s in free[p]]
+    rng.shuffle(loose)
+    boundary = []
+    while loose:
+        s = loose.pop()
+        if not loose or rng.random() < 0.25:
+            boundary.append(s)
+        else:
+            t = loose.pop()
+            curves.append(Curve(f"e{counter}", (s, t)))
+            counter += 1
+    return GluingGraph(names, curves, boundary)
+
+
+def test_random_graphs_match_the_reference_anchor_rule():
+    for n_pants in (1, 2, 3, 5, 10, 40, 80):
+        for seed in range(300):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = dumps_surface(random_gluing_graph(n_pants, rng))
+            want = dumps_surface(_reference_random_gluing_graph(n_pants, ref_rng))
+            assert got == want, (n_pants, seed)
+            assert rng.random() == ref_rng.random(), (n_pants, seed)
+
+
+def _reference_marks(g):
+    """The marks vertex by vertex: the curves of A(P) with a pants among
+    the frontier pants."""
+    return tuple(
+        v
+        for v in sorted(g.adjacency_lists)
+        if any(p in g.frontier_pants for p in g.pants_of_curve(v))
+    )
+
+
+def _with_frontier(g, rng):
+    """``g`` with a random share of its boundary slots turned into
+    frontier curves."""
+    frontier = [s for s in g.boundary if rng.random() < 0.5]
+    boundary = [s for s in g.boundary if s not in frontier]
+    extra = [Curve(f"f{i}", (s,)) for i, s in enumerate(frontier)]
+    return GluingGraph(g.pants, g.curves + tuple(extra), boundary)
+
+
+def test_marks_match_the_reference_on_models_and_census():
+    graphs = [build_truncation(m, d) for m in InfiniteModel for d in range(1, 9)]
+    graphs += [build_finite_surface(genus, b) for genus, b in CENSUS]
+    for g in graphs:
+        assert adjacency_graph(g).marks == _reference_marks(g), g.pants[:3]
+    assert any(adjacency_graph(g).marks for g in graphs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_marks_match_the_reference_on_random_graphs(n_pants, seed):
+    rng = random.Random(seed)
+    for g in (random_gluing_graph(n_pants, rng), _with_frontier(random_gluing_graph(n_pants, rng), rng)):
+        assert validate(g) == ()
+        assert adjacency_graph(g).marks == _reference_marks(g)
 
 
 def test_random_graphs_are_valid_and_deterministic():
