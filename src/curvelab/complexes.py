@@ -128,19 +128,15 @@ def local_graph(g, inventory, mode):
     for disjointness, 1 for unit intersection); undefined pairs are
     reported in ``undefined_pairs``.
 
-    Each inventory entry is resolved, and its support found, once; every
-    pair then goes through global_intersection's table without resolving
-    again, so the cost beyond the pairs is linear in the inventory.  The
-    separation test searches at most once per window and slope parity
-    class.
+    Each distinct inventory entry is checked at most once per graph (see
+    :func:`~curvelab.curves.global_intersection`); every pair then goes
+    through the intersection table on the two records, so the cost beyond
+    the pairs is linear in the inventory.  The separation test searches at
+    most once per window and slope parity class.
     """
     if mode not in _RELATIONS:
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
-    seen = {}
-    for ref in inventory:
-        if ref not in seen:
-            seen[ref] = _resolve(g, ref)
-    vertices = list(seen.values())
+    vertices = [_resolve(g, ref) for ref in dict.fromkeys(inventory)]
     if mode in ("n", "g"):
         separates = {}
         vertices = [r for r in vertices if _is_nonseparating(g, r, separates)]
@@ -167,7 +163,8 @@ def disjointness_witness(g, c1, c2):
     Scans decomposition curves in id order, so the witness is deterministic.
     Raises :class:`NoRoom` when no decomposition curve avoids both inputs;
     that means the truncation is too small to show the path and should be
-    deepened.  Both inputs are resolved once, before the scan.
+    deepened.  Both inputs are checked before the scan; they and every
+    candidate are checked at most once per graph.
     """
     r1 = _resolve(g, c1)
     r2 = _resolve(g, c2)

@@ -157,22 +157,10 @@ def window_around(g, center_id):
     four-holed sphere: the two pants share no second curve and neither
     carries a self-gluing.  Raises :class:`UnknownCurve` otherwise.
 
-    Each center is examined once per graph: the answer, a Window or the
-    reason there is none, is kept in :attr:`GluingGraph.window_table`, so a
-    repeated lookup returns the same Window or raises a fresh
-    :class:`UnknownCurve` with the same message.
+    Each call examines the center afresh; a window curve reference keeps
+    its window in :attr:`GluingGraph.ref_table` through :func:`_resolve`.
     """
     c = _ordinary_curve(g, center_id)
-    found = g.window_table.get(center_id)
-    if found is None:
-        found = g.window_table[center_id] = _window_or_reason(g, c)
-    if isinstance(found, str):
-        raise UnknownCurve(found)
-    return found
-
-
-def _window_or_reason(g, c):
-    """The Window spanned by the ordinary curve ``c``, or why it spans none."""
     if c.is_self_gluing:
         p = c.ends[0].pants
         third = ({0, 1, 2} - {c.ends[0].slot, c.ends[1].slot}).pop()
@@ -185,14 +173,14 @@ def _window_or_reason(g, c):
             for cid in dict.fromkeys(g.curves_at[pid]):
                 other = g.curve_by_id[cid]
                 if other.is_self_gluing:
-                    return (
+                    raise UnknownCurve(
                         f"no sphere window around {c.id!r}: pants {pid!r} "
                         f"carries the self-gluing {cid!r}"
                     )
                 if cid != c.id and not other.is_frontier and set(
                     g.pants_of_curve(cid)
                 ) == set(support):
-                    return (
+                    raise UnknownCurve(
                         f"no sphere window around {c.id!r}: {cid!r} also "
                         f"joins its two pants"
                     )
@@ -214,10 +202,10 @@ def window_intersection(w, s1, s2):
 def twist(w, along, s, direction=1):
     """Dehn twist of slope ``s`` along slope ``along`` in window ``w``.
 
-    The action is s + direction * det(s, along) * along, which fixes
-    ``along`` and preserves every pairwise window intersection number.  The
-    window argument only fixes the ambient naming; the formula does not
-    depend on its kind.
+    The action is s + direction * scale * det(s, along) * along, which
+    fixes ``along`` and preserves every pairwise window intersection
+    number.  The window's scale (2 on the sphere) makes it the Dehn twist,
+    not the half-twist, in both kinds: i(T^k(s), s) = |k| i(along, s)^2.
 
     The action is a unimodular linear map, so it sends a coprime pair to a
     coprime pair: the image of a Slope needs no gcd, only the sign
@@ -225,7 +213,7 @@ def twist(w, along, s, direction=1):
     """
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    d = direction * (s.p * along.q - s.q * along.p)
+    d = direction * w.scale * (s.p * along.q - s.q * along.p)
     p = s.p + d * along.p
     q = s.q + d * along.q
     if q < 0 or (q == 0 and p < 0):
@@ -384,7 +372,7 @@ def resolve_ref(g, ref):
     Returns the Window for a WindowCurve, the full path for a DualChain and
     the curve record for a PantsCurve.  Raises :class:`UnknownCurve` with
     the failing condition otherwise.  This is the ``found`` part of
-    :func:`_resolve`, the one place references are checked.
+    :func:`_resolve`, the one place checked references are kept.
     """
     return _resolve(g, ref).found
 
@@ -403,6 +391,18 @@ class _Resolved(NamedTuple):
 
 
 def _resolve(g, ref):
+    """The record of ``ref`` checked against ``g``: read from
+    :attr:`GluingGraph.ref_table`, or built by :func:`_check` and stored
+    there on the first ask.  A failing reference is not stored and raises
+    again with the same message.  The table trades memory for repeats: it
+    keeps one record per distinct reference asked of ``g``."""
+    r = g.ref_table.get(ref)
+    if r is None:
+        r = g.ref_table[ref] = _check(g, ref)
+    return r
+
+
+def _check(g, ref):
     """Check ``ref`` against ``g`` and collect its support from the same
     lookups; the one type dispatch over references."""
     if isinstance(ref, PantsCurve):
@@ -472,9 +472,10 @@ def global_intersection(g, c1, c2):
     only defined when supports are disjoint (0) or the refs are equal (0).
     None is a value meaning "outside the table", never an error.
 
-    Resolves ``c1``, then ``c2``, once each (raising :class:`UnknownCurve`
-    for the first that fails) and then applies the table; callers pairing
-    many curves resolve each once and apply the table per pair.
+    Looks up ``c1``, then ``c2``, in the graph's table of checked
+    references (see :func:`_resolve`), checking each on its first ask and
+    raising :class:`UnknownCurve` for the first that fails, and then
+    applies the table; a repeated call checks nothing again.
     """
     return _pairing(_resolve(g, c1), _resolve(g, c2))
 

@@ -23,9 +23,8 @@ from .curves import (
     DualChain,
     PantsCurve,
     WindowCurve,
-    _pairing,
-    _resolve,
     format_ref,
+    global_intersection,
     make_slope,
     resolve_ref,
 )
@@ -90,26 +89,16 @@ def check_superinjective(m, pairs):
     violating pairs with their intersection numbers on both sides, and the
     pairs skipped because an intersection number was undefined.
 
-    Each reference is resolved once on its side, in the order
-    :func:`~curvelab.curves.global_intersection` would for the pair (x and
-    y on the source, then their images on the target), and every pair
-    goes through the pairing table.
+    Each pair is read with :func:`~curvelab.curves.global_intersection`
+    on the source (x, then y), then on the target once both images are
+    looked up; each reference is checked at most once per graph.
     """
-    source, target = {}, {}
-
-    def resolved(memo, g, ref):
-        r = memo.get(ref)
-        if r is None:
-            r = memo[ref] = _resolve(g, ref)
-        return r
-
     checked = 0
     violations = []
     skipped = []
     for x, y in pairs:
-        i_src = _pairing(resolved(source, m.source, x), resolved(source, m.source, y))
-        x_img, y_img = m.apply(x), m.apply(y)
-        i_tgt = _pairing(resolved(target, m.target, x_img), resolved(target, m.target, y_img))
+        i_src = global_intersection(m.source, x, y)
+        i_tgt = global_intersection(m.target, m.apply(x), m.apply(y))
         if i_src is None or i_tgt is None:
             skipped.append((format_ref(x), format_ref(y)))
             continue
@@ -302,8 +291,11 @@ def surfaces_homeomorphic(g1, g2, depth):
     Compares real boundary counts, finiteness, genus when both surfaces
     are finite, and the canonical end trees at the given depth and the
     default stride.  A True answer means no invariant distinguishes the
-    surfaces at this depth.
+    surfaces at this depth.  A depth below 1, which cannot see an added
+    end, raises ValueError.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if len(g1.boundary) != len(g2.boundary):
         return False
     inf1 = bool(g1.frontier)

@@ -28,9 +28,10 @@ from .errors import ComplexityTooLow, FormatError, NonIntegralGenus
 SLOTS_PER_PANTS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PantsSlot:
-    """One of the three boundary circles of a pants, addressed by index."""
+    """One of the three boundary circles of a pants, addressed by index;
+    slots order as the pair (pants, slot)."""
 
     pants: str
     slot: int
@@ -60,10 +61,6 @@ class Curve:
         return len(self.ends) == 2 and self.ends[0].pants == self.ends[1].pants
 
 
-def _sorted_ends(ends):
-    return tuple(sorted(ends, key=lambda s: (s.pants, s.slot)))
-
-
 @dataclass(frozen=True)
 class GluingGraph:
     """A pants decomposition of a surface, finite or truncated-infinite.
@@ -84,14 +81,12 @@ class GluingGraph:
             "curves",
             tuple(
                 sorted(
-                    (Curve(c.id, _sorted_ends(c.ends)) for c in curves),
+                    (Curve(c.id, tuple(sorted(c.ends))) for c in curves),
                     key=lambda c: c.id,
                 )
             ),
         )
-        object.__setattr__(
-            self, "boundary", tuple(sorted(boundary, key=lambda s: (s.pants, s.slot)))
-        )
+        object.__setattr__(self, "boundary", tuple(sorted(boundary)))
 
     @cached_property
     def curve_by_id(self):
@@ -165,13 +160,11 @@ class GluingGraph:
         return frozenset(separating)
 
     @cached_property
-    def window_table(self):
-        """The per-graph window table: ordinary curve id -> its
-        :class:`~curvelab.curves.Window`, or the detail of the
-        :class:`~curvelab.errors.UnknownCurve` raised for a curve that
-        spans none.  :func:`curvelab.curves.window_around` fills it on
-        first lookup, so each center is examined once per graph; do not
-        write to it elsewhere."""
+    def ref_table(self):
+        """Curve reference -> its checked record, written only by
+        :func:`curvelab.curves._resolve` on the reference's first lookup.
+        A failing reference is never stored; the table grows with the
+        distinct references asked of this graph, not with the lookups."""
         return {}
 
     @cached_property
@@ -385,35 +378,32 @@ def build_finite_surface(genus, boundary):
     curves = []
     bmarks = []
 
-    def slot(p, k):
-        return PantsSlot(p, k)
-
     if genus == 0:
         # pure boundary chain, boundary >= 4
         n = boundary - 2
         pants.extend(f"tp{0}" if i == 0 else (f"tp{1}" if i == n - 1 else f"mp{i}") for i in range(n))
         first, last = pants[0], pants[-1]
-        bmarks += [slot(first, 0), slot(first, 1), slot(last, 1), slot(last, 2)]
+        bmarks += [PantsSlot(first, 0), PantsSlot(first, 1), PantsSlot(last, 1), PantsSlot(last, 2)]
         for i in range(n - 1):
             left, right = pants[i], pants[i + 1]
-            curves.append(Curve(f"s{i + 1}", (slot(left, 2), slot(right, 0))))
+            curves.append(Curve(f"s{i + 1}", (PantsSlot(left, 2), PantsSlot(right, 0))))
             if 0 < i:
-                bmarks.append(slot(left, 1))
+                bmarks.append(PantsSlot(left, 1))
         return GluingGraph(pants, curves, bmarks)
 
     # genus >= 1: open_slot walks the free right end of the chain
     if genus >= 1 and boundary >= 2:
         pants += ["xp", "yp"]
-        bmarks.append(slot("xp", 0))
-        curves.append(Curve("a", (slot("xp", 1), slot("yp", 0))))
-        curves.append(Curve("b", (slot("xp", 2), slot("yp", 1))))
-        open_slot = slot("yp", 2)
+        bmarks.append(PantsSlot("xp", 0))
+        curves.append(Curve("a", (PantsSlot("xp", 1), PantsSlot("yp", 0))))
+        curves.append(Curve("b", (PantsSlot("xp", 2), PantsSlot("yp", 1))))
+        open_slot = PantsSlot("yp", 2)
         handles = range(1, genus)
         legs = boundary - 2
     else:
         pants.append("hp0")
-        curves.append(Curve("h0", (slot("hp0", 1), slot("hp0", 2))))
-        open_slot = slot("hp0", 0)
+        curves.append(Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2))))
+        open_slot = PantsSlot("hp0", 0)
         handles = range(1, genus) if boundary >= 1 else range(1, genus - 1)
         legs = max(boundary - 1, 0)
 
@@ -423,9 +413,9 @@ def build_finite_surface(genus, boundary):
     for j in range(1, legs + 1):
         mp = f"mp{j}"
         pants.append(mp)
-        curves.append(Curve(f"s{j}", (open_slot, slot(mp, 0))))
-        bmarks.append(slot(mp, 1))
-        open_slot = slot(mp, 2)
+        curves.append(Curve(f"s{j}", (open_slot, PantsSlot(mp, 0))))
+        bmarks.append(PantsSlot(mp, 1))
+        open_slot = PantsSlot(mp, 2)
 
     if boundary >= 1:
         bmarks.append(open_slot)
@@ -433,18 +423,24 @@ def build_finite_surface(genus, boundary):
         # close the chain with a terminal handle block
         hp = f"hp{genus - 1}"
         pants.append(hp)
-        curves.append(Curve(f"c{genus - 1}", (open_slot, slot(hp, 0))))
-        curves.append(Curve(f"h{genus - 1}", (slot(hp, 1), slot(hp, 2))))
+        curves.append(Curve(f"c{genus - 1}", (open_slot, PantsSlot(hp, 0))))
+        curves.append(Curve(f"h{genus - 1}", (PantsSlot(hp, 1), PantsSlot(hp, 2))))
     return GluingGraph(pants, curves, bmarks)
+
+
+def _arm(pants, curves, open_slot, side, depth):
+    """Append handle blocks ``{side}1`` .. ``{side}{depth - 1}`` from
+    ``open_slot`` outward and end the arm with the frontier curve
+    ``c{side}{depth}``."""
+    for k in range(1, depth):
+        open_slot = _handle_block(pants, curves, open_slot, f"{side}{k}")
+    curves.append(Curve(f"c{side}{depth}", (open_slot,)))
 
 
 def _loch_ness(depth):
     pants = ["hp0"]
     curves = [Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2)))]
-    open_slot = PantsSlot("hp0", 0)
-    for k in range(1, depth):
-        open_slot = _handle_block(pants, curves, open_slot, k)
-    curves.append(Curve(f"c{depth}", (open_slot,)))
+    _arm(pants, curves, PantsSlot("hp0", 0), "", depth)
     return GluingGraph(pants, curves)
 
 
@@ -454,11 +450,8 @@ def _ladder(depth):
         Curve("t0", (PantsSlot("cp0", 0), PantsSlot("hp0", 0))),
         Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2))),
     ]
-    for side, start in (("l", PantsSlot("cp0", 1)), ("r", PantsSlot("cp0", 2))):
-        open_slot = start
-        for k in range(1, depth):
-            open_slot = _handle_block(pants, curves, open_slot, f"{side}{k}")
-        curves.append(Curve(f"c{side}{depth}", (open_slot,)))
+    _arm(pants, curves, PantsSlot("cp0", 1), "l", depth)
+    _arm(pants, curves, PantsSlot("cp0", 2), "r", depth)
     return GluingGraph(pants, curves)
 
 

@@ -307,6 +307,12 @@ def test_vacuous_sizes_are_refused(capsys, argv, detail):
     assert json.loads(out) == {"error": "ValueError", "detail": detail}
 
 
+def test_counterexample_refuses_depth_zero(capsys):
+    code, out = run(capsys, "counterexample", "--depth", "0")
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "detail": "depth must be at least 1, got 0"}
+
+
 def test_verify_rejects_foreign_flags(capsys):
     code, out = run(capsys, "verify", "--suite", "triples", "--alpha", "c2")
     assert code == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelab import complexes
+from curvelab import complexes, curves
 from curvelab import (
     CurveClass,
     CurveLabError,
@@ -111,6 +111,63 @@ def test_local_graph_resolves_each_distinct_entry_once(monkeypatch):
     monkeypatch.setattr(complexes, "_resolve", counting)
     local_graph(g, refs("pants:h1", "win:h1:1/0", "pants:h1", "win:h1:1/0"), "c")
     assert [format_ref(r) for r in calls] == ["pants:h1", "win:h1:1/0"]
+
+
+def _counting_check(monkeypatch):
+    """Record every reference the graph-table builder checks."""
+    check = curves._check
+    built = []
+
+    def counting(g, ref):
+        built.append(ref)
+        return check(g, ref)
+
+    monkeypatch.setattr(curves, "_check", counting)
+    return built
+
+
+def test_local_graph_fills_the_table_with_its_inventory():
+    g = build_truncation("loch_ness", 10)
+    inventory = curve_inventory(g, 3)
+    local_graph(g, inventory, "g")
+    assert len(g.ref_table) == len(set(inventory)) == 343
+    assert set(g.ref_table) == set(inventory)
+
+
+def test_repeated_intersection_builds_no_new_record(monkeypatch):
+    g = build_truncation("loch_ness", 4)
+    built = _counting_check(monkeypatch)
+    a, b = parse_ref("win:h1:1/2"), parse_ref("chain:h0:h2:c1,c2,t2")
+    first = global_intersection(g, a, b)
+    assert built == [a, b]
+    assert global_intersection(g, a, b) == first
+    assert global_intersection(g, b, parse_ref("win:h1:1/2")) == first
+    assert built == [a, b]
+
+
+def test_a_failing_reference_is_not_kept():
+    g = build_truncation("loch_ness", 4)
+    bad = parse_ref("win:c1:1/1")
+    details = []
+    for _ in range(2):
+        with pytest.raises(UnknownCurve) as exc:
+            global_intersection(g, parse_ref("pants:h0"), bad)
+        details.append(str(exc.value))
+        assert bad not in g.ref_table
+    assert details[0] == details[1]
+    assert PantsCurve("h0") in g.ref_table
+
+
+def test_witness_candidates_are_built_once_per_graph(monkeypatch):
+    g = build_truncation("loch_ness", 6)
+    built = _counting_check(monkeypatch)
+    a, b = parse_ref("chain:h0:h5:c1,c2,c3,c4,c5,t5"), parse_ref("win:h1:1/1")
+    # the scan passes c1-c5, h0 and h1, which meet a or b, to reach h2
+    for _ in range(3):
+        assert disjointness_witness(g, a, b) == PantsCurve("h2")
+        assert disjointness_witness(g, b, a) == PantsCurve("h2")
+    scanned = ("c1", "c2", "c3", "c4", "c5", "h0", "h1", "h2")
+    assert built == [a, b] + [PantsCurve(cid) for cid in scanned]
 
 
 def test_local_graph_validates_references():

@@ -259,6 +259,48 @@ def test_twist_inverse():
             assert twist(TORUS, along, forward, -1) == s
 
 
+_SMALL_SLOPES = (
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+    .filter(lambda pair: pair != (0, 0))
+    .map(lambda pair: make_slope(*pair))
+)
+
+
+def _twist_power(w, along, s, k):
+    for _ in range(abs(k)):
+        s = twist(w, along, s, 1 if k > 0 else -1)
+    return s
+
+
+# Farb-Margalit, Prop. 3.2: i(T_a^k(b), b) = |k| i(a, b)^2.  On the sphere,
+# 0/1 against 1/0 gives 4, 8, 12 for k = 1, 2, 3; a half-twist gives 2, 4, 6.
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("torus", "sphere")), _SMALL_SLOPES, _SMALL_SLOPES, st.integers(-4, 4))
+@example("sphere", Slope(0, 1), Slope(1, 0), 1)
+@example("sphere", Slope(0, 1), Slope(1, 0), 3)
+def test_twist_power_meets_its_curve_k_times_the_square(kind, a, b, k):
+    w = abstract_window(kind)
+    t = _twist_power(w, a, b, k)
+    assert window_intersection(w, t, b) == abs(k) * window_intersection(w, a, b) ** 2
+
+
+# Farb-Margalit, Prop. 3.4: |i(T_a^k(b), c) - |k| i(a, b) i(a, c)| <= i(b, c).
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("torus", "sphere")),
+    _SMALL_SLOPES,
+    _SMALL_SLOPES,
+    _SMALL_SLOPES,
+    st.integers(-4, 4),
+)
+@example("sphere", Slope(0, 1), Slope(1, 0), Slope(1, 0), 1)
+def test_twist_power_obeys_the_crossing_bound(kind, a, b, c, k):
+    w = abstract_window(kind)
+    t = _twist_power(w, a, b, k)
+    i = lambda x, y: window_intersection(w, x, y)
+    assert abs(i(t, c) - abs(k) * i(a, b) * i(a, c)) <= i(b, c)
+
+
 def test_twist_rejects_other_directions():
     with pytest.raises(ValueError):
         twist(TORUS, make_slope(0, 1), make_slope(1, 0), 2)

@@ -273,6 +273,15 @@ def test_surfaces_homeomorphic_on_models():
     )
 
 
+def test_surfaces_homeomorphic_refuses_a_depth_below_one():
+    # level 0 of the end trees cannot see the ladder's second end
+    g = build_truncation("loch_ness", 4)
+    target = build_truncation("ladder", 4)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+            surfaces_homeomorphic(g, target, depth)
+
+
 def test_surfaces_homeomorphic_on_finite_surfaces():
     s21 = build_finite_surface(2, 1)
     assert surfaces_homeomorphic(s21, build_finite_surface(2, 1), 1)
