@@ -45,7 +45,7 @@ print("target homeomorphic to source:", surfaces_homeomorphic(g, res.target, 1))
 
 # An infinite arm changes the end space: the map is just as good, but
 # the two surfaces can no longer be homeomorphic.
-src, tgt, m = nonhomeomorphic_counterexample("ladder", trunc_depth=4)
+src, tgt, m = nonhomeomorphic_counterexample("ladder", 4, "c2")
 pairs = [(a, b) for a in m.domain for b in m.domain if isinstance(a, PantsCurve)]
 rep = check_superinjective(m, pairs[:300])
 print(f"\narm gadget: {len(rep['violations'])} violations on {rep['checked']} pairs,"

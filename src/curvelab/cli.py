@@ -230,7 +230,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a surface gluing graph")
-    p.add_argument("--model", choices=["loch_ness", "ladder", "cantor_tree"])
+    p.add_argument("--model", choices=[m.value for m in InfiniteModel])
     p.add_argument("--depth", type=int)
     p.add_argument("--genus", type=int)
     p.add_argument("--boundary", type=int, default=0)

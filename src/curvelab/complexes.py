@@ -59,18 +59,13 @@ class LocalCurveGraph:
         return _RELATIONS[self.mode]
 
 
-def _is_nonseparating(g, r, separates):
-    """Whether the resolved reference ``r`` is nonseparating.  A window
-    curve's answer depends only on its window and its slope's parity
-    class, so it is kept in ``separates`` under (center, p % 2, q % 2)."""
+def _is_nonseparating(g, r):
+    """Whether the resolved reference ``r`` is nonseparating."""
     ref = r.ref
     if isinstance(ref, PantsCurve):
         return classify_curve(g, ref.id) is CurveClass.NONSEPARATING
     if isinstance(ref, WindowCurve):
-        key = (ref.center, ref.slope.p % 2, ref.slope.q % 2)
-        if key not in separates:
-            separates[key] = window_curve_separates(g, r.found, ref.slope)
-        return not separates[key]
+        return not window_curve_separates(g, r.found, ref.slope)
     # a dual chain crosses its endpoint handles once; odd intersection with
     # anything rules out separating
     return True
@@ -131,15 +126,14 @@ def local_graph(g, inventory, mode):
     Each distinct inventory entry is checked at most once per graph (see
     :func:`~curvelab.curves.global_intersection`); every pair then goes
     through the intersection table on the two records, so the cost beyond
-    the pairs is linear in the inventory.  The separation test searches at
-    most once per window and slope parity class.
+    the pairs is linear in the inventory, besides one separation search
+    per sphere window curve in modes "n" and "g".
     """
     if mode not in _RELATIONS:
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
     vertices = [_resolve(g, ref) for ref in dict.fromkeys(inventory)]
     if mode in ("n", "g"):
-        separates = {}
-        vertices = [r for r in vertices if _is_nonseparating(g, r, separates)]
+        vertices = [r for r in vertices if _is_nonseparating(g, r)]
     want = 0 if _RELATIONS[mode] == "disjointness" else 1
     edges = []
     undefined = []

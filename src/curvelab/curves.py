@@ -235,21 +235,6 @@ def is_triple(w, a, b, c):
     )
 
 
-def _bezout(p, q):
-    """Coefficients (u, v) with u*p + v*q = 1 for coprime (p, q)."""
-    old_r, r = p, q
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_u, u = u, old_u - k * u
-        old_v, v = v, old_v - k * v
-    if old_r < 0:
-        old_u, old_v = -old_u, -old_v
-    return old_u, old_v
-
-
 def triple_completion(w, a, b):
     """Complete two slopes crossing >= 2 times to a triple through ``a``.
 
@@ -263,7 +248,13 @@ def triple_completion(w, a, b):
     n = window_intersection(w, a, b)
     if n < 2:
         raise IntersectionTooSmall(f"i(a, b) = {n}; completion needs at least 2")
-    u, v = _bezout(a.p, a.q)
+    # any u, v with u*a.p + v*a.q = 1 do: the pair (u + k*a.q, v - k*a.p)
+    # raises s below by k, which cancels in g and g2
+    if a.q:
+        u = pow(a.p, -1, a.q)
+        v = (1 - u * a.p) // a.q
+    else:
+        u, v = 1, 0
     # the map [[a.q, -a.p], [u, v]] has determinant 1 and sends a to (0, 1)
     big_p = a.q * b.p - a.p * b.q
     big_q = u * b.p + v * b.q

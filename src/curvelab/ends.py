@@ -15,7 +15,8 @@ its sorted neighbour list: the pants graph of the decomposition
 and the adjacency graph A(P) (:attr:`AdjacencyGraph.adjacency_lists`;
 marks are the curves lying on such pants).  For a decomposition of an
 infinite surface the two trees are isomorphic, and
-:func:`induced_end_correspondence` exhibits the bijection level by level.
+:func:`induced_end_correspondence` exhibits the bijection level by level
+at the default stride.
 
 A finite surface has no marks, every component is dead, and the tree is
 empty at every level; it is returned at once, with no search.
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from ._graph import bfs_distances
-from .errors import BijectionFailure, DepthExceedsTruncation, DepthMismatch, UnknownCurve
+from .errors import BijectionFailure, DepthExceedsTruncation, DepthMismatch
 from .pants_graphs import AdjacencyGraph, adjacency_graph
 
 DEFAULT_STRIDE = 2
@@ -204,35 +205,26 @@ def end_trees_isomorphic(t1, t2):
     return t1.canonical() == t2.canonical()
 
 
-def induced_end_correspondence(g, depth, base=None, stride=DEFAULT_STRIDE):
+def induced_end_correspondence(g, depth):
     """Match the A(P) end tree of ``g`` with its pants-graph end tree.
 
-    Every level-k component of curves is sent to the unique live pants
-    component meeting the supports of its curves, after discarding pants
-    inside the level-k ball and pants in dead components.  ``base``, when
-    given, names the pants anchoring the pants-graph tree; the curve tree
-    is then anchored at the smallest ordinary curve on that pants.  Returns
-    ``(curve_tree, pants_tree, mapping)`` where ``mapping[k][i] = j`` matches
-    node i of the curve tree to node j of the pants tree at level k.  Raises
-    :class:`BijectionFailure` if any assignment is ambiguous, the level maps
-    fail to be bijections, or parents do not match.
+    Both trees are built at the default stride 2, each from its default
+    base.  Every level-k component of curves is sent to the unique live
+    pants component meeting the supports of its curves, after discarding
+    pants inside the level-k ball and pants in dead components.  Returns
+    ``(curve_tree, pants_tree, mapping)`` where ``mapping[k][i] = j``
+    matches node i of the curve tree to node j of the pants tree at level
+    k.  Raises :class:`BijectionFailure` if any assignment is ambiguous, the
+    level maps fail to be bijections, or parents do not match.
 
-    The correspondence is checked at the default stride 2.  At stride 1,
-    and on the Cantor tree at stride 3, the balls of the two trees need not
-    line up, and the ladder and the Cantor tree raise
-    :class:`BijectionFailure` at most query depths.
+    The level bijection is checked at stride 2 only: at other strides a
+    curve ball and a pants ball of the same radius need not nest, so it
+    can fail on valid truncations.  Matching the two end spaces there needs
+    an interleaving of the trees, which this module does not build yet.
     """
     a = adjacency_graph(g)
-    curve_base = None
-    if base is not None:
-        if base not in set(g.pants):
-            raise UnknownCurve(f"no pants named {base!r}")
-        anchors = [cid for cid in g.curves_at[base] if not g.curve_by_id[cid].is_frontier]
-        if not anchors:
-            raise BijectionFailure(f"pants {base!r} carries no ordinary curve to anchor at")
-        curve_base = min(anchors)
-    ct = end_tree(a, depth, base=curve_base, stride=stride)
-    pt = surface_end_tree(g, depth, base=base, stride=stride)
+    ct = end_tree(a, depth)
+    pt = surface_end_tree(g, depth)
 
     support = {v: g.pants_of_curve(v) for v in a.vertices}
     mapping = []

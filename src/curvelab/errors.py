@@ -36,7 +36,8 @@ class DepthExceedsTruncation(CurveLabError):
 
 
 class BijectionFailure(CurveLabError):
-    """The induced end correspondence failed to be a level bijection.
+    """The induced end correspondence failed to be a level bijection at
+    stride 2.
 
     This is diagnostic: it signals a generator or model bug, not bad input.
     """

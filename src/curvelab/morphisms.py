@@ -313,14 +313,15 @@ def surfaces_homeomorphic(g1, g2, depth):
     return end_trees_isomorphic(t1, t2)
 
 
-def nonhomeomorphic_counterexample(gadget, trunc_depth=4, alpha=None):
+def nonhomeomorphic_counterexample(gadget, trunc_depth, alpha):
     """A superinjective curve map between non-homeomorphic surfaces.
 
-    Cuts a truncated one-ended chain surface at a separating chain curve
-    and glues in the ``ladder`` or ``cantor`` gadget, whose ends the end
-    trees detect.  Returns (source, target, map).  The finite ``s12``
-    gadget raises :class:`GadgetTooSmall` since it cannot change the end
-    space.
+    Cuts the Loch Ness truncation of depth ``trunc_depth`` at the
+    separating chain curve ``alpha`` (the ``counterexample`` suite and
+    command use ``"c2"`` at depth 4) and glues in the ``ladder`` or
+    ``cantor`` gadget, whose ends the end trees detect.  Returns (source,
+    target, map).  The finite ``s12`` gadget raises :class:`GadgetTooSmall`
+    since it cannot change the end space.
     """
     if gadget == "s12":
         raise GadgetTooSmall(
@@ -328,7 +329,5 @@ def nonhomeomorphic_counterexample(gadget, trunc_depth=4, alpha=None):
             "remains homeomorphic to the original"
         )
     g = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
-    if alpha is None:
-        alpha = f"c{max(trunc_depth // 2, 1)}"
     result = cut_and_glue(g, alpha, gadget=gadget)
     return g, result.target, result.map

@@ -16,7 +16,6 @@ properties of curves become pure graph theory.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,17 +170,16 @@ def peripheral_pairs(g):
     return tuple(sorted(pairs))
 
 
-def random_gluing_graph(n_pants, rng=None):
-    """A random valid connected gluing graph on ``n_pants`` pants.
+def random_gluing_graph(n_pants, rng):
+    """A random valid connected gluing graph on ``n_pants`` pants, drawn
+    from ``rng`` (a :class:`random.Random`), so a seed fixes the graph.
 
     Grows a random spanning tree of pants, then closes remaining slots by
     random matching; each leftover slot independently becomes boundary with
     probability 1/4, and an odd leftover forces one more boundary mark.
-    Deterministic for a given ``rng``.
     """
     if n_pants < 1:
         raise ValueError("need at least one pants")
-    rng = rng or random.Random()
     names = [f"p{i}" for i in range(n_pants)]
     free = {p: [0, 1, 2] for p in names}
     curves = []

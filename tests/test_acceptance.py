@@ -280,7 +280,7 @@ def test_7_superinjective_non_surjective_maps(capsys):
         resolve_ref(res.target, w)
         if w not in image:
             audited += 1
-    src, tgt, gadget_map = nonhomeomorphic_counterexample("ladder", trunc_depth=4)
+    src, tgt, gadget_map = nonhomeomorphic_counterexample("ladder", 4, "c2")
     gadget_rep = check_superinjective(
         gadget_map, _defined_pairs(gadget_map, 200, rng)
     )

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvelab import (
@@ -364,6 +364,45 @@ def test_triple_completion_with_general_axis():
     assert window_intersection(TORUS, g, b) + window_intersection(
         TORUS, g2, b
     ) == 5
+
+
+def _reference_triple_completion(a, b):
+    """triple_completion's arithmetic with its Bezout pair u*a.p + v*a.q = 1
+    found by the extended Euclidean algorithm."""
+    old_r, r = a.p, a.q
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        k = old_r // r
+        old_r, r = r, old_r - k * r
+        old_u, u = u, old_u - k * u
+        old_v, v = v, old_v - k * v
+    if old_r < 0:
+        old_u, old_v = -old_u, -old_v
+    u, v = old_u, old_v
+    s, _ = divmod(u * b.p + v * b.q, a.q * b.p - a.p * b.q)
+    return (
+        make_slope(v + a.p * s, -u + a.q * s),
+        make_slope(v + a.p * (s + 1), -u + a.q * (s + 1)),
+    )
+
+
+_WIDE_SLOPES = (
+    st.tuples(_COORDS, _COORDS)
+    .filter(lambda pair: pair != (0, 0))
+    .map(lambda pair: make_slope(*pair))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_WIDE_SLOPES, _WIDE_SLOPES)
+@example(Slope(1, 0), Slope(2, 5))
+@example(Slope(3, 1), Slope(2, 5))
+@example(Slope(-4, 1), Slope(7, 3))
+def test_triple_completion_matches_the_euclid_reference(a, b):
+    # any Bezout pair for a gives the same completion
+    assume(window_intersection(TORUS, a, b) >= 2)
+    assert triple_completion(TORUS, a, b) == _reference_triple_completion(a, b)
 
 
 def test_triple_completion_needs_two_crossings():

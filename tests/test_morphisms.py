@@ -298,7 +298,7 @@ def test_gluing_a_handle_preserves_the_end_structure():
 
 def test_nonhomeomorphic_counterexample():
     for gadget in ("ladder", "cantor"):
-        src, tgt, m = nonhomeomorphic_counterexample(gadget, trunc_depth=4)
+        src, tgt, m = nonhomeomorphic_counterexample(gadget, 4, "c2")
         assert not surfaces_homeomorphic(src, tgt, 1)
         assert m.source is src and m.target is tgt
         curves = [r for r in m.domain if isinstance(r, PantsCurve)]
@@ -308,6 +308,6 @@ def test_nonhomeomorphic_counterexample():
 
 def test_counterexample_needs_an_end_changing_gadget():
     with pytest.raises(GadgetTooSmall):
-        nonhomeomorphic_counterexample("s12")
+        nonhomeomorphic_counterexample("s12", 4, "c2")
     with pytest.raises(ValueError):
-        nonhomeomorphic_counterexample("mystery")
+        nonhomeomorphic_counterexample("mystery", 4, "c2")
