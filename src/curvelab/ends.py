@@ -21,19 +21,33 @@ at the default stride.
 A finite surface has no marks, every component is dead, and the tree is
 empty at every level; it is returned at once, with no search.
 
-Every level comes from one breadth-first search and one union-find pass.
-The distances from the base fix, for each vertex, the deepest level whose
-ball it lies outside.  Adding the vertices in order of decreasing distance
-to a union-find structure, and reading out the components that hold a
-mark before each ball radius is crossed, is offline connectivity by
-reverse deletion (Tarjan 1975): the components of every level and their
-parent links in about O(n α(n)) besides the size of the output.
+A tree is a merge forest.  The components only grow as the ball shrinks,
+so a vertex lies in a live component on every level from 0 down to its
+deepest one, and its component on a level is the ancestor, through the
+parent links, of its component on its deepest level.  The tree stores
+just that: the parent links of each level, and each vertex's deepest
+level with its node there.  Members are listed on demand.
+
+The whole tree comes from one breadth-first search and one union-find
+pass.  The distances from the base fix, for each vertex, the deepest level
+whose ball it lies outside.  Adding the vertices in order of decreasing
+distance to a union-find structure, and reading out the components that
+hold a mark before each ball radius is crossed, is offline connectivity by
+reverse deletion (Tarjan 1975), and the live components it reads out form
+the merge tree of the distance function (Carr, Snoeyink and Axen 2003,
+"Computing contour trees in all dimensions").  With path halving,
+small-into-large moves of the vertices still waiting for a live
+component, and sorting, it takes O((n + m) log n) for n vertices and m
+edges, plus the number of nodes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from ._graph import bfs_distances
 from .errors import BijectionFailure, DepthExceedsTruncation, DepthMismatch
@@ -42,52 +56,124 @@ from .pants_graphs import AdjacencyGraph, adjacency_graph
 DEFAULT_STRIDE = 2
 
 
-@dataclass(frozen=True)
 class EndTreeNode:
-    """One live component: its sorted member vertices and the index of its
-    parent in the previous level (None at level 0); its level is its index
-    in :attr:`EndTree.levels`."""
+    """One live component, as read from :attr:`EndTree.levels`.
 
-    members: tuple[str, ...]
-    parent: int | None
+    ``parent`` is the index of the component holding it on the previous
+    level (None at level 0); its level is its index in ``levels``.
+    ``members`` is the sorted tuple of its vertices, listed on the first
+    request together with those of every other node of its level.
+    """
+
+    __slots__ = ("parent", "_level", "_index")
+
+    def __init__(self, parent, level, index):
+        self.parent = parent
+        self._level = level
+        self._index = index
+
+    @property
+    def members(self):
+        return self._level.members[self._index]
+
+
+class _Level:
+    """The member tuples of one level's nodes, listed together on the first
+    request."""
+
+    def __init__(self, tree, k):
+        self._tree = tree
+        self._k = k
+
+    @cached_property
+    def members(self):
+        return _list_members(self._tree, self._k)
+
+
+def _list_members(tree, k):
+    """Sorted member tuples of the level-k nodes: each vertex whose deepest
+    level is k or more joins the level-k ancestor of its deepest node."""
+    lists = [[] for _ in tree.parents[k]]
+    top = range(len(lists))
+    for j in range(k, len(tree.parents)):
+        if j > k:
+            top = [top[p] for p in tree.parents[j]]
+        for v, i in tree.deepest[j]:
+            lists[top[i]].append(v)
+    return [tuple(sorted(m)) for m in lists]
+
+
+class _Levels(Sequence):
+    """``levels[k]`` is the tuple of level-k :class:`EndTreeNode` views,
+    built when indexed; reading their parents lists no members."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree):
+        self._tree = tree
+
+    def __len__(self):
+        return len(self._tree.parents)
+
+    def __getitem__(self, k):
+        parents = self._tree.parents[k]
+        if not parents:
+            return ()
+        level = _Level(self._tree, k % len(self))
+        return tuple([EndTreeNode(p, level, i) for i, p in enumerate(parents)])
 
 
 @dataclass(frozen=True)
 class EndTree:
-    """Levelled forest of live components around ``base``.
+    """Levelled forest of live components around ``base``, as a merge
+    forest.
 
-    ``levels[k]`` lists the level-k nodes in deterministic order.  The tree
-    of a surface with no frontier has every level empty.
+    ``parents[k][i]`` is the index on level k-1 of the component holding
+    node i of level k (None on level 0); nodes of a level are ordered by
+    their smallest member.  ``deepest[k]`` pairs each vertex whose deepest
+    live level is k with the index of its node there, sorted by vertex.
+    Two trees are equal exactly when their bases, strides, parents and
+    members agree.  The tree of a surface with no frontier has every level
+    empty.
     """
 
     base: str | None
     stride: int
-    levels: tuple[tuple[EndTreeNode, ...], ...]
+    parents: tuple[tuple[int | None, ...], ...]
+    deepest: tuple[tuple[tuple[str, int], ...], ...]
+
+    @property
+    def levels(self):
+        """The nodes level by level: ``levels[k][i]`` is node i of level k,
+        with its ``parent`` and its ``members``.  Listing level k walks
+        the parent links of levels k and deeper once.  In a connected graph
+        every node holds a vertex whose deepest level is the node's own, so
+        that costs about the size of the level, sorting aside."""
+        return _Levels(self)
 
     @property
     def depth(self):
-        return len(self.levels) - 1
+        return len(self.parents) - 1
 
     @property
     def has_ends(self):
-        return any(self.levels)
+        return any(self.parents)
 
     def leaf_counts(self):
         """Number of live components at each level."""
-        return tuple(len(lv) for lv in self.levels)
+        return tuple(len(lv) for lv in self.parents)
 
     def canonical(self):
         """Canonical bracket string of the forest, invariant under
         relabelling (children are sorted recursively)."""
-        labels = [["" for _ in lv] for lv in self.levels]
-        for k in range(len(self.levels) - 1, -1, -1):
-            children = [[] for _ in self.levels[k]]
-            if k + 1 < len(self.levels):
-                for node, lab in zip(self.levels[k + 1], labels[k + 1]):
-                    children[node.parent].append(lab)
-            for i in range(len(self.levels[k])):
-                labels[k][i] = "(" + "".join(sorted(children[i])) + ")"
-        return "(" + "".join(sorted(labels[0])) + ")"
+        labels = []
+        for k in range(len(self.parents) - 1, -1, -1):
+            children = [[] for _ in self.parents[k]]
+            if k + 1 < len(self.parents):
+                for p, lab in zip(self.parents[k + 1], labels):
+                    children[p].append(lab)
+            labels = ["(" + "".join(sorted(c)) + ")" for c in children]
+        return "(" + "".join(sorted(labels)) + ")"
 
 
 def default_base(h, marks):
@@ -111,7 +197,8 @@ def _end_tree(h, marks, depth, base, stride):
     elif base not in h:
         raise ValueError(f"base {base!r} is not a vertex of this graph")
     if not marks:
-        return EndTree(base=base, stride=stride, levels=((),) * (depth + 1))
+        empty = ((),) * (depth + 1)
+        return EndTree(base=base, stride=stride, parents=empty, deepest=empty)
 
     dist = bfs_distances(h, [base])
     inner = [m for m in marks if dist.get(m, math.inf) <= stride * depth]
@@ -131,9 +218,12 @@ def _end_tree(h, marks, depth, base, stride):
             entering.setdefault(k, []).append(v)
 
     # Union-find over the outside of the ball, grown level by level from
-    # the deepest one inward; only components holding a mark are read out.
+    # the deepest one inward.  The root of a component is its smallest
+    # vertex, which orders the live ones.  Each root keeps the vertices
+    # that have not yet lain in a live component: the first level where
+    # it is live is their deepest.
     root = {}
-    members = {}
+    waiting = {}
     live = set()
 
     def find(v):
@@ -142,40 +232,42 @@ def _end_tree(h, marks, depth, base, stride):
             v = root[v]
         return v
 
-    level_members = [()] * (depth + 1)
     parents = [()] * (depth + 1)
+    deepest = [()] * (depth + 1)
+    below = []
     for k in range(depth, -1, -1):
         for v in entering.get(k, ()):
             root[v] = v
-            members[v] = [v]
+            waiting[v] = [v]
             if v in marks:
                 live.add(v)
+            top = v  # the root of v's component
             for u in h[v]:
                 if u not in root:
                     continue
-                ru, rv = find(u), find(v)
-                if ru == rv:
+                other = find(u)
+                if other == top:
                     continue
-                if len(members[ru]) < len(members[rv]):
-                    ru, rv = rv, ru
-                root[rv] = ru
-                members[ru].extend(members.pop(rv))
-                if rv in live:
-                    live.discard(rv)
-                    live.add(ru)
-        level_members[k] = sorted(tuple(sorted(members[r])) for r in live)
-        index = {find(m[0]): i for i, m in enumerate(level_members[k])}
+                keep, gone = (other, top) if other < top else (top, other)
+                root[gone] = keep
+                moved = waiting.pop(gone)
+                if len(moved) > len(waiting[keep]):
+                    moved, waiting[keep] = waiting[keep], moved
+                waiting[keep].extend(moved)
+                if gone in live:
+                    live.discard(gone)
+                    live.add(keep)
+                top = keep
+        nodes = sorted(live)
+        index = {r: i for i, r in enumerate(nodes)}
+        deepest[k] = tuple(sorted((v, i) for i, r in enumerate(nodes) for v in waiting[r]))
+        for r in nodes:
+            waiting[r].clear()
         if k < depth:
-            parents[k + 1] = [index[find(m[0])] for m in level_members[k + 1]]
-    parents[0] = [None] * len(level_members[0])
-    levels = tuple(
-        tuple(
-            EndTreeNode(members=m, parent=p)
-            for m, p in zip(level_members[k], parents[k])
-        )
-        for k in range(depth + 1)
-    )
-    return EndTree(base=base, stride=stride, levels=levels)
+            parents[k + 1] = tuple(index[find(r)] for r in below)
+        below = nodes
+    parents[0] = (None,) * len(below)
+    return EndTree(base=base, stride=stride, parents=tuple(parents), deepest=tuple(deepest))
 
 
 def end_tree(a, depth, base=None, stride=DEFAULT_STRIDE):
@@ -205,6 +297,35 @@ def end_trees_isomorphic(t1, t2):
     return t1.canonical() == t2.canonical()
 
 
+class _Ancestors:
+    """Ancestors of a tree's nodes on a current level that starts at the
+    deepest and only moves up: a union-find over all nodes, in which
+    :meth:`rise` links the current level to its parents, with path
+    halving."""
+
+    def __init__(self, tree):
+        self._parents = tree.parents
+        self._start = list(accumulate(map(len, tree.parents), initial=0))
+        self._link = list(range(self._start[-1]))
+        self._level = len(tree.parents) - 1
+
+    def rise(self):
+        k = self._level
+        here, up = self._start[k], self._start[k - 1]
+        for i, p in enumerate(self._parents[k]):
+            self._link[here + i] = up + p
+        self._level = k - 1
+
+    def __call__(self, k, i):
+        """Index on the current level of the ancestor of node i of level k."""
+        link = self._link
+        x = self._start[k] + i
+        while link[x] != x:
+            link[x] = link[link[x]]
+            x = link[x]
+        return x - self._start[self._level]
+
+
 def induced_end_correspondence(g, depth):
     """Match the A(P) end tree of ``g`` with its pants-graph end tree.
 
@@ -215,7 +336,13 @@ def induced_end_correspondence(g, depth):
     ``(curve_tree, pants_tree, mapping)`` where ``mapping[k][i] = j``
     matches node i of the curve tree to node j of the pants tree at level
     k.  Raises :class:`BijectionFailure` if any assignment is ambiguous, the
-    level maps fail to be bijections, or parents do not match.
+    level maps fail to be bijections, or parents do not match; the levels
+    are checked from 0 down, so the failure named is the shallowest.
+
+    A curve and a pants of its support meet on every level where both are
+    live, that is up from the shallower of their deepest levels.  Each such
+    incidence is taken once, on that level, and the pants components found
+    for each curve component are carried up the parent links to level 0.
 
     The level bijection is checked at stride 2 only: at other strides a
     curve ball and a pants ball of the same radius need not nest, so it
@@ -226,37 +353,48 @@ def induced_end_correspondence(g, depth):
     ct = end_tree(a, depth)
     pt = surface_end_tree(g, depth)
 
-    support = {v: g.pants_of_curve(v) for v in a.vertices}
+    curve_node = {v: (k, i) for k, level in enumerate(ct.deepest) for v, i in level}
+    meets = [[] for _ in range(depth + 1)]
+    for kp, level in enumerate(pt.deepest):
+        for p, j in level:
+            for v in g.curves_at[p]:
+                if v in curve_node:
+                    kc, i = curve_node[v]
+                    meets[min(kc, kp)].append((kc, i, kp, j))
+
+    curve_up, pants_up = _Ancestors(ct), _Ancestors(pt)
+    targets = [None] * (depth + 1)
+    for k in range(depth, -1, -1):
+        here = [set() for _ in ct.parents[k]]
+        if k < depth:
+            curve_parents, pants_parents = ct.parents[k + 1], pt.parents[k + 1]
+            for i, below in enumerate(targets[k + 1]):
+                here[curve_parents[i]].update(pants_parents[j] for j in below)
+            curve_up.rise()
+            pants_up.rise()
+        for kc, i, kp, j in meets[k]:
+            here[curve_up(kc, i)].add(pants_up(kp, j))
+        targets[k] = here
+
     mapping = []
     for k in range(depth + 1):
-        # pants inside the level-k ball lie in no live component, so the
-        # live components alone decide where a curve component goes
-        live_pants = {}
-        for j, node in enumerate(pt.levels[k]):
-            for p in node.members:
-                live_pants[p] = j
         level_map = {}
-        for i, node in enumerate(ct.levels[k]):
-            targets = set()
-            for v in node.members:
-                for p in support[v]:
-                    if p in live_pants:
-                        targets.add(live_pants[p])
-            if len(targets) != 1:
+        for i, found in enumerate(targets[k]):
+            if len(found) != 1:
                 raise BijectionFailure(
-                    f"level {k}: curve component {i} meets {len(targets)} live pants components"
+                    f"level {k}: curve component {i} meets {len(found)} live pants components"
                 )
-            level_map[i] = targets.pop()
-        if sorted(level_map.values()) != list(range(len(pt.levels[k]))):
+            level_map[i] = next(iter(found))
+        if sorted(level_map.values()) != list(range(len(pt.parents[k]))):
             raise BijectionFailure(
-                f"level {k}: map over {len(ct.levels[k])} curve components is not a "
-                f"bijection onto {len(pt.levels[k])} pants components"
+                f"level {k}: map over {len(ct.parents[k])} curve components is not a "
+                f"bijection onto {len(pt.parents[k])} pants components"
             )
         if k > 0:
-            for i, node in enumerate(ct.levels[k]):
-                want = mapping[k - 1][node.parent]
-                got = pt.levels[k][level_map[i]].parent
-                if want != got:
+            # the carry puts the parent of each child's target among its
+            # parent's targets, so this holds once level k - 1 has passed
+            for i, parent in enumerate(ct.parents[k]):
+                if mapping[k - 1][parent] != pt.parents[k][level_map[i]]:
                     raise BijectionFailure(
                         f"level {k}: component {i} maps inconsistently with its parent"
                     )

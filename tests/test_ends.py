@@ -30,8 +30,10 @@ from curvelab import (
     random_gluing_graph,
     surface_end_tree,
 )
+from curvelab import ends
 from curvelab._graph import neighbour_lists
-from curvelab.ends import EndTree, EndTreeNode, default_base
+from curvelab.ends import default_base
+from curvelab.surface import Curve, GluingGraph, PantsSlot
 
 # truncation depth that keeps the end tree of each model safe at query depth d
 MARGIN = {
@@ -182,6 +184,54 @@ def test_closed_surface_end_tree_is_immediate():
     assert elapsed < 1.0, elapsed
 
 
+def test_correspondence_scales_on_a_deep_ladder():
+    # on a 2-core VM, walking every member on every level took 2.1 s at
+    # this size; each incidence once plus a carry up the parent links
+    # takes about 0.2 s
+    g = build_truncation("ladder", 1602)
+    start = time.perf_counter()
+    ct, pt, mapping = induced_end_correspondence(g, 800)
+    elapsed = time.perf_counter() - start
+    assert ct.leaf_counts() == pt.leaf_counts() == (1,) + (2,) * 800
+    assert [len(level_map) for level_map in mapping] == list(ct.leaf_counts())
+    assert elapsed < 1.0, elapsed
+
+
+def test_listing_every_level_scales():
+    # a separate walk up the ancestors of every vertex on every level, the
+    # O(n depth^2) way, took 0.45 s at half this size on a 2-core VM
+    g = build_truncation("loch_ness", 802)
+    t = surface_end_tree(g, 400)
+    start = time.perf_counter()
+    sizes = [len(node.members) for level in t.levels for node in level]
+    elapsed = time.perf_counter() - start
+    assert len(sizes) == 401 and sizes[0] == len(g.pants) - 1
+    assert sizes == sorted(sizes, reverse=True)
+    assert elapsed < 1.0, elapsed
+
+
+def test_shape_and_correspondence_list_no_members(monkeypatch):
+    # parents, leaf counts, canonical strings, equality and the
+    # correspondence read the compact form only
+    g = _safe("cantor_tree", 3)
+    t = surface_end_tree(g, 3)
+    same = surface_end_tree(g, 3)
+
+    def refuse(tree, k):
+        raise AssertionError(f"members of level {k} listed")
+
+    monkeypatch.setattr(ends, "_list_members", refuse)
+    assert [[node.parent for node in level] for level in t.levels] == [
+        [None], [0, 0], [0, 0, 1, 1], [0, 0, 1, 1, 2, 2, 3, 3]
+    ]
+    assert t.leaf_counts() == (1, 2, 4, 8)
+    assert t.canonical() == same.canonical()
+    assert t == same and t != surface_end_tree(g, 2)
+    induced_end_correspondence(g, 3)
+    with pytest.raises(AssertionError, match="level 2"):
+        t.levels[2][0].members
+
+
 # ---------------------------------------------------------------------------
 # reference definition: a fresh search and component split at every level
 
@@ -235,12 +285,23 @@ def _reference_end_tree(h, marks, depth, base, stride):
         built, index = [], {}
         for i, (members, comp) in enumerate(nodes):
             parent = prev_index[next(iter(comp))] if k > 0 else None
-            built.append(EndTreeNode(members=members, parent=parent))
+            built.append((members, parent))
             for v in comp:
                 index[v] = i
         levels.append(tuple(built))
         prev_index = index
-    return EndTree(base=base, stride=stride, levels=tuple(levels))
+    return base, stride, tuple(levels)
+
+
+def _normal_form(tree):
+    """An end tree as ``(base, stride, levels)``, each level a tuple of
+    ``(members, parent)`` pairs: the shape :func:`_reference_end_tree`
+    returns."""
+    return (
+        tree.base,
+        tree.stride,
+        tuple(tuple((n.members, n.parent) for n in level) for level in tree.levels),
+    )
 
 
 def _outcome(build, *args):
@@ -251,8 +312,9 @@ def _outcome(build, *args):
 
 
 def _end_tree_of(h, marks, depth, stride, base=None):
+    """The library's end tree of ``h``, in :func:`_normal_form`."""
     a = AdjacencyGraph(neighbour_lists(h.nodes, h.edges), tuple(marks))
-    return end_tree(a, depth, base=base, stride=stride)
+    return _normal_form(end_tree(a, depth, base=base, stride=stride))
 
 
 def _reference_mapping(g, ct, pt, stride):
@@ -348,3 +410,49 @@ def test_end_trees_match_the_reference_on_random_graphs(n_pants, seed, curves, d
     got = _outcome(_end_tree_of, h, marks, depth, stride, base)
     want = _outcome(_reference_end_tree, h, marks, depth, base, stride)
     assert got == want
+
+
+def _with_frontier(g, rng):
+    """``g`` with a random share of its boundary slots turned into frontier
+    curves, so that it is a truncation with marks where they were."""
+    slots = list(g.boundary)
+    chosen = set(rng.sample(range(len(slots)), rng.randint(0, len(slots))))
+    curves = list(g.curves) + [Curve(f"f{i}", (slots[i],)) for i in sorted(chosen)]
+    return GluingGraph(g.pants, curves, [s for i, s in enumerate(slots) if i not in chosen])
+
+
+def _beside(g, h):
+    """The disjoint union of ``g`` and ``h``, with ``x`` before each id of
+    ``h``."""
+    moved = [Curve("x" + c.id, tuple(PantsSlot("x" + e.pants, e.slot) for e in c.ends)) for c in h.curves]
+    return GluingGraph(
+        g.pants + tuple("x" + p for p in h.pants),
+        g.curves + tuple(moved),
+        g.boundary + tuple(PantsSlot("x" + s.pants, s.slot) for s in h.boundary),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_correspondence_matches_the_reference_on_random_truncations(n_pants, n_apart, seed, depth):
+    # the trees it returns against the reference trees, and its mapping
+    # against the per-level reference on those trees.  A second surface
+    # beside the first (n_apart pants) puts components out of the base's
+    # reach: they enter at the deepest level, and only the carry up the
+    # parent links brings their targets to the levels above.
+    rng = random.Random(seed)
+    g = _with_frontier(random_gluing_graph(n_pants, rng), rng)
+    if n_apart:
+        g = _beside(g, _with_frontier(random_gluing_graph(n_apart, rng), rng))
+    a = adjacency_graph(g)
+
+    def library():
+        ct, pt, mapping = induced_end_correspondence(g, depth)
+        return _normal_form(ct), _normal_form(pt), mapping
+
+    def reference():
+        ct = _reference_end_tree(_nx_of(a), set(a.marks), depth, None, 2)
+        pt = _reference_end_tree(nx.Graph(g.pants_graph), set(g.frontier_pants), depth, None, 2)
+        return ct, pt, _reference_mapping(g, end_tree(a, depth), surface_end_tree(g, depth), 2)
+
+    assert _outcome(library) == _outcome(reference)
