@@ -319,7 +319,7 @@ def main(argv=None):
     try:
         doc = args.fn(args)
         _emit(doc, args.out)
-    except (CurveLabError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CurveLabError, ValueError, OSError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 1
     return 1 if args.command == "verify" and doc["failures"] else 0

@@ -26,7 +26,8 @@ so a vertex lies in a live component on every level from 0 down to its
 deepest one, and its component on a level is the ancestor, through the
 parent links, of its component on its deepest level.  The tree stores
 just that: the parent links of each level, and each vertex's deepest
-level with its node there.  Members are listed on demand.
+level with its node there.  Members are listed on demand, for every level
+at once, in one sweep from the deepest level up.
 
 The whole tree comes from one breadth-first search and one union-find
 pass.  The distances from the base fix, for each vertex, the deepest level
@@ -44,7 +45,6 @@ edges, plus the number of nodes.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -60,67 +60,51 @@ class EndTreeNode:
     """One live component, as read from :attr:`EndTree.levels`.
 
     ``parent`` is the index of the component holding it on the previous
-    level (None at level 0); its level is its index in ``levels``.
-    ``members`` is the sorted tuple of its vertices, listed on the first
-    request together with those of every other node of its level.
+    level (None at level 0).  ``members`` is the sorted tuple of its
+    vertices; the first request lists those of every node of the tree.
     """
 
-    __slots__ = ("parent", "_level", "_index")
+    __slots__ = ("parent", "_listing", "_level", "_index")
 
-    def __init__(self, parent, level, index):
+    def __init__(self, parent, listing, level, index):
         self.parent = parent
+        self._listing = listing
         self._level = level
         self._index = index
 
     @property
     def members(self):
-        return self._level.members[self._index]
+        return self._listing.members[self._level][self._index]
 
 
-class _Level:
-    """The member tuples of one level's nodes, listed together on the first
-    request."""
+class _Listing:
+    """The parents and deepest vertices of a tree, held by its nodes in
+    place of the tree: a link to the tree would close a reference cycle
+    through the cached ``levels``."""
 
-    def __init__(self, tree, k):
-        self._tree = tree
-        self._k = k
+    def __init__(self, parents, deepest):
+        self.parents = parents
+        self.deepest = deepest
 
     @cached_property
     def members(self):
-        return _list_members(self._tree, self._k)
-
-
-def _list_members(tree, k):
-    """Sorted member tuples of the level-k nodes: each vertex whose deepest
-    level is k or more joins the level-k ancestor of its deepest node."""
-    lists = [[] for _ in tree.parents[k]]
-    top = range(len(lists))
-    for j in range(k, len(tree.parents)):
-        if j > k:
-            top = [top[p] for p in tree.parents[j]]
-        for v, i in tree.deepest[j]:
-            lists[top[i]].append(v)
-    return [tuple(sorted(m)) for m in lists]
-
-
-class _Levels(Sequence):
-    """``levels[k]`` is the tuple of level-k :class:`EndTreeNode` views,
-    built when indexed; reading their parents lists no members."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree):
-        self._tree = tree
-
-    def __len__(self):
-        return len(self._tree.parents)
-
-    def __getitem__(self, k):
-        parents = self._tree.parents[k]
-        if not parents:
-            return ()
-        level = _Level(self._tree, k % len(self))
-        return tuple([EndTreeNode(p, level, i) for i, p in enumerate(parents)])
+        """Sorted member tuples of every node, level by level, in one sweep
+        from the deepest level up: a node holds the vertices whose deepest
+        node it is and the members of its children."""
+        parents, deepest = self.parents, self.deepest
+        members = [()] * len(parents)
+        below = ()
+        for k in range(len(parents) - 1, -1, -1):
+            lists = [[] for _ in parents[k]]
+            for v, i in deepest[k]:
+                lists[i].append(v)
+            if below:
+                for p, m in zip(parents[k + 1], below):
+                    lists[p] += m
+            for m in lists:
+                m.sort()  # its own vertices and each child's members are sorted runs
+            below = members[k] = tuple(map(tuple, lists))
+        return members
 
 
 @dataclass(frozen=True)
@@ -142,14 +126,17 @@ class EndTree:
     parents: tuple[tuple[int | None, ...], ...]
     deepest: tuple[tuple[tuple[str, int], ...], ...]
 
-    @property
+    @cached_property
     def levels(self):
         """The nodes level by level: ``levels[k][i]`` is node i of level k,
-        with its ``parent`` and its ``members``.  Listing level k walks
-        the parent links of levels k and deeper once.  In a connected graph
-        every node holds a vertex whose deepest level is the node's own, so
-        that costs about the size of the level, sorting aside."""
-        return _Levels(self)
+        with its ``parent`` and its ``members``, as a tuple of tuples.
+        Empty levels are ``()``.  Reading parents lists no members; the
+        first ``members`` read lists every level's in one sweep."""
+        listing = _Listing(self.parents, self.deepest)
+        return tuple(
+            tuple([EndTreeNode(p, listing, k, i) for i, p in enumerate(ps)]) if ps else ()
+            for k, ps in enumerate(self.parents)
+        )
 
     @property
     def depth(self):

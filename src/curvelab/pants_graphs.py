@@ -129,17 +129,16 @@ def cut_vertices(a):
     return tuple(sorted(lowpoints(h)[1]))
 
 
-def outer_degree_check(g, classes=None):
-    """Verify degree bounds in A(P) kind by kind.
+def outer_degree_check(g):
+    """Verify degree bounds in A(P) kind by kind, against the classes of
+    :func:`classify_all`.
 
     Every vertex of A(P) has degree at most 4 (two pants sides, at most two
     neighbours each).  Outer separating curves have at most 2 (one side is a
-    bare pants).  Accepts a precomputed ``classes`` map so that a deliberately
-    wrong classification can be fed in to watch the check fail.  Returns a
-    tuple of (curve, degree, bound) violations, empty when all bounds hold.
+    bare pants).  Returns a tuple of (curve, degree, bound) violations,
+    empty when all bounds hold.
     """
-    if classes is None:
-        classes = classify_all(g)
+    classes = classify_all(g)
     lists = g.adjacency_lists
     violations = []
     for v in sorted(lists):

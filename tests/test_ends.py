@@ -208,6 +208,16 @@ def test_listing_every_level_scales():
     assert len(sizes) == 401 and sizes[0] == len(g.pants) - 1
     assert sizes == sorted(sizes, reverse=True)
     assert elapsed < 1.0, elapsed
+    # beside a closed surface holding the base, the Loch Ness part lies out
+    # of reach on every level; listing each level by a walk up the parent
+    # links of every deeper level took 4.6 s on a 2-core VM
+    g = _beside(build_finite_surface(2, 0), build_truncation("loch_ness", 10))
+    t = surface_end_tree(g, 4000, base="hp0")
+    start = time.perf_counter()
+    sizes = [len(node.members) for level in t.levels for node in level]
+    elapsed = time.perf_counter() - start
+    assert sizes == [19] * 4001
+    assert elapsed < 1.0, elapsed
 
 
 def test_shape_and_correspondence_list_no_members(monkeypatch):
@@ -217,18 +227,21 @@ def test_shape_and_correspondence_list_no_members(monkeypatch):
     t = surface_end_tree(g, 3)
     same = surface_end_tree(g, 3)
 
-    def refuse(tree, k):
-        raise AssertionError(f"members of level {k} listed")
+    def refuse(listing):
+        raise AssertionError("members listed")
 
-    monkeypatch.setattr(ends, "_list_members", refuse)
+    monkeypatch.setattr(ends._Listing, "members", property(refuse))
     assert [[node.parent for node in level] for level in t.levels] == [
         [None], [0, 0], [0, 0, 1, 1], [0, 0, 1, 1, 2, 2, 3, 3]
+    ]
+    assert [[node.parent for node in level] for level in t.levels[1:]] == [
+        [0, 0], [0, 0, 1, 1], [0, 0, 1, 1, 2, 2, 3, 3]
     ]
     assert t.leaf_counts() == (1, 2, 4, 8)
     assert t.canonical() == same.canonical()
     assert t == same and t != surface_end_tree(g, 2)
     induced_end_correspondence(g, 3)
-    with pytest.raises(AssertionError, match="level 2"):
+    with pytest.raises(AssertionError, match="members listed"):
         t.levels[2][0].members
 
 
