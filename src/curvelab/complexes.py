@@ -17,7 +17,9 @@ handle by dual chains.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 from ._graph import bfs_parents, bfs_path, path_to
 from .curves import (
@@ -124,28 +126,47 @@ def local_graph(g, inventory, mode):
     reported in ``undefined_pairs``.
 
     Each distinct inventory entry is checked at most once per graph (see
-    :func:`~curvelab.curves.global_intersection`); every pair then goes
-    through the intersection table on the two records, so the cost beyond
-    the pairs is linear in the inventory, besides one separation search
-    per sphere window curve in modes "n" and "g".
+    :func:`~curvelab.curves.global_intersection`).  Curves whose supports
+    are disjoint are disjoint, so only the pairs whose supports meet go
+    through the intersection table, found from an index of the vertices
+    on each pants; the runs of later vertices in between are edges in
+    modes "c" and "n" and nothing in mode "g".  The cost is Python work
+    per pair whose supports meet plus the output, besides one separation
+    search per sphere window curve in modes "n" and "g".
     """
     if mode not in _RELATIONS:
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
     vertices = [_resolve(g, ref) for ref in dict.fromkeys(inventory)]
     if mode in ("n", "g"):
         vertices = [r for r in vertices if _is_nonseparating(g, r)]
-    want = 0 if _RELATIONS[mode] == "disjointness" else 1
+    refs = [r.ref for r in vertices]
+    on_pants = {}
+    for i, r in enumerate(vertices):
+        for pid in r.support:
+            on_pants.setdefault(pid, []).append(i)
+    disjoint_edges = _RELATIONS[mode] == "disjointness"
+    want = 0 if disjoint_edges else 1
     edges = []
     undefined = []
     for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            val = _pairing(u, v)
+        meeting = sorted({
+            j for pid in u.support for j in on_pants[pid][bisect_right(on_pants[pid], i):]
+        })
+        start = i + 1
+        with_u = repeat(u.ref)
+        for j in meeting:
+            if disjoint_edges and j > start:
+                edges.extend(zip(with_u, refs[start:j]))
+            start = j + 1
+            val = _pairing(u, vertices[j])
             if val is None:
-                undefined.append((u.ref, v.ref))
+                undefined.append((u.ref, refs[j]))
             elif val == want:
-                edges.append((u.ref, v.ref))
+                edges.append((u.ref, refs[j]))
+        if disjoint_edges:
+            edges.extend(zip(with_u, refs[start:]))
     return LocalCurveGraph(
-        vertices=tuple(r.ref for r in vertices), edges=tuple(edges), mode=mode,
+        vertices=tuple(refs), edges=tuple(edges), mode=mode,
         undefined_pairs=tuple(undefined),
     )
 

@@ -157,8 +157,9 @@ def window_around(g, center_id):
     four-holed sphere: the two pants share no second curve and neither
     carries a self-gluing.  Raises :class:`UnknownCurve` otherwise.
 
-    Each call examines the center afresh; a window curve reference keeps
-    its window in :attr:`GluingGraph.ref_table` through :func:`_resolve`.
+    Each call examines the center afresh; the window curve references of
+    one center share the window kept in :attr:`GluingGraph.ref_table` on
+    the record of the center's dual curve (see :func:`_resolve`).
     """
     c = _ordinary_curve(g, center_id)
     if c.is_self_gluing:
@@ -348,12 +349,16 @@ def parse_ref(text):
 
 
 def format_ref(ref):
-    if isinstance(ref, PantsCurve):
+    """The text :func:`parse_ref` reads back as ``ref``.  Raises TypeError
+    for anything but the three reference types."""
+    kind = type(ref)
+    if kind is WindowCurve:
+        s = ref.slope
+        return f"win:{ref.center}:{s.p}/{s.q}"
+    if kind is PantsCurve:
         return f"pants:{ref.id}"
-    if isinstance(ref, WindowCurve):
-        return f"win:{ref.center}:{ref.slope}"
-    if isinstance(ref, DualChain):
-        return f"chain:{ref.handle_a}:{ref.handle_b}:" + ",".join(ref.interior)
+    if kind is DualChain:
+        return f"chain:{ref.handle_a}:{ref.handle_b}:{','.join(ref.interior)}"
     raise TypeError(f"not a curve reference: {ref!r}")
 
 
@@ -369,6 +374,7 @@ def resolve_ref(g, ref):
 
 
 _RANKS = {PantsCurve: 0, WindowCurve: 1, DualChain: 2}
+_DUAL = Slope(1, 0)
 
 
 class _Resolved(NamedTuple):
@@ -386,7 +392,9 @@ def _resolve(g, ref):
     :attr:`GluingGraph.ref_table`, or built by :func:`_check` and stored
     there on the first ask.  A failing reference is not stored and raises
     again with the same message.  The table trades memory for repeats: it
-    keeps one record per distinct reference asked of ``g``."""
+    keeps one record per distinct reference asked of ``g``, and the record
+    of the dual curve (slope 1/0) of each window center asked, whose
+    Window and support the center's window curves share."""
     r = g.ref_table.get(ref)
     if r is None:
         r = g.ref_table[ref] = _check(g, ref)
@@ -404,8 +412,14 @@ def _check(g, ref):
             raise UnknownCurve(
                 f"slope 0/1 duplicates the center; use pants:{ref.center}"
             )
-        w = window_around(g, ref.center)
-        return _Resolved(ref, w, frozenset(w.support))
+        # the window curves of a center share one Window: the one on the
+        # record of its dual curve, stored with the first of them checked
+        dual = WindowCurve(ref.center, _DUAL)
+        r = g.ref_table.get(dual)
+        if r is None:
+            w = window_around(g, ref.center)
+            r = g.ref_table[dual] = _Resolved(dual, w, frozenset(w.support))
+        return r if ref == dual else _Resolved(ref, r.found, r.support)
     if isinstance(ref, DualChain):
         if ref.handle_a == ref.handle_b:
             raise UnknownCurve("a dual chain needs two distinct handles")
@@ -429,7 +443,13 @@ def _check(g, ref):
 
 def _pairing(a, b):
     """The intersection table on two resolved references; see
-    :func:`global_intersection`.  The only home of the pairing rules."""
+    :func:`global_intersection`.  The only home of the pairing rules.
+
+    Two references whose supports are disjoint pair to 0, under every rule:
+    a pants curve meets a window curve only as its center and a dual chain
+    only on its path, both inside the other's support.
+    :func:`~curvelab.complexes.local_graph` rests on this and never asks
+    such a pair, so a new rule must keep it."""
     if _RANKS[type(a.ref)] > _RANKS[type(b.ref)]:
         a, b = b, a
     c1, c2 = a.ref, b.ref
@@ -461,7 +481,10 @@ def global_intersection(g, c1, c2):
     endpoint handle once, each interior path curve twice and every other
     pants curve not at all; chains against window curves or other chains are
     only defined when supports are disjoint (0) or the refs are equal (0).
-    None is a value meaning "outside the table", never an error.
+    None is a value meaning "outside the table", never an error.  Curves
+    whose supports (the pants they live on) are disjoint always get 0;
+    any new rule must keep that, since
+    :func:`~curvelab.complexes.local_graph` does not ask such pairs.
 
     Looks up ``c1``, then ``c2``, in the graph's table of checked
     references (see :func:`_resolve`), checking each on its first ask and

@@ -162,8 +162,10 @@ class GluingGraph:
     @cached_property
     def ref_table(self):
         """Curve reference -> its checked record, written only by
-        :func:`curvelab.curves._resolve` on the reference's first lookup.
-        A failing reference is never stored; the table grows with the
+        :func:`curvelab.curves._resolve` on the reference's first lookup,
+        and by :func:`curvelab.curves._check` for the dual curve of a
+        window center, whose record the center's window curves share.  A
+        failing reference is never stored; the table grows with the
         distinct references asked of this graph, not with the lookups."""
         return {}
 

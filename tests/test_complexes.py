@@ -145,6 +145,14 @@ def test_repeated_intersection_builds_no_new_record(monkeypatch):
     assert built == [a, b]
 
 
+def test_window_curves_of_a_center_share_one_window():
+    g = build_truncation("loch_ness", 10)
+    local_graph(g, curve_inventory(g, 3), "c")
+    windowed = [r for r in g.ref_table.values() if isinstance(r.ref, WindowCurve)]
+    assert len(windowed) == 270
+    assert len({id(r.found) for r in windowed}) == len({r.ref.center for r in windowed}) == 18
+
+
 def test_a_failing_reference_is_not_kept():
     g = build_truncation("loch_ness", 4)
     bad = parse_ref("win:c1:1/1")
@@ -591,6 +599,8 @@ def _check_against_reference(g, rng):
             assert _outcome(local_graph, g, mixed, mode) == _outcome(
                 _reference_local_graph, g, mixed, mode, outside
             )
+    windowed = [r for r in g.ref_table.values() if isinstance(r.ref, WindowCurve)]
+    assert len({id(r.found) for r in windowed}) == len({r.ref.center for r in windowed})
     pool = valid + invalid
     # failures the random inventories never draw, each checked for its message
     ordinary = [c.id for c in g.curves if not c.is_frontier]
@@ -707,3 +717,76 @@ def test_local_graph_stays_fast_on_a_large_inventory():
     elapsed = time.perf_counter() - start
     assert len(lg.vertices) == 343
     assert elapsed < 1.5, elapsed
+
+
+def test_disjoint_supports_pair_to_zero_on_models():
+    for model in InfiniteModel:
+        for depth in range(1, 5):
+            _assert_disjoint_supports_pair_to_zero(build_truncation(model, depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_disjoint_supports_pair_to_zero(n_pants, seed):
+    _assert_disjoint_supports_pair_to_zero(random_gluing_graph(n_pants, random.Random(seed)))
+
+
+def _assert_disjoint_supports_pair_to_zero(g):
+    """Every rule of the table gives 0 on two references whose supports are
+    disjoint: the invariant that lets local_graph skip such pairs."""
+    records = [curves._resolve(g, ref) for ref in curve_inventory(g, 2)]
+    for i, a in enumerate(records):
+        for b in records[i + 1 :]:
+            if not a.support & b.support:
+                assert curves._pairing(a, b) == curves._pairing(b, a) == 0, (a.ref, b.ref)
+
+
+@pytest.mark.parametrize("mode", "cng")
+def test_local_graph_pairs_only_curves_whose_supports_meet(monkeypatch, mode):
+    g = build_truncation("loch_ness", 10)
+    inventory = curve_inventory(g, 3)
+    pairing = complexes._pairing
+    asked = []
+
+    def counting(a, b):
+        asked.append((a.ref, b.ref))
+        return pairing(a, b)
+
+    monkeypatch.setattr(complexes, "_pairing", counting)
+    lg = local_graph(g, inventory, mode)
+    support = {ref: _reference_support(g, ref) for ref in lg.vertices}
+    pairs = [(u, v) for i, u in enumerate(lg.vertices) for v in lg.vertices[i + 1 :]]
+    meeting = [(u, v) for u, v in pairs if support[u] & support[v]]
+    assert asked == meeting
+    if mode == "c":
+        assert (len(pairs), len(meeting)) == (58653, 10343)
+
+
+def _far_apart_inventory(g):
+    """Window curves on far-apart centers of Loch Ness depth 8 in blocks,
+    with pants curves, chains at both ends and repeats between them: long
+    runs of pairs whose supports are disjoint, and meeting pairs at the
+    start, middle and end of the inventory."""
+    slopes = [s for s in slopes_up_to(2) if s != Slope(0, 1)]
+    blocks = [
+        [WindowCurve("h0", s) for s in slopes],
+        refs("pants:h3"),
+        [WindowCurve("c6", s) for s in slopes],
+        refs("chain:h0:h1:c1,t1", "pants:c4"),
+        [WindowCurve("h7", s) for s in slopes],
+        [WindowCurve("c2", s) for s in slopes],
+        refs("pants:t5", "win:h0:1/1", "chain:h6:h7:t6,c7,t7", "pants:h3", "pants:h7"),
+    ]
+    return [ref for block in blocks for ref in block]
+
+
+def test_local_graph_matches_the_reference_across_disjoint_runs():
+    g = build_truncation("loch_ness", 8)
+    inventory = _far_apart_inventory(g)
+    rng = random.Random("far-apart")
+    for order in range(4):
+        for mode in "cng":
+            lg = local_graph(g, inventory, mode)
+            want = _reference_local_graph(g, inventory, mode, {})
+            assert (lg.vertices, lg.edges, lg.undefined_pairs) == want, (order, mode)
+        rng.shuffle(inventory)

@@ -547,6 +547,40 @@ def test_parse_and_format_roundtrip():
         assert parse_ref(format_ref(ref)) == ref
 
 
+_IDS = st.text(st.characters(blacklist_characters=":,"), min_size=1, max_size=6)
+_REF_SLOPES = st.one_of(
+    st.just(Slope(1, 0)),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+    .filter(lambda t: t != (0, 0))
+    .map(lambda t: make_slope(*t))
+    .filter(lambda s: s != Slope(0, 1)),
+)
+_REFS = st.one_of(
+    st.builds(PantsCurve, _IDS),
+    st.builds(WindowCurve, _IDS, _REF_SLOPES),
+    st.builds(DualChain, _IDS, _IDS, st.tuples() | st.lists(_IDS, max_size=4).map(tuple)),
+)
+
+
+@given(_REFS)
+@example(WindowCurve("h0", Slope(1, 0)))
+@example(WindowCurve("c2", Slope(-3, 2)))
+@example(DualChain("h1", "h0", ()))
+@example(DualChain("h1", "h0", ("t1", "c1")))
+def test_format_ref_round_trips(ref):
+    text = format_ref(ref)
+    assert parse_ref(text) == ref
+    if isinstance(ref, WindowCurve):
+        assert text == f"win:{ref.center}:{ref.slope}"
+
+
+def test_format_ref_rejects_other_objects():
+    for other in (object(), Slope(1, 0), "pants:c1"):
+        with pytest.raises(TypeError) as exc:
+            format_ref(other)
+        assert str(exc.value) == f"not a curve reference: {other!r}"
+
+
 def test_parse_rejects_malformed_references():
     for text in ("", "pants:", "win:c2", "win:c2:1", "win:c2:a/b", "bogus:x", "chain:h0"):
         with pytest.raises(FormatError):
