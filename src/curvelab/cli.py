@@ -9,40 +9,20 @@ except ``validate`` refuses a surface with any violation as a
 ``FormatError`` naming the first one; ``validate`` reports them all and
 exits 0.  ``--out FILE`` writes the same document to a file and still
 echoes it.
+
+A call imports only the library modules its subcommand runs: this
+module loads :mod:`curvelab.errors` alone, each ``cmd_*`` imports what
+it calls, and :func:`main` adds the arguments of the called subcommand
+only.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
-import random
 import sys
 
-from .complexes import local_graph, schmutz_path
-from .curves import (
-    PantsCurve,
-    abstract_window,
-    format_ref,
-    global_intersection,
-    parse_ref,
-    parse_slope,
-    sch04_common_neighbors,
-    triple_completion,
-)
-from .ends import end_tree, surface_end_tree
 from .errors import CurveLabError, FormatError
-from .morphisms import GADGETS, check_superinjective, cut_and_glue, surfaces_homeomorphic
-from .pants_graphs import adjacency_graph, classify_all, classify_curve
-from .surface import (
-    InfiniteModel,
-    build_finite_surface,
-    build_truncation,
-    surface_from_json,
-    surface_to_json,
-    validate,
-)
-from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
 def _emit(obj, out=None):
@@ -54,13 +34,17 @@ def _emit(obj, out=None):
 
 
 def _read_surface(path):
+    from .surface import surface_from_json
+
     with open(path, encoding="utf-8") as fh:
         return surface_from_json(json.load(fh))
 
 
 def _load_surface(path):
     """Read a surface and refuse it, naming its first violation, unless
-    :func:`validate` finds it well formed."""
+    :func:`~curvelab.surface.validate` finds it well formed."""
+    from .surface import validate
+
     g = _read_surface(path)
     violations = validate(g)
     if violations:
@@ -96,6 +80,8 @@ def _tree_json(tree, which):
 
 
 def cmd_gen(args):
+    from .surface import build_finite_surface, build_truncation, surface_to_json
+
     if args.model:
         if args.depth is None:
             raise FormatError("--model requires --depth")
@@ -108,6 +94,8 @@ def cmd_gen(args):
 
 
 def cmd_validate(args):
+    from .surface import validate
+
     g = _read_surface(args.infile)
     violations = validate(g)
     return {
@@ -117,6 +105,8 @@ def cmd_validate(args):
 
 
 def cmd_classify(args):
+    from .pants_graphs import classify_all, classify_curve
+
     g = _load_surface(args.infile)
     if args.curve is not None:
         return {"curve": args.curve, "class": classify_curve(g, args.curve).value}
@@ -125,6 +115,8 @@ def cmd_classify(args):
 
 
 def cmd_adjacency(args):
+    from .pants_graphs import adjacency_graph
+
     g = _load_surface(args.infile)
     a = adjacency_graph(g)
     return {
@@ -135,6 +127,9 @@ def cmd_adjacency(args):
 
 
 def cmd_ends(args):
+    from .ends import end_tree, surface_end_tree
+    from .pants_graphs import adjacency_graph
+
     g = _load_surface(args.infile)
     if args.graph == "curves":
         tree = end_tree(adjacency_graph(g), args.depth, base=args.base, stride=args.stride)
@@ -144,6 +139,8 @@ def cmd_ends(args):
 
 
 def cmd_intersect(args):
+    from .curves import format_ref, global_intersection, parse_ref
+
     g = _load_surface(args.infile)
     a = parse_ref(args.a)
     b = parse_ref(args.b)
@@ -157,6 +154,8 @@ def cmd_intersect(args):
 
 
 def cmd_triple(args):
+    from .curves import abstract_window, parse_slope, triple_completion
+
     w = abstract_window("torus")
     a = parse_slope(args.a)
     b = parse_slope(args.b)
@@ -165,6 +164,8 @@ def cmd_triple(args):
 
 
 def cmd_sch04(args):
+    from .curves import abstract_window, parse_slope, sch04_common_neighbors
+
     w = abstract_window("sphere")
     a = parse_slope(args.a)
     b = parse_slope(args.b)
@@ -173,8 +174,15 @@ def cmd_sch04(args):
 
 
 def cmd_graph(args):
+    from .complexes import local_graph
+    from .curves import format_ref, parse_ref
+
     g = _load_surface(args.infile)
-    inventory = [parse_ref(text) for text in _split_inventory(args.inventory)]
+    text = args.inventory
+    if text.startswith("@"):  # a file holding the list; no reference starts with "@"
+        with open(text[1:], encoding="utf-8") as fh:
+            text = fh.read().strip()
+    inventory = [parse_ref(ref) for ref in _split_inventory(text)]
     lg = local_graph(g, inventory, args.mode)
     return {
         "mode": lg.mode,
@@ -186,12 +194,21 @@ def cmd_graph(args):
 
 
 def cmd_path(args):
+    from .complexes import schmutz_path
+    from .curves import PantsCurve, format_ref
+
     g = _load_surface(args.infile)
     path = schmutz_path(g, PantsCurve(args.src), PantsCurve(args.dst))
     return {"path": [format_ref(ref) for ref in path], "length": len(path) - 1}
 
 
 def cmd_counterexample(args):
+    import random
+
+    from .curves import format_ref
+    from .morphisms import check_superinjective, cut_and_glue, surfaces_homeomorphic
+    from .surface import InfiniteModel, build_truncation
+
     source = build_truncation(InfiniteModel.LOCH_NESS, args.trunc_depth)
     result = cut_and_glue(source, args.alpha, gadget=args.gadget)
     pairs = result.map.sample_pairs(args.samples, random.Random(args.seed))
@@ -209,6 +226,10 @@ def cmd_counterexample(args):
 
 
 def cmd_verify(args):
+    import inspect
+
+    from .verify import SUITES, run_suite
+
     fn = SUITES[args.suite]
     accepted = set(inspect.signature(fn).parameters)
     overrides = {}
@@ -222,82 +243,75 @@ def cmd_verify(args):
     return run_suite(args.suite, **overrides)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="curvelab",
-        description="Combinatorial workbench for surfaces built from pants gluings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each adds one subcommand's arguments but ``--out``, importing what their
+# choices and defaults name.
 
-    p = sub.add_parser("gen", help="generate a surface gluing graph")
+
+def _gen_arguments(p):
+    from .surface import InfiniteModel
+
     p.add_argument("--model", choices=[m.value for m in InfiniteModel])
     p.add_argument("--depth", type=int)
     p.add_argument("--genus", type=int)
     p.add_argument("--boundary", type=int, default=0)
-    p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("validate", help="check a gluing graph for defects")
+
+def _infile_argument(p):
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("classify", help="classify decomposition curves")
+
+def _classify_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--curve")
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("adjacency", help="adjacency graph of the decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(fn=cmd_adjacency)
 
-    p = sub.add_parser("ends", help="end tree of a truncation")
+def _ends_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--graph", choices=["pants", "curves"], default="pants")
     p.add_argument("--base")
     p.add_argument("--stride", type=int, default=2)
-    p.set_defaults(fn=cmd_ends)
 
-    p = sub.add_parser("intersect", help="intersection number of two curve references")
+
+def _intersect_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(fn=cmd_intersect)
 
-    p = sub.add_parser("triple", help="complete two torus-window slopes to a triple")
+
+def _slope_arguments(p):
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(fn=cmd_triple)
 
-    p = sub.add_parser("sch04", help="slopes crossing two sphere-window slopes twice")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(fn=cmd_sch04)
 
-    p = sub.add_parser("graph", help="finite curve graph over an inventory")
+def _graph_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--inventory", required=True)
     p.add_argument("--mode", choices=["c", "n", "g"], required=True)
-    p.set_defaults(fn=cmd_graph)
 
-    p = sub.add_parser("path", help="short path between two handle curves")
+
+def _path_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
-    p.set_defaults(fn=cmd_path)
 
-    p = sub.add_parser(
-        "counterexample",
-        help="cut-and-glue map with superinjectivity and homeomorphism report",
-    )
+
+def _counterexample_arguments(p):
+    from .morphisms import GADGETS
+    from .verify import DEFAULT_SEED
+
     p.add_argument("--gadget", choices=GADGETS, default="ladder")
     p.add_argument("--alpha", default="c2")
     p.add_argument("--trunc-depth", dest="trunc_depth", type=int, default=4)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(fn=cmd_counterexample)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
+
+def _verify_arguments(p):
+    from .morphisms import GADGETS
+    from .verify import SUITES
+
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int)
@@ -306,16 +320,54 @@ def build_parser():
     p.add_argument("--bound", type=int)
     p.add_argument("--alpha")
     p.add_argument("--gadget", choices=GADGETS)
-    p.set_defaults(fn=cmd_verify)
 
-    for p in sub.choices.values():
+
+# subcommand -> (help, handler, adds its arguments), in the order of --help
+SUBCOMMANDS = {
+    "gen": ("generate a surface gluing graph", cmd_gen, _gen_arguments),
+    "validate": ("check a gluing graph for defects", cmd_validate, _infile_argument),
+    "classify": ("classify decomposition curves", cmd_classify, _classify_arguments),
+    "adjacency": ("adjacency graph of the decomposition", cmd_adjacency, _infile_argument),
+    "ends": ("end tree of a truncation", cmd_ends, _ends_arguments),
+    "intersect": (
+        "intersection number of two curve references", cmd_intersect, _intersect_arguments,
+    ),
+    "triple": ("complete two torus-window slopes to a triple", cmd_triple, _slope_arguments),
+    "sch04": ("slopes crossing two sphere-window slopes twice", cmd_sch04, _slope_arguments),
+    "graph": ("finite curve graph over an inventory", cmd_graph, _graph_arguments),
+    "path": ("short path between two handle curves", cmd_path, _path_arguments),
+    "counterexample": (
+        "cut-and-glue map with superinjectivity and homeomorphism report",
+        cmd_counterexample,
+        _counterexample_arguments,
+    ),
+    "verify": ("run a verification sweep", cmd_verify, _verify_arguments),
+}
+
+
+def build_parser(command=None):
+    """The argument parser.  It lists every subcommand with its help, but
+    adds the arguments of ``command`` alone (of every subcommand when
+    ``command`` is None), so that it imports only what they name."""
+    parser = argparse.ArgumentParser(
+        prog="curvelab",
+        description="Combinatorial workbench for surfaces built from pants gluings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, _) in SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text).set_defaults(fn=handler)
+    for name in SUBCOMMANDS if command is None else [command]:
+        p = sub.choices[name]
+        SUBCOMMANDS[name][2](p)
         p.add_argument("--out", help="also write the JSON document to this file")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         doc = args.fn(args)
         _emit(doc, args.out)

@@ -21,6 +21,7 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from ._graph import components, lowpoints, neighbour_lists
 from .errors import ComplexityTooLow, FormatError, NonIntegralGenus
@@ -61,6 +62,12 @@ class Curve:
         return len(self.ends) == 2 and self.ends[0].pants == self.ends[1].pants
 
 
+def _ends_in_order(c):
+    """``c`` itself if its ends are a sorted tuple, else a copy whose are."""
+    ends = tuple(sorted(c.ends))
+    return c if ends == c.ends else Curve(c.id, ends)
+
+
 @dataclass(frozen=True)
 class GluingGraph:
     """A pants decomposition of a surface, finite or truncated-infinite.
@@ -77,14 +84,7 @@ class GluingGraph:
     def __init__(self, pants, curves, boundary=()):
         object.__setattr__(self, "pants", tuple(sorted(pants)))
         object.__setattr__(
-            self,
-            "curves",
-            tuple(
-                sorted(
-                    (Curve(c.id, tuple(sorted(c.ends))) for c in curves),
-                    key=lambda c: c.id,
-                )
-            ),
+            self, "curves", tuple(sorted(map(_ends_in_order, curves), key=attrgetter("id")))
         )
         object.__setattr__(self, "boundary", tuple(sorted(boundary)))
 
@@ -283,20 +283,25 @@ def validate(g):
     ]
 
     pants_set = set(g.pants)
-    usage = {}
+    usage = {}  # (pants, slot) -> the curves using it, None for a boundary mark
 
-    def use(slot, what):
+    def what(user):
+        return "boundary mark" if user is None else f"curve {user.id!r}"
+
+    def use(slot, user):
         if slot.pants not in pants_set:
             violations.append(
-                Violation("SlotCountError", f"{what} references unknown pants {slot.pants!r}")
+                Violation(
+                    "SlotCountError", f"{what(user)} references unknown pants {slot.pants!r}"
+                )
             )
             return
         if not 0 <= slot.slot < SLOTS_PER_PANTS:
             violations.append(
-                Violation("SlotCountError", f"{what} uses invalid slot index {slot.slot}")
+                Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot}")
             )
             return
-        usage.setdefault((slot.pants, slot.slot), []).append(what)
+        usage.setdefault((slot.pants, slot.slot), []).append(user)
 
     for c in g.curves:
         if len(c.ends) not in (1, 2):
@@ -304,13 +309,13 @@ def validate(g):
                 Violation("SlotCountError", f"curve {c.id!r} has {len(c.ends)} ends")
             )
         for end in c.ends:
-            use(end, f"curve {c.id!r}")
+            use(end, c)
         if len(c.ends) == 2 and c.ends[0] == c.ends[1]:
             violations.append(
                 Violation("SlotCountError", f"curve {c.id!r} glues a slot to itself")
             )
     for slot in g.boundary:
-        use(slot, "boundary mark")
+        use(slot, None)
 
     for p in g.pants:
         for k in range(SLOTS_PER_PANTS):
@@ -321,7 +326,8 @@ def validate(g):
                 violations.append(
                     Violation(
                         "SlotCountError",
-                        f"slot ({p!r}, {k}) used {len(users)} times: " + ", ".join(users),
+                        f"slot ({p!r}, {k}) used {len(users)} times: "
+                        + ", ".join(map(what, users)),
                     )
                 )
 
@@ -518,23 +524,33 @@ def surface_to_json(g):
     }
 
 
-def _array(value, what):
+# ``what.format(*args)`` names the checked value in the error, formatted
+# only when raising.
+
+
+def _array(value, what, *args):
     if type(value) is not list:
-        raise FormatError(f"{what} must be a JSON array, got {type(value).__name__}")
+        raise FormatError(
+            f"{what.format(*args)} must be a JSON array, got {type(value).__name__}"
+        )
     return value
 
 
-def _string(value, what):
+def _string(value, what, *args):
     if type(value) is not str:
-        raise FormatError(f"{what} is not a JSON string: {value!r}")
+        raise FormatError(f"{what.format(*args)} is not a JSON string: {value!r}")
     return value
 
 
-def _slot(pair, what):
+def _slot(pair, what, *args):
     p, k = pair
     if type(k) is not int:
-        raise FormatError(f"{what} has a slot index that is not an integer: {k!r}")
-    return PantsSlot(_string(p, f"pants of {what}"), k)
+        raise FormatError(
+            f"{what.format(*args)} has a slot index that is not an integer: {k!r}"
+        )
+    if type(p) is not str:
+        raise FormatError(f"pants of {what.format(*args)} is not a JSON string: {p!r}")
+    return PantsSlot(p, k)
 
 
 def surface_from_json(doc):
@@ -553,10 +569,13 @@ def surface_from_json(doc):
         curves = []
         for rec in _array(doc["curves"], "curves"):
             raw_ends = rec["ends"]
-            what = f"curve {rec.get('id')!r}"
-            ends = tuple(_slot(pair, what) for pair in _array(raw_ends, f"{what} ends"))
+            cid = rec.get("id")
+            ends = tuple(
+                _slot(pair, "curve {!r}", cid)
+                for pair in _array(raw_ends, "curve {!r} ends", cid)
+            )
             if not 1 <= len(ends) <= 2:
-                raise FormatError(f"{what} has {len(ends)} ends")
+                raise FormatError(f"curve {cid!r} has {len(ends)} ends")
             curves.append(Curve(_string(rec["id"], "curve id"), ends))
         boundary = [_slot(pair, "boundary mark") for pair in _array(doc["boundary"], "boundary")]
         declared = sorted(

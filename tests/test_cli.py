@@ -1,5 +1,6 @@
 """Command line interface: JSON output, exit codes and determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -8,8 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from curvelab import build_truncation, loads_surface, surface_to_json
-from curvelab.cli import main
+from curvelab import (
+    build_truncation,
+    curve_inventory,
+    format_ref,
+    loads_surface,
+    surface_to_json,
+)
+from curvelab.cli import SUBCOMMANDS, build_parser, main
+from test_golden import PROBES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -186,8 +197,7 @@ def test_sch04(capsys):
 
 
 def test_cli_import_does_not_load_numpy_or_networkx():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     check = (
         "import curvelab.cli, sys; "
         "loaded = {'numpy', 'networkx'} & set(sys.modules); "
@@ -200,6 +210,112 @@ def test_cli_import_does_not_load_numpy_or_networkx():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _loaded_submodules(code, *argv):
+    """The ``curvelab.*`` modules a fresh interpreter holds after ``code``."""
+    script = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m[9:] for m in sys.modules if m.startswith('curvelab.'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_submodules("import curvelab") == set()
+    assert _loaded_submodules("import curvelab.cli") == {"cli", "errors"}
+
+
+_SURFACE = {"cli", "errors", "surface", "_graph"}
+_CURVES = _SURFACE | {"pants_graphs", "curves"}
+_EVERY = _CURVES | {"ends", "complexes", "morphisms", "verify"}
+
+# subcommand -> one well-formed call and the submodules it may load
+CALL_MODULES = {
+    "gen": ("gen --genus 2 --boundary 1", _SURFACE),
+    "validate": ("validate --in {l4}", _SURFACE),
+    "classify": ("classify --in {l4}", _SURFACE | {"pants_graphs"}),
+    "adjacency": ("adjacency --in {l4}", _SURFACE | {"pants_graphs"}),
+    "ends": ("ends --in {l4} --depth 1", _SURFACE | {"pants_graphs", "ends"}),
+    "intersect": ("intersect --in {l4} --a pants:h0 --b win:h0:2/1", _CURVES),
+    "triple": ("triple --a 0/1 --b 2/1", _CURVES),
+    "sch04": ("sch04 --a 0/1 --b 1/1", _CURVES),
+    "graph": (
+        "graph --in {l4} --mode c --inventory pants:h0,win:h1:1/2", _CURVES | {"complexes"},
+    ),
+    "path": ("path --in {l4} --from h0 --to h2", _CURVES | {"complexes"}),
+    "counterexample": ("counterexample --samples 5", _EVERY),
+    "verify": ("verify --suite triples --bound 3", _EVERY),
+}
+
+
+def test_every_subcommand_has_a_module_budget():
+    assert set(CALL_MODULES) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", list(CALL_MODULES))
+def test_a_call_loads_only_its_subcommands_modules(command, loch4):
+    argv, allowed = CALL_MODULES[command]
+    call = (
+        "import contextlib, io, sys\n"
+        "from curvelab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0"
+    )
+    loaded = _loaded_submodules(call, *argv.format(l4=loch4).split())
+    assert loaded <= allowed, sorted(loaded - allowed)
+
+
+def _calls_of(command, monkeypatch):
+    """The golden probes' and the ``cli`` bench workload's argv lists that
+    start with ``command``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    cli_mix = importlib.import_module("cli_mix")
+    argvs = [probe.format(d="D").split() for probe, _, _ in PROBES]
+    argvs += [*cli_mix.WELL_FORMED.values(), *cli_mix.MALFORMED.values()]
+    return [argv for argv in argvs if argv[0] == command]
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_partial_parser_matches_the_full_parser(command, capsys, monkeypatch):
+    full, partial = build_parser(), build_parser(command)
+    helps = []
+    for parser in (full, partial):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    calls = _calls_of(command, monkeypatch)
+    assert calls
+    for argv in calls:
+        assert partial.parse_args(argv) == full.parse_args(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("gen --model klein_bottle", 2),
+        ("verify --suite nope", 2),
+        ("no-such-command", 2),
+        ("--help", 0),
+    ],
+)
+def test_main_parses_like_the_full_parser(argv, code, capsys):
+    seen = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv.split())
+        seen.append((exc.value.code, capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == code
 
 
 # two pants joined by three curves, slot k to slot k
@@ -259,6 +375,35 @@ def test_graph_with_chain_inventory(loch4, capsys):
     assert j["relation"] == "unit_intersection"
     assert j["vertices"] == ["pants:h0", "pants:h1", "chain:h0:h1:c1,t1"]
     assert ["pants:h0", "chain:h0:h1:c1,t1"] in j["edges"]
+
+
+@pytest.fixture
+def loch3(tmp_path, capsys):
+    path = tmp_path / "l3.json"
+    code, _ = run(capsys, "gen", "--model", "loch_ness", "--depth", "3", "--out", str(path))
+    assert code == 0
+    return str(path)
+
+
+def test_graph_reads_the_inventory_from_a_file(loch3, capsys, tmp_path):
+    inventory = ",".join(map(format_ref, curve_inventory(build_truncation("loch_ness", 3), 3)))
+    listed = tmp_path / "inventory.txt"
+    listed.write_text(inventory + "\n")
+    code, inline = run(capsys, "graph", "--in", loch3, "--mode", "n", "--inventory", inventory)
+    assert code == 0
+    code, out = run(capsys, "graph", "--in", loch3, "--mode", "n", "--inventory", f"@{listed}")
+    assert code == 0
+    assert out == inline
+
+
+def test_graph_reports_a_missing_inventory_file(loch3, capsys, tmp_path):
+    missing = tmp_path / "no-such-inventory.txt"
+    code, out = run(capsys, "graph", "--in", loch3, "--mode", "c", "--inventory", f"@{missing}")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FileNotFoundError",
+        "detail": f"[Errno 2] No such file or directory: '{missing}'",
+    }
 
 
 def test_path(loch4, capsys):

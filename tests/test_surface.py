@@ -269,10 +269,29 @@ def test_json_roundtrip():
 
 
 def test_json_rejects_garbage():
-    with pytest.raises(FormatError):
-        surface_from_json({"pants": ["p0"]})
-    with pytest.raises(FormatError):
-        surface_from_json({"pants": ["p0"], "curves": [{"id": "a"}], "boundary": []})
+    # with the tests below, one message of every kind surface_from_json raises
+    doc = surface_to_json(LOCH_2)
+    c1, rest = doc["curves"][0], doc["curves"][1:]
+    cases = {
+        "malformed surface document: 'curves'": {"pants": ["p0"]},
+        "malformed surface document: 'ends'": {
+            "pants": ["p0"], "curves": [{"id": "a"}], "boundary": [],
+        },
+        "curve 'c1' has 3 ends": {
+            **doc, "curves": [{**c1, "ends": c1["ends"] + [["cp1", 2]]}] + rest,
+        },
+        "curve 'c1' has 0 ends": {**doc, "curves": [{**c1, "ends": []}] + rest},
+        "frontier list [] does not match one-ended curves ['c2']": {**doc, "frontier": []},
+    }
+    for detail, bad in cases.items():
+        with pytest.raises(FormatError) as exc:
+            surface_from_json(bad)
+        assert str(exc.value) == detail
+    with pytest.raises(FormatError) as exc:
+        loads_surface("{not json")
+    assert str(exc.value) == (
+        "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
 
 
 def test_json_rejects_duplicate_ids():
@@ -345,6 +364,54 @@ def test_json_rejects_ids_that_are_not_strings(value):
         with pytest.raises(FormatError) as exc:
             surface_from_json(bad)
         assert str(exc.value) == f"{what} is not a JSON string: {value!r}"
+
+
+def test_validate_messages_are_pinned():
+    # one message of every kind validate reports, in its order
+    rows = [
+        ("a", [("p0", 0), ("p1", 0)]),
+        ("a", [("p0", 1), ("p0", 1)]),
+        ("p1", [("p1", 1), ("p1", 2)]),
+        ("x", [("nope", 0), ("p1", 3)]),
+        ("y", [("p0", 2), ("p2", 0), ("p2", 1)]),
+    ]
+    busy = GluingGraph(
+        ["p0", "p1", "p0", "p2"],
+        [Curve(cid, tuple(PantsSlot(*end) for end in ends)) for cid, ends in rows],
+        [PantsSlot("p0", 2), PantsSlot("zz", 0), PantsSlot("p0", 5)],
+    )
+    assert validate(busy) == (
+        Violation("DuplicateId", "pants id 'p0' repeated"),
+        Violation("DuplicateId", "curve id 'a' repeated"),
+        Violation("DuplicateId", "curve id 'p1' is also a pants id"),
+        Violation("SlotCountError", "curve 'a' glues a slot to itself"),
+        Violation("SlotCountError", "curve 'x' references unknown pants 'nope'"),
+        Violation("SlotCountError", "curve 'x' uses invalid slot index 3"),
+        Violation("SlotCountError", "curve 'y' has 3 ends"),
+        Violation("SlotCountError", "boundary mark uses invalid slot index 5"),
+        Violation("SlotCountError", "boundary mark references unknown pants 'zz'"),
+        Violation("SlotCountError", "slot ('p0', 1) used 2 times: curve 'a', curve 'a'"),
+        Violation("SlotCountError", "slot ('p0', 2) used 2 times: curve 'y', boundary mark"),
+        Violation("SlotCountError", "slot ('p0', 1) used 2 times: curve 'a', curve 'a'"),
+        Violation("SlotCountError", "slot ('p0', 2) used 2 times: curve 'y', boundary mark"),
+        Violation("SlotCountError", "slot ('p2', 2) is unused"),
+    )
+    apart = _graph(
+        ["p0", "p1"],
+        {"a": [("p0", 0), ("p0", 1)], "b": [("p1", 0), ("p1", 1)]},
+        boundary=[("p0", 2), ("p1", 2)],
+    )
+    assert validate(apart) == (
+        Violation("ConnectivityError", "pants graph splits into parts of sizes [1, 1]"),
+    )
+
+
+def test_gluing_graph_keeps_curves_whose_ends_are_in_order():
+    kept = Curve("a", (PantsSlot("p0", 0), PantsSlot("p1", 0)))
+    flipped = Curve("b", (PantsSlot("p1", 1), PantsSlot("p0", 1)))
+    g = GluingGraph(("p0", "p1"), (flipped, kept))
+    assert g.curves[0] is kept
+    assert g.curves[1] == Curve("b", (PantsSlot("p0", 1), PantsSlot("p1", 1)))
 
 
 def test_dumps_ends_with_newline():
