@@ -256,11 +256,7 @@ CALL_MODULES = {
 }
 
 
-def test_every_subcommand_has_a_module_budget():
-    assert set(CALL_MODULES) == set(SUBCOMMANDS)
-
-
-@pytest.mark.parametrize("command", list(CALL_MODULES))
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
 def test_a_call_loads_only_its_subcommands_modules(command, loch4):
     argv, allowed = CALL_MODULES[command]
     call = (
