@@ -53,18 +53,6 @@ def _load_surface(path):
     return g
 
 
-def _split_inventory(text):
-    """Split a comma-separated reference list, keeping chain interiors
-    (which contain commas themselves) attached to their reference."""
-    parts = []
-    for piece in text.split(","):
-        if piece.startswith(("pants:", "win:", "chain:")) or not parts:
-            parts.append(piece)
-        else:
-            parts[-1] += "," + piece
-    return parts
-
-
 def _tree_json(tree, which):
     return {
         "graph": which,
@@ -175,15 +163,14 @@ def cmd_sch04(args):
 
 def cmd_graph(args):
     from .complexes import local_graph
-    from .curves import format_ref, parse_ref
+    from .curves import format_ref, parse_refs
 
     g = _load_surface(args.infile)
     text = args.inventory
     if text.startswith("@"):  # a file holding the list; no reference starts with "@"
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read().strip()
-    inventory = [parse_ref(ref) for ref in _split_inventory(text)]
-    lg = local_graph(g, inventory, args.mode)
+    lg = local_graph(g, parse_refs(text), args.mode)
     return {
         "mode": lg.mode,
         "relation": lg.relation,
@@ -233,9 +220,9 @@ def cmd_verify(args):
     fn = SUITES[args.suite]
     accepted = set(inspect.signature(fn).parameters)
     overrides = {}
-    for name in ("seed", "samples", "max_depth", "trunc_depth", "bound", "alpha", "gadget"):
-        value = getattr(args, name, None)
-        if value is None:
+    # the suite flags, in the order the parser adds them, so the first foreign one is named
+    for name, value in vars(args).items():
+        if name in ("command", "suite", "out", "fn") or value is None:
             continue
         if name not in accepted:
             raise FormatError(f"suite {args.suite!r} does not accept --{name.replace('_', '-')}")
@@ -266,11 +253,13 @@ def _classify_arguments(p):
 
 
 def _ends_arguments(p):
+    from .ends import DEFAULT_STRIDE
+
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--graph", choices=["pants", "curves"], default="pants")
     p.add_argument("--base")
-    p.add_argument("--stride", type=int, default=2)
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
 
 
 def _intersect_arguments(p):

@@ -348,6 +348,19 @@ def parse_ref(text):
     raise FormatError(f"unrecognized curve reference {text!r}")
 
 
+def parse_refs(text):
+    """Parse a comma-separated list of references, as ``",".join`` of
+    :func:`format_ref` writes it.  A chain's interior holds commas itself,
+    so a piece that starts no reference continues the one before."""
+    texts = []
+    for piece in text.split(","):
+        if piece.startswith(("pants:", "win:", "chain:")) or not texts:
+            texts.append(piece)
+        else:
+            texts[-1] += "," + piece
+    return [parse_ref(t) for t in texts]
+
+
 def format_ref(ref):
     """The text :func:`parse_ref` reads back as ``ref``.  Raises TypeError
     for anything but the three reference types."""

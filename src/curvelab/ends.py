@@ -142,10 +142,6 @@ class EndTree:
     def depth(self):
         return len(self.parents) - 1
 
-    @property
-    def has_ends(self):
-        return any(self.parents)
-
     def leaf_counts(self):
         """Number of live components at each level."""
         return tuple(len(lv) for lv in self.parents)

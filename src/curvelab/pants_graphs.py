@@ -129,46 +129,6 @@ def cut_vertices(a):
     return tuple(sorted(lowpoints(h)[1]))
 
 
-def outer_degree_check(g):
-    """Verify degree bounds in A(P) kind by kind, against the classes of
-    :func:`classify_all`.
-
-    Every vertex of A(P) has degree at most 4 (two pants sides, at most two
-    neighbours each).  Outer separating curves have at most 2 (one side is a
-    bare pants).  Returns a tuple of (curve, degree, bound) violations,
-    empty when all bounds hold.
-    """
-    classes = classify_all(g)
-    lists = g.adjacency_lists
-    violations = []
-    for v in sorted(lists):
-        bound = 2 if classes.get(v) is CurveClass.OUTER else 4
-        d = len(lists[v])
-        if d > bound:
-            violations.append((v, d, bound))
-    return tuple(violations)
-
-
-def peripheral_pairs(g):
-    """Pairs of nonseparating curves that together cut off an annular
-    neighbourhood of a boundary circle: both lie on a common pants whose
-    third circle is surface boundary.  Returned as a sorted tuple of
-    sorted pairs."""
-    boundary_pants = {}
-    for s in g.boundary:
-        boundary_pants[s.pants] = boundary_pants.get(s.pants, 0) + 1
-    pairs = set()
-    for p, nmarks in boundary_pants.items():
-        if nmarks != 1:
-            continue
-        here = [cid for cid in g.curves_at[p] if not g.curve_by_id[cid].is_frontier]
-        if len(here) != 2 or here[0] == here[1]:
-            continue
-        if all(classify_curve(g, cid) is CurveClass.NONSEPARATING for cid in here):
-            pairs.add(tuple(sorted(here)))
-    return tuple(sorted(pairs))
-
-
 def random_gluing_graph(n_pants, rng):
     """A random valid connected gluing graph on ``n_pants`` pants, drawn
     from ``rng`` (a :class:`random.Random`), so a seed fixes the graph.

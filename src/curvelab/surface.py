@@ -189,15 +189,6 @@ class SurfaceSignature:
     genus: int
     boundary: int
 
-    @property
-    def complexity(self):
-        """Number of curves in any pants decomposition, 3g - 3 + b."""
-        return 3 * self.genus - 3 + self.boundary
-
-    @property
-    def euler(self):
-        return 2 - 2 * self.genus - self.boundary
-
 
 class InfiniteModel(str, enum.Enum):
     """The built-in infinite-type gluing patterns.
@@ -377,10 +368,9 @@ def build_finite_surface(genus, boundary):
     """
     if genus < 0 or boundary < 0:
         raise ValueError("genus and boundary must be nonnegative")
-    if 3 * genus - 3 + boundary < 1:
-        raise ComplexityTooLow(
-            f"S_({genus},{boundary}) has complexity {3 * genus - 3 + boundary}"
-        )
+    complexity = 3 * genus - 3 + boundary
+    if complexity < 1:
+        raise ComplexityTooLow(f"S_({genus},{boundary}) has complexity {complexity}")
 
     pants = []
     curves = []

@@ -458,6 +458,10 @@ def test_verify_rejects_foreign_flags(capsys):
     code, out = run(capsys, "verify", "--suite", "triples", "--alpha", "c2")
     assert code == 1
     assert json.loads(out)["error"] == "FormatError"
+    # the first refused flag, in the order the parser adds them, is named
+    code, out = run(capsys, "verify", "--suite", "triples", "--alpha", "c2", "--gadget", "s12")
+    assert code == 1
+    assert json.loads(out)["detail"] == "suite 'triples' does not accept --alpha"
 
 
 def test_usage_errors_exit_two(capsys):

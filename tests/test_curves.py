@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from curvelab import (
     DualChain,
     FormatError,
+    InfiniteModel,
     IntersectionTooSmall,
     NotTorusWindow,
     PantsCurve,
@@ -31,6 +32,7 @@ from curvelab import (
     abstract_window,
     build_finite_surface,
     build_truncation,
+    curve_inventory,
     dt_uniqueness_check,
     dt_vector,
     format_ref,
@@ -38,6 +40,7 @@ from curvelab import (
     is_triple,
     make_slope,
     parse_ref,
+    parse_refs,
     resolve_ref,
     sch04_common_neighbors,
     slopes_up_to,
@@ -572,6 +575,15 @@ def test_format_ref_round_trips(ref):
     assert parse_ref(text) == ref
     if isinstance(ref, WindowCurve):
         assert text == f"win:{ref.center}:{ref.slope}"
+
+
+@pytest.mark.parametrize("model", list(InfiniteModel))
+def test_parse_refs_reads_back_a_joined_inventory(model):
+    for depth in range(1, 5):
+        inventory = curve_inventory(build_truncation(model, depth), 3)
+        assert parse_refs(",".join(map(format_ref, inventory))) == inventory
+    # the deepest inventories hold chains whose interiors contain commas
+    assert any(isinstance(ref, DualChain) and len(ref.interior) > 1 for ref in inventory)
 
 
 def test_format_ref_rejects_other_objects():

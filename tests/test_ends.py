@@ -123,7 +123,6 @@ def test_depth_exceeding_truncation_is_refused():
 def test_finite_surface_has_no_ends():
     g = build_finite_surface(2, 1)
     t = surface_end_tree(g, 2)
-    assert not t.has_ends
     assert t.leaf_counts() == (0, 0, 0)
 
 

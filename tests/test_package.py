@@ -2,10 +2,14 @@
 that defines it on first use."""
 
 import importlib
+import tokenize
+from pathlib import Path
 
 import pytest
 
 import curvelab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # submodule -> the public names it defines
 EXPORTS = {
@@ -22,7 +26,7 @@ EXPORTS = {
     ],
     "pants_graphs": [
         "AdjacencyGraph", "CurveClass", "adjacency_graph", "classify_all", "classify_curve",
-        "cut_vertices", "outer_degree_check", "peripheral_pairs", "random_gluing_graph",
+        "cut_vertices", "random_gluing_graph",
     ],
     "ends": [
         "EndTree", "EndTreeNode", "end_tree", "end_trees_isomorphic",
@@ -31,9 +35,9 @@ EXPORTS = {
     "curves": [
         "DualChain", "PantsCurve", "Slope", "Window", "WindowCurve", "abstract_window",
         "dt_uniqueness_check", "dt_vector", "format_ref", "global_intersection", "is_triple",
-        "make_slope", "parse_ref", "resolve_ref", "sch04_common_neighbors", "slopes_up_to",
-        "triple_completion", "twist", "window_around", "window_curve_separates",
-        "window_intersection",
+        "make_slope", "parse_ref", "parse_refs", "resolve_ref", "sch04_common_neighbors",
+        "slopes_up_to", "triple_completion", "twist", "window_around",
+        "window_curve_separates", "window_intersection",
     ],
     "complexes": [
         "LocalCurveGraph", "curve_inventory", "disjointness_witness", "local_graph",
@@ -49,7 +53,7 @@ NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 80
+    assert len(NAMES) == 79
     assert curvelab.__all__ == NAMES
 
 
@@ -76,3 +80,26 @@ def test_unknown_name_raises_attribute_error():
         curvelab.nope
     assert str(exc.value) == "module 'curvelab' has no attribute 'nope'"
     assert not hasattr(curvelab, "nope")
+
+
+def _names_used(path):
+    """The NAME tokens of one file, leaving out the name that a ``def`` or
+    ``class`` statement defines."""
+    used = set()
+    previous = None
+    with tokenize.open(path) as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                used.add(tok.string)
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                previous = tok.string
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # the package's own modules, the demos and the benchmark; not the
+    # namespace table, which names everything, nor the tests
+    files = [p for p in (ROOT / "src" / "curvelab").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*map(_names_used, files))
+    assert [name for name in curvelab.__all__ if name not in used] == []
