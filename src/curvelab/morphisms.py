@@ -116,9 +116,11 @@ def check_superinjective(m, pairs):
 
 @dataclass(frozen=True)
 class CutGlueResult:
-    """Outcome of gluing a gadget into a cut along a separating curve."""
+    """Outcome of gluing a gadget into a cut along a separating curve: the
+    map onto the glued surface, which is ``map.target`` (also read as
+    ``target``), and the witnesses, curves of the gadget's handle that no
+    source curve maps to."""
 
-    target: GluingGraph = field(repr=False)
     map: VertexMap
     witnesses: tuple
 
@@ -128,103 +130,88 @@ class CutGlueResult:
         if clash:
             raise ValueError(f"witnesses meet the image: {clash!r}")
 
-
-# The gadgets cut_and_glue can glue in: ``s12`` is the finite genus-1
-# surface with two boundary circles, ``ladder`` a one-ended arm of handle
-# blocks, and ``cantor`` a stub that branches into two ends.
-GADGETS = ("s12", "ladder", "cantor")
+    @property
+    def target(self):
+        return self.map.target
 
 
-def _fresh(name, used):
-    while name in used:
-        name = name + "x"
-    return name
+# The gadgets cut_and_glue can glue in, each as (pants, curves, handle)
+# with a curve written (id, (pants, slot), ...).  Every gadget presents
+# slot 0 of its pants ``gp0`` to the cut curve, and cut_and_glue hangs the
+# gluing curve ``gs`` from slot 2 of ``gp0``.  ``s12`` is the finite
+# genus-1 surface with two boundary circles, ``ladder`` a one-ended arm of
+# handle blocks, and ``cantor`` a stub that branches into two ends.
+_GADGET_TABLE = {
+    "s12": (
+        ("gp0", "gp1"),
+        (("gc", ("gp0", 1), ("gp1", 0)), ("gh", ("gp1", 1), ("gp1", 2))),
+        "gh",
+    ),
+    "ladder": (
+        ("gp0", "acp1", "ahp1"),
+        (
+            ("ga0", ("gp0", 1), ("acp1", 0)),
+            ("at1", ("acp1", 1), ("ahp1", 0)),
+            ("ah1", ("ahp1", 1), ("ahp1", 2)),
+            ("ga1", ("acp1", 2)),
+        ),
+        "ah1",
+    ),
+    "cantor": (
+        ("gp0", "acp1", "ahp1", "abp1"),
+        (
+            ("ga0", ("gp0", 1), ("acp1", 0)),
+            ("at1", ("acp1", 1), ("ahp1", 0)),
+            ("ah1", ("ahp1", 1), ("ahp1", 2)),
+            ("as1", ("acp1", 2), ("abp1", 0)),
+            ("gb0", ("abp1", 1)),
+            ("gb1", ("abp1", 2)),
+        ),
+        "ah1",
+    ),
+}
+GADGETS = tuple(_GADGET_TABLE)
 
 
-def _gadget_pieces(gadget, used_pants, used_curves):
-    """Pants and curves of the gadget, minus the two splice slots.
-
-    Every gadget presents slot 0 of its pants ``gp0`` to the cut curve and
-    hangs the curve ``gs`` from slot 2 of ``gp0``; the caller wires the
-    free end of ``gs`` into the cut.  Returns (pants ids, curve list,
-    splice pants id, gs id, handle id).
-    """
-    names = (
-        "gp0", "gp1", "gc", "gh", "gs", "ga0", "at1", "ah1", "ga1",
-        "as1", "gb0", "gb1", "abp1", "acp1", "ahp1",
-    )
-    taken = used_pants | used_curves
-    n = {name: _fresh(name, taken) for name in names}
-    gp0 = n["gp0"]
-    if gadget == "s12":
-        gp1 = n["gp1"]
-        pants = [gp0, gp1]
-        curves = [
-            Curve(n["gc"], (PantsSlot(gp0, 1), PantsSlot(gp1, 0))),
-            Curve(n["gh"], (PantsSlot(gp1, 1), PantsSlot(gp1, 2))),
-        ]
-    elif gadget == "ladder":
-        acp1, ahp1 = n["acp1"], n["ahp1"]
-        pants = [gp0, acp1, ahp1]
-        curves = [
-            Curve(n["ga0"], (PantsSlot(gp0, 1), PantsSlot(acp1, 0))),
-            Curve(n["at1"], (PantsSlot(acp1, 1), PantsSlot(ahp1, 0))),
-            Curve(n["ah1"], (PantsSlot(ahp1, 1), PantsSlot(ahp1, 2))),
-            Curve(n["ga1"], (PantsSlot(acp1, 2),)),
-        ]
-    else:
-        acp1, ahp1, abp1 = n["acp1"], n["ahp1"], n["abp1"]
-        pants = [gp0, acp1, ahp1, abp1]
-        curves = [
-            Curve(n["ga0"], (PantsSlot(gp0, 1), PantsSlot(acp1, 0))),
-            Curve(n["at1"], (PantsSlot(acp1, 1), PantsSlot(ahp1, 0))),
-            Curve(n["ah1"], (PantsSlot(ahp1, 1), PantsSlot(ahp1, 2))),
-            Curve(n["as1"], (PantsSlot(acp1, 2), PantsSlot(abp1, 0))),
-            Curve(n["gb0"], (PantsSlot(abp1, 1),)),
-            Curve(n["gb1"], (PantsSlot(abp1, 2),)),
-        ]
-    handle = n["gh"] if gadget == "s12" else n["ah1"]
-    return pants, curves, gp0, n["gs"], handle
+def _gadget_pieces(gadget, taken):
+    """Pants ids, curves, ``gp0`` id, ``gs`` id and handle id of the
+    gadget, each of its names suffixed with ``x`` until it misses
+    ``taken``."""
+    pants, curves, handle = _GADGET_TABLE[gadget]
+    new = {}
+    for name in (*pants, *(cid for cid, *_ in curves), "gs"):
+        new[name] = name
+        while new[name] in taken:
+            new[name] += "x"
+    gadget_curves = [
+        Curve(new[cid], tuple(PantsSlot(new[p], k) for p, k in ends))
+        for cid, *ends in curves
+    ]
+    return [new[p] for p in pants], gadget_curves, new["gp0"], new["gs"], new[handle]
 
 
-def _alpha_side(g, curve_id, p_side, q_side):
-    pants = set(g.pants_of_curve(curve_id))
-    on_p = p_side in pants
-    on_q = q_side in pants
-    if on_p and on_q:
-        raise NotSeparating(f"curve {curve_id!r} runs parallel to the cut curve")
-    if on_p:
-        return "p"
-    if on_q:
-        return "q"
-    raise UnknownCurve(f"curve {curve_id!r} does not meet the cut curve's pants")
-
-
-def _reroute_chain(g, chain, alpha, gs_id, p_side, q_side):
+def _reroute_chain(g, chain, alpha, gs_id, q_side):
     """Image of a dual chain under the cut-and-glue map.
 
-    Each crossing of the cut curve becomes a pass through the gadget's
-    splice pants, so the occurrence of the cut curve in the chain's path
-    is rewritten according to which side the path approaches and leaves
-    from: entering and leaving on the splice side keeps the cut curve,
-    entering and leaving on the far side replaces it with the gluing
-    curve, and a through crossing inserts the gluing curve next to it.
+    Inventory chains are shortest paths in A(P), and the cut curve
+    ``alpha`` is a bridge of the pants graph, so the curves just before
+    and after ``alpha`` on a chain lie on opposite sides of it: on one
+    side they would share a pants and the path would skip ``alpha``.  A
+    crossing of ``alpha`` therefore becomes a pass through the gadget's
+    splice pants, with the gluing curve ``gs_id`` on the side of the cut
+    at ``q_side``: the chain reads ``gs_id, alpha`` when the curve before
+    ``alpha`` meets ``q_side`` and ``alpha, gs_id`` otherwise.
     """
-    path = list(chain.path)
+    path = chain.path
     if alpha not in path:
         return chain
     i = path.index(alpha)
-    before = _alpha_side(g, path[i - 1], p_side, q_side)
-    after = _alpha_side(g, path[i + 1], p_side, q_side)
-    if before == "p" and after == "p":
-        new_path = path
-    elif before == "q" and after == "q":
-        new_path = path[:i] + [gs_id] + path[i + 1 :]
-    elif before == "q":
-        new_path = path[:i] + [gs_id, alpha] + path[i + 1 :]
+    if q_side in g.pants_of_curve(path[i - 1]):
+        seam = (gs_id, alpha)
     else:
-        new_path = path[:i] + [alpha, gs_id] + path[i + 1 :]
-    return DualChain(new_path[0], new_path[-1], tuple(new_path[1:-1]))
+        seam = (alpha, gs_id)
+    new_path = path[:i] + seam + path[i + 1 :]
+    return DualChain(new_path[0], new_path[-1], new_path[1:-1])
 
 
 def cut_and_glue(g, alpha, gadget="s12"):
@@ -248,9 +235,8 @@ def cut_and_glue(g, alpha, gadget="s12"):
     if classify_curve(g, alpha) is CurveClass.NONSEPARATING:
         raise NotSeparating(f"curve {alpha!r} does not separate")
     p_end, q_end = g.curve_by_id[alpha].ends
-    used_pants = set(g.pants)
-    used_curves = set(g.curve_by_id)
-    pieces, gadget_curves, gp0, gs_id, handle = _gadget_pieces(gadget, used_pants, used_curves)
+    taken = set(g.pants) | set(g.curve_by_id)
+    pieces, gadget_curves, gp0, gs_id, handle = _gadget_pieces(gadget, taken)
     new_curves = [c for c in g.curves if c.id != alpha]
     new_curves.extend(gadget_curves)
     new_curves.append(Curve(alpha, (p_end, PantsSlot(gp0, 0))))
@@ -265,7 +251,7 @@ def cut_and_glue(g, alpha, gadget="s12"):
     for ref in curve_inventory(g, 2):
         image = ref
         if isinstance(ref, DualChain):
-            image = _reroute_chain(g, ref, alpha, gs_id, p_end.pants, q_end.pants)
+            image = _reroute_chain(g, ref, alpha, gs_id, q_end.pants)
             resolve_ref(target, image)
         assoc.append((ref, image))
 
@@ -282,7 +268,7 @@ def cut_and_glue(g, alpha, gadget="s12"):
         assoc=tuple(assoc),
         provenance=f"cut at {alpha!r}, glue {gadget}",
     )
-    return CutGlueResult(target=target, map=m, witnesses=witnesses)
+    return CutGlueResult(map=m, witnesses=witnesses)
 
 
 def surfaces_homeomorphic(g1, g2, depth):
@@ -298,19 +284,11 @@ def surfaces_homeomorphic(g1, g2, depth):
         raise ValueError(f"depth must be at least 1, got {depth}")
     if len(g1.boundary) != len(g2.boundary):
         return False
-    inf1 = bool(g1.frontier)
-    inf2 = bool(g2.frontier)
-    if inf1 != inf2:
+    if bool(g1.frontier) != bool(g2.frontier):
         return False
-    if not inf1:
-        sig1 = signature(g1)
-        sig2 = signature(g2)
-        if sig1.genus != sig2.genus:
-            return False
-        return True
-    t1 = surface_end_tree(g1, depth)
-    t2 = surface_end_tree(g2, depth)
-    return end_trees_isomorphic(t1, t2)
+    if not g1.frontier:
+        return signature(g1).genus == signature(g2).genus
+    return end_trees_isomorphic(surface_end_tree(g1, depth), surface_end_tree(g2, depth))
 
 
 def nonhomeomorphic_counterexample(gadget, trunc_depth, alpha):

@@ -550,9 +550,10 @@ def surface_from_json(doc):
     is not a JSON array where one is due (``pants``, ``curves``,
     ``boundary``, a curve's ``ends``, ``frontier``), a slot index that is
     not a JSON integer, a pants id, curve id, slot pants or ``frontier``
-    entry that is not a JSON string, a repeated pants or curve id, a curve
-    id equal to a pants id, and a ``frontier`` list inconsistent with the
-    one-ended curves.
+    entry that is not a JSON string, a curve id that is empty or holds
+    ``:`` or ``,`` (which curve references cannot carry), a repeated pants
+    or curve id, a curve id equal to a pants id, and a ``frontier`` list
+    inconsistent with the one-ended curves.
     """
     try:
         pants = [_string(p, "pants id") for p in _array(doc["pants"], "pants")]
@@ -566,7 +567,13 @@ def surface_from_json(doc):
             )
             if not 1 <= len(ends) <= 2:
                 raise FormatError(f"curve {cid!r} has {len(ends)} ends")
-            curves.append(Curve(_string(rec["id"], "curve id"), ends))
+            cid = _string(rec["id"], "curve id")
+            if not cid or ":" in cid or "," in cid:
+                raise FormatError(
+                    f"curve id {cid!r} cannot appear in a curve reference: "
+                    "it is empty or holds ':' or ','"
+                )
+            curves.append(Curve(cid, ends))
         boundary = [_slot(pair, "boundary mark") for pair in _array(doc["boundary"], "boundary")]
         declared = sorted(
             _string(i, "frontier entry") for i in _array(doc.get("frontier", []), "frontier")

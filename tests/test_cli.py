@@ -99,6 +99,22 @@ def test_classify_rejects_duplicate_ids(loch4, capsys, tmp_path):
     assert json.loads(out) == {"error": "FormatError", "detail": "curve id 't1' repeated"}
 
 
+def test_classify_rejects_a_curve_id_references_cannot_carry(loch4, capsys, tmp_path):
+    doc = json.loads(Path(loch4).read_text())
+    for rec in doc["curves"]:
+        if rec["id"] == "t2":
+            rec["id"] = "c1,pants:c2"
+    bad = tmp_path / "bad_id.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "classify", "--in", str(bad))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FormatError",
+        "detail": "curve id 'c1,pants:c2' cannot appear in a curve reference: "
+        "it is empty or holds ':' or ','",
+    }
+
+
 @pytest.fixture
 def unknown_pants(loch4, tmp_path):
     doc = json.loads(Path(loch4).read_text())

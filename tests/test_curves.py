@@ -550,6 +550,7 @@ def test_parse_and_format_roundtrip():
         assert parse_ref(format_ref(ref)) == ref
 
 
+# the curve ids a surface document may hold (surface_from_json refuses the rest)
 _IDS = st.text(st.characters(blacklist_characters=":,"), min_size=1, max_size=6)
 _REF_SLOPES = st.one_of(
     st.just(Slope(1, 0)),

@@ -23,10 +23,12 @@ from curvelab import (
     make_slope,
     nonhomeomorphic_counterexample,
     parse_ref,
+    random_gluing_graph,
     resolve_ref,
     surfaces_homeomorphic,
     validate,
 )
+from curvelab.morphisms import GADGETS
 
 
 def identity_map(g, ids):
@@ -241,7 +243,72 @@ def test_cut_glue_result_rejects_witnesses_in_the_image():
     g = build_truncation("loch_ness", 4)
     res = cut_and_glue(g, "c2", gadget="s12")
     with pytest.raises(ValueError):
-        CutGlueResult(res.target, res.map, (PantsCurve("c1"),))
+        CutGlueResult(res.map, (PantsCurve("c1"),))
+
+
+# the ids a second cut of a glued target adds: every gadget name is taken,
+# so each gets one x
+SECOND_CUT_IDS = {
+    "s12": {"gp0x", "gp1x", "gcx", "ghx", "gsx"},
+    "ladder": {"gp0x", "acp1x", "ahp1x", "ga0x", "at1x", "ah1x", "ga1x", "gsx"},
+    "cantor": {
+        "gp0x", "acp1x", "ahp1x", "abp1x", "ga0x", "at1x", "ah1x", "as1x", "gb0x",
+        "gb1x", "gsx",
+    },
+}
+
+
+@pytest.mark.parametrize("gadget", GADGETS)
+@pytest.mark.parametrize("alpha", ["c2", "gs"])
+def test_a_second_cut_suffixes_the_taken_gadget_ids(gadget, alpha):
+    first = cut_and_glue(build_truncation("loch_ness", 4), "c2", gadget=gadget).target
+    res = cut_and_glue(first, alpha, gadget=gadget)
+    g = res.target
+    ids = set(g.pants) | set(g.curve_by_id)
+    assert ids - set(first.pants) - set(first.curve_by_id) == SECOND_CUT_IDS[gadget]
+    assert validate(g) == ()
+    assert res.map.domain == tuple(curve_inventory(first, 2))
+    handle = "ghx" if gadget == "s12" else "ah1x"
+    assert [format_ref(w) for w in res.witnesses] == [
+        f"pants:{handle}",
+        f"win:{handle}:1/0",
+        f"win:{handle}:1/1",
+    ]
+
+
+def _model_census_and_random_graphs():
+    for model in ("loch_ness", "ladder", "cantor_tree"):
+        for depth in range(1, 7):
+            yield build_truncation(model, depth)
+    for genus in range(5):
+        for b in range(6):
+            if 3 * genus - 3 + b >= 1:
+                yield build_finite_surface(genus, b)
+    rng = random.Random(11)
+    for _ in range(100):
+        yield random_gluing_graph(rng.randint(2, 30), rng)
+
+
+def test_inventory_chains_cross_separating_curves_from_side_to_side():
+    # cut_and_glue reroutes a chain by the side of the curve before the cut
+    # curve alone, which needs the curve after it on the other side
+    crossings = 0
+    for g in _model_census_and_random_graphs():
+        for chain in curve_inventory(g, 2):
+            if not isinstance(chain, DualChain):
+                continue
+            path = chain.path
+            for i, cid in enumerate(path[1:-1], 1):
+                if cid not in g.separating_curves:
+                    continue
+                sides = [end.pants for end in g.curve_by_id[cid].ends]
+                before, after = (
+                    [side in g.pants_of_curve(path[j]) for side in sides] for j in (i - 1, i + 1)
+                )
+                assert before in ([True, False], [False, True]), (chain, cid)
+                assert after == before[::-1], (chain, cid)
+                crossings += 1
+    assert crossings > 30000
 
 
 def test_cut_and_glue_input_validation():
@@ -288,6 +355,9 @@ def test_surfaces_homeomorphic_on_finite_surfaces():
     assert not surfaces_homeomorphic(s21, build_finite_surface(3, 1), 1)
     assert not surfaces_homeomorphic(s21, build_finite_surface(2, 2), 1)
     assert not surfaces_homeomorphic(s21, build_truncation("loch_ness", 4), 1)
+    # no boundary on either side, so only finiteness tells them apart
+    s20 = build_finite_surface(2, 0)
+    assert not surfaces_homeomorphic(s20, build_truncation("loch_ness", 4), 1)
 
 
 def test_gluing_a_handle_preserves_the_end_structure():

@@ -281,6 +281,15 @@ def test_json_rejects_garbage():
         "curve 'c1' has 0 ends": {**doc, "curves": [{**c1, "ends": []}] + rest},
         "frontier list [] does not match one-ended curves ['c2']": {**doc, "frontier": []},
     }
+    # format_ref would write these ids as pants:, win:a:b:1/0, which
+    # parse_ref refuses, and pants:c1,pants:c2, which parse_refs reads back
+    # as two other curves
+    for cid in ("", "a:b", "c1,pants:c2"):
+        detail = (
+            f"curve id {cid!r} cannot appear in a curve reference: "
+            "it is empty or holds ':' or ','"
+        )
+        cases[detail] = {**doc, "curves": [{**c1, "id": cid}] + rest}
     for detail, bad in cases.items():
         with pytest.raises(FormatError) as exc:
             surface_from_json(bad)
