@@ -19,7 +19,6 @@ from curvelab import (
     check_superinjective,
     cut_and_glue,
     format_ref,
-    nonhomeomorphic_counterexample,
     surfaces_homeomorphic,
 )
 
@@ -45,8 +44,8 @@ print("target homeomorphic to source:", surfaces_homeomorphic(g, res.target, 1))
 
 # An infinite arm changes the end space: the map is just as good, but
 # the two surfaces can no longer be homeomorphic.
-src, tgt, m = nonhomeomorphic_counterexample("ladder", 4, "c2")
+m = cut_and_glue(g, "c2", gadget="ladder").map
 pairs = [(a, b) for a in m.domain for b in m.domain if isinstance(a, PantsCurve)]
 rep = check_superinjective(m, pairs[:300])
 print(f"\narm gadget: {len(rep['violations'])} violations on {rep['checked']} pairs,"
-      f" homeomorphic: {surfaces_homeomorphic(src, tgt, 1)}")
+      f" homeomorphic: {surfaces_homeomorphic(g, m.target, 1)}")

@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     "morphisms": (
         "CutGlueResult", "VertexMap", "check_superinjective", "cut_and_glue",
-        "nonhomeomorphic_counterexample", "surfaces_homeomorphic",
+        "surfaces_homeomorphic",
     ),
     "verify": ("SUITES", "run_suite"),
 }

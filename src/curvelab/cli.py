@@ -34,10 +34,10 @@ def _emit(obj, out=None):
 
 
 def _read_surface(path):
-    from .surface import surface_from_json
+    from .surface import loads_surface
 
     with open(path, encoding="utf-8") as fh:
-        return surface_from_json(json.load(fh))
+        return loads_surface(fh.read())
 
 
 def _load_surface(path):

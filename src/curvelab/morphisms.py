@@ -29,9 +29,9 @@ from .curves import (
     resolve_ref,
 )
 from .ends import end_trees_isomorphic, surface_end_tree
-from .errors import GadgetTooSmall, NotSeparating, UnknownCurve
+from .errors import NotSeparating, UnknownCurve
 from .pants_graphs import CurveClass, classify_curve
-from .surface import Curve, GluingGraph, InfiniteModel, PantsSlot, build_truncation, signature
+from .surface import Curve, GluingGraph, PantsSlot, signature
 
 
 @dataclass(frozen=True)
@@ -289,23 +289,3 @@ def surfaces_homeomorphic(g1, g2, depth):
     if not g1.frontier:
         return signature(g1).genus == signature(g2).genus
     return end_trees_isomorphic(surface_end_tree(g1, depth), surface_end_tree(g2, depth))
-
-
-def nonhomeomorphic_counterexample(gadget, trunc_depth, alpha):
-    """A superinjective curve map between non-homeomorphic surfaces.
-
-    Cuts the Loch Ness truncation of depth ``trunc_depth`` at the
-    separating chain curve ``alpha`` (the ``counterexample`` suite and
-    command use ``"c2"`` at depth 4) and glues in the ``ladder`` or
-    ``cantor`` gadget, whose ends the end trees detect.  Returns (source,
-    target, map).  The finite ``s12`` gadget raises :class:`GadgetTooSmall`
-    since it cannot change the end space.
-    """
-    if gadget == "s12":
-        raise GadgetTooSmall(
-            "the two-boundary genus-1 gadget is finite; the glued surface "
-            "remains homeomorphic to the original"
-        )
-    g = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
-    result = cut_and_glue(g, alpha, gadget=gadget)
-    return g, result.target, result.map

@@ -62,6 +62,15 @@ class Curve:
         return len(self.ends) == 2 and self.ends[0].pants == self.ends[1].pants
 
 
+def _pants_edges(curves):
+    """(pants, pants, curve id) for each curve with two ends on two
+    different pants.  Self-gluings, frontier half edges and curves with
+    any other number of ends join no two pants."""
+    for c in curves:
+        if len(c.ends) == 2 and not c.is_self_gluing:
+            yield c.ends[0].pants, c.ends[1].pants, c.id
+
+
 def _ends_in_order(c):
     """``c`` itself if its ends are a sorted tuple, else a copy whose are."""
     ends = tuple(sorted(c.ends))
@@ -132,14 +141,7 @@ class GluingGraph:
         Self-gluings and frontier half edges do not appear; a pants named
         only by a curve end is a vertex too.  Shared by every caller; do
         not mutate it."""
-        return neighbour_lists(
-            self.pants,
-            (
-                (c.ends[0].pants, c.ends[1].pants)
-                for c in self.curves
-                if not c.is_frontier and not c.is_self_gluing
-            ),
-        )
+        return neighbour_lists(self.pants, ((u, v) for u, v, _ in _pants_edges(self.curves)))
 
     @cached_property
     def separating_curves(self):
@@ -149,9 +151,8 @@ class GluingGraph:
         separates, and neither does a curve doubled by another curve
         between the same two pants."""
         between = {}
-        for c in self.curves:
-            if not c.is_frontier and not c.is_self_gluing:
-                between.setdefault((c.ends[0].pants, c.ends[1].pants), []).append(c.id)
+        for u, v, cid in _pants_edges(self.curves):
+            between.setdefault((u, v), []).append(cid)
         separating = set()
         for u, v in lowpoints(self.pants_graph)[0]:
             ids = between[(u, v) if u < v else (v, u)]
@@ -260,18 +261,32 @@ def _duplicate_ids(pants, curve_ids):
         seen.add(cid)
 
 
+def _unreferable(cid):
+    """What is wrong with a curve id that curve references cannot carry,
+    one that is not a string, is empty or holds ``:`` or ``,``; None for
+    any other id."""
+    if type(cid) is not str:
+        return f"curve id {cid!r} is not a string"
+    if not cid or ":" in cid or "," in cid:
+        return (
+            f"curve id {cid!r} cannot appear in a curve reference: "
+            "it is empty or holds ':' or ','"
+        )
+    return None
+
+
 def validate(g):
     """Check well-formedness and return a tuple of violations (empty if ok).
 
-    Checks identifier uniqueness, exact slot usage (every slot of every pants
-    is used by exactly one curve end or one boundary mark) and connectivity
-    of the pants graph.  This reports rather than raises so that a malformed
-    graph can be inspected.
+    Checks identifier uniqueness, curve ids that curve references can
+    carry, exact slot usage (every slot of every pants is used by exactly
+    one curve end or one boundary mark) and connectivity of the pants
+    graph.  This reports rather than raises so that a malformed graph can
+    be inspected.
     """
-    violations = [
-        Violation("DuplicateId", detail)
-        for detail in _duplicate_ids(g.pants, [c.id for c in g.curves])
-    ]
+    curve_ids = [c.id for c in g.curves]
+    violations = [Violation("DuplicateId", d) for d in _duplicate_ids(g.pants, curve_ids)]
+    violations += [Violation("InvalidId", d) for d in map(_unreferable, curve_ids) if d]
 
     pants_set = set(g.pants)
     usage = {}  # (pants, slot) -> the curves using it, None for a boundary mark
@@ -568,11 +583,9 @@ def surface_from_json(doc):
             if not 1 <= len(ends) <= 2:
                 raise FormatError(f"curve {cid!r} has {len(ends)} ends")
             cid = _string(rec["id"], "curve id")
-            if not cid or ":" in cid or "," in cid:
-                raise FormatError(
-                    f"curve id {cid!r} cannot appear in a curve reference: "
-                    "it is empty or holds ':' or ','"
-                )
+            problem = _unreferable(cid)
+            if problem:
+                raise FormatError(problem)
             curves.append(Curve(cid, ends))
         boundary = [_slot(pair, "boundary mark") for pair in _array(doc["boundary"], "boundary")]
         declared = sorted(

@@ -495,6 +495,18 @@ def test_missing_input_file_reports_cleanly(capsys):
     assert json.loads(out)["error"] == "FileNotFoundError"
 
 
+def test_a_file_that_is_not_json_is_a_format_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out = run(capsys, "validate", "--in", str(bad))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FormatError",
+        "detail": "not JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    }
+
+
 def test_verify_with_failures_still_prints_and_writes_the_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run(

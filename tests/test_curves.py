@@ -51,7 +51,7 @@ from curvelab import (
     window_intersection,
 )
 from curvelab import Curve, GluingGraph, PantsSlot
-from curvelab.verify import _box_common_neighbors, _unit_neighbors, _unit_pairs
+from curvelab.verify import _meeting, _unit_neighbors, _unit_pairs
 
 TORUS = abstract_window("torus")
 SPHERE = abstract_window("sphere")
@@ -458,6 +458,14 @@ def _unimodular_pair(moves):
     """Slopes from the columns of an SL(2, Z) word in T, T^-1 and S."""
     a, b = _word_columns(moves)
     return make_slope(*a), make_slope(*b)
+
+
+def _box_common_neighbors(a, b, bound):
+    """Every slope with |p|, |q| <= bound meeting both ``a`` and ``b`` in
+    a unit determinant, found by exhaustive search of that box: the row
+    search of ``verify._unit_neighbors`` for ``a``, kept where it meets
+    ``b``."""
+    return _meeting(_unit_neighbors(a, bound), b)
 
 
 @given(st.lists(st.sampled_from("TtS"), max_size=12))

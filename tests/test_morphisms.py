@@ -21,10 +21,10 @@ from curvelab import (
     format_ref,
     global_intersection,
     make_slope,
-    nonhomeomorphic_counterexample,
     parse_ref,
     random_gluing_graph,
     resolve_ref,
+    run_suite,
     surfaces_homeomorphic,
     validate,
 )
@@ -367,17 +367,17 @@ def test_gluing_a_handle_preserves_the_end_structure():
 
 
 def test_nonhomeomorphic_counterexample():
+    src = build_truncation("loch_ness", 4)
     for gadget in ("ladder", "cantor"):
-        src, tgt, m = nonhomeomorphic_counterexample(gadget, 4, "c2")
-        assert not surfaces_homeomorphic(src, tgt, 1)
-        assert m.source is src and m.target is tgt
+        m = cut_and_glue(src, "c2", gadget=gadget).map
+        assert not surfaces_homeomorphic(src, m.target, 1)
         curves = [r for r in m.domain if isinstance(r, PantsCurve)]
         pairs = [(a, b) for i, a in enumerate(curves) for b in curves[i + 1 :]]
         assert check_superinjective(m, pairs)["violations"] == []
 
 
 def test_counterexample_needs_an_end_changing_gadget():
-    with pytest.raises(GadgetTooSmall):
-        nonhomeomorphic_counterexample("s12", 4, "c2")
+    with pytest.raises(GadgetTooSmall, match="the two-boundary genus-1 gadget is finite"):
+        run_suite("counterexample", samples=4, gadget="s12")
     with pytest.raises(ValueError):
-        nonhomeomorphic_counterexample("mystery", 4, "c2")
+        run_suite("counterexample", samples=4, gadget="mystery")

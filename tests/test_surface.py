@@ -18,8 +18,11 @@ from curvelab import (
     Violation,
     build_finite_surface,
     build_truncation,
+    curve_inventory,
     dumps_surface,
+    format_ref,
     loads_surface,
+    parse_refs,
     signature,
     surface_from_json,
     surface_to_json,
@@ -247,6 +250,17 @@ def test_validate_counts_a_self_glued_unknown_pants_as_a_part():
     )
 
 
+def test_validate_reports_a_curve_with_no_ends():
+    loch = build_truncation("loch_ness", 2)
+    g = GluingGraph(loch.pants, loch.curves + (Curve("zz", ()),), loch.boundary)
+    assert validate(g) == (Violation("SlotCountError", "curve 'zz' has 0 ends"),)
+
+
+def test_validate_reports_a_curve_id_that_is_not_a_string():
+    g = _graph(["p0"], {7: [("p0", 0), ("p0", 1)]}, boundary=[("p0", 2)])
+    assert validate(g) == (Violation("InvalidId", "curve id 7 is not a string"),)
+
+
 def test_validate_reports_duplicate_ids():
     g = GluingGraph(
         pants=("p0",),
@@ -378,6 +392,7 @@ def test_validate_messages_are_pinned():
     rows = [
         ("a", [("p0", 0), ("p1", 0)]),
         ("a", [("p0", 1), ("p0", 1)]),
+        ("b:c", []),
         ("p1", [("p1", 1), ("p1", 2)]),
         ("x", [("nope", 0), ("p1", 3)]),
         ("y", [("p0", 2), ("p2", 0), ("p2", 1)]),
@@ -391,7 +406,12 @@ def test_validate_messages_are_pinned():
         Violation("DuplicateId", "pants id 'p0' repeated"),
         Violation("DuplicateId", "curve id 'a' repeated"),
         Violation("DuplicateId", "curve id 'p1' is also a pants id"),
+        Violation(
+            "InvalidId",
+            "curve id 'b:c' cannot appear in a curve reference: it is empty or holds ':' or ','",
+        ),
         Violation("SlotCountError", "curve 'a' glues a slot to itself"),
+        Violation("SlotCountError", "curve 'b:c' has 0 ends"),
         Violation("SlotCountError", "curve 'x' references unknown pants 'nope'"),
         Violation("SlotCountError", "curve 'x' uses invalid slot index 3"),
         Violation("SlotCountError", "curve 'y' has 3 ends"),
@@ -402,6 +422,8 @@ def test_validate_messages_are_pinned():
         Violation("SlotCountError", "slot ('p0', 1) used 2 times: curve 'a', curve 'a'"),
         Violation("SlotCountError", "slot ('p0', 2) used 2 times: curve 'y', boundary mark"),
         Violation("SlotCountError", "slot ('p2', 2) is unused"),
+        # only a curve with three ends reaches p2, and it joins no pants
+        Violation("ConnectivityError", "pants graph splits into parts of sizes [1, 3]"),
     )
     apart = _graph(
         ["p0", "p1"],
@@ -443,3 +465,63 @@ def test_finite_surfaces_validate(genus, boundary):
     assert validate(s) == ()
     sig = signature(s)
     assert (sig.genus, sig.boundary) == (genus, boundary)
+
+
+# the model truncations and the census graphs the mutations start from
+_BASES = [build_truncation(m, d) for m in InfiniteModel for d in (1, 2, 3)] + [
+    build_finite_surface(g, b) for g in range(3) for b in range(5) if 3 * g - 3 + b >= 1
+]
+_MUTATIONS = (
+    "drop pants", "drop curve", "repeat pants", "repeat curve id", "no ends", "three ends",
+    "unknown pants", "slot 3", ":", ",",
+)
+
+
+def _mutated(g, mutations):
+    """``g`` with each (kind, i, j) of ``mutations`` applied in turn: ``i``
+    picks the pants and the curve changed, ``j`` a second curve or a place
+    in the curve's id."""
+    pants, curves = list(g.pants), list(g.curves)
+    for kind, i, j in mutations:
+        if not pants or not curves:
+            break
+        p, k = i % len(pants), i % len(curves)
+        c = curves[k]
+        if kind == "drop pants":
+            del pants[p]
+        elif kind == "drop curve":
+            del curves[k]
+        elif kind == "repeat pants":
+            pants.append(pants[p])
+        elif kind == "repeat curve id":
+            other = j % len(curves)
+            curves[other] = Curve(c.id, curves[other].ends)
+        elif kind == "no ends":
+            curves[k] = Curve(c.id, ())
+        elif kind == "three ends":
+            curves[k] = Curve(c.id, (c.ends * 3)[:3])
+        elif kind == "unknown pants":
+            curves[k] = Curve(c.id, (PantsSlot("nope", 0),) + c.ends[1:])
+        elif kind == "slot 3":
+            curves[k] = Curve(c.id, (PantsSlot(pants[p], 3),) + c.ends[1:])
+        else:
+            at = j % (len(c.id) + 1)
+            curves[k] = Curve(c.id[:at] + kind + c.id[at:], c.ends)
+    return GluingGraph(pants, curves, g.boundary)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_BASES),
+    st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 200), st.integers(0, 200)),
+        max_size=3,
+    ),
+)
+def test_validate_never_raises_and_valid_inventories_read_back(base, mutations):
+    g = _mutated(base, mutations)
+    violations = validate(g)
+    assert type(violations) is tuple
+    if not violations:
+        inventory = curve_inventory(g, 2)
+        assert parse_refs(",".join(map(format_ref, inventory))) == inventory

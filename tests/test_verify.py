@@ -4,7 +4,6 @@ the suites' parameters and the ``verify`` flags."""
 
 import inspect
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -78,14 +77,6 @@ def _scrambled_cut_and_glue(g, alpha, gadget="s12"):
     return CutGlueResult(VertexMap(m.source, m.target, tuple(zip(m.domain, images))), ())
 
 
-def _cut_and_glue_with_witnesses(pick):
-    def stand_in(g, alpha, gadget="s12"):
-        res = cut_and_glue(g, alpha, gadget=gadget)
-        return SimpleNamespace(map=res.map, witnesses=pick(res))
-
-    return stand_in
-
-
 def _other_model(g, depth):
     return induced_end_correspondence(build_truncation("ladder", 4), depth)
 
@@ -118,10 +109,6 @@ MISBEHAVIOURS = [
     ("diameter", "schmutz_path", lambda g, h1, h2: [h1, h1], {"handles", "steps"}),
     ("counterexample", "cut_and_glue", _scrambled_cut_and_glue,
      {"pair", "source_intersection", "target_intersection"}),
-    ("counterexample", "cut_and_glue",
-     _cut_and_glue_with_witnesses(lambda res: (res.map.assoc[0][1],)), {"witness_in_image"}),
-    ("counterexample", "cut_and_glue",
-     _cut_and_glue_with_witnesses(lambda res: res.witnesses[:2]), {"error"}),
     ("counterexample", "surfaces_homeomorphic", lambda g1, g2, depth: True, {"error"}),
 ]
 
