@@ -213,12 +213,11 @@ def cmd_counterexample(args):
 
 
 def cmd_verify(args):
-    import inspect
-
     from .verify import SUITES, run_suite
 
-    fn = SUITES[args.suite]
-    accepted = set(inspect.signature(fn).parameters)
+    code = SUITES[args.suite].__code__
+    # the suite's parameter names, read without importing inspect
+    accepted = set(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount])
     overrides = {}
     # the suite flags, in the order the parser adds them, so the first foreign one is named
     for name, value in vars(args).items():

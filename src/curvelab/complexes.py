@@ -18,7 +18,7 @@ handle by dual chains.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from ._graph import bfs_parents, bfs_path, path_to
@@ -41,20 +41,18 @@ from .pants_graphs import CurveClass, classify_curve
 _RELATIONS = {"c": "disjointness", "n": "disjointness", "g": "unit_intersection"}
 
 
-@dataclass(frozen=True)
-class LocalCurveGraph:
+class LocalCurveGraph(namedtuple("LocalCurveGraph", "vertices edges mode undefined_pairs")):
     """A finite relation graph over curve references.
 
-    ``mode`` is one of "c" (disjointness, all curves), "n" (disjointness,
+    ``vertices``, ``edges`` and ``undefined_pairs`` are tuples.  ``mode``
+    is one of "c" (disjointness, all curves), "n" (disjointness,
     nonseparating curves) or "g" (unit intersection, nonseparating curves).
     ``undefined_pairs`` lists vertex pairs whose intersection number the
-    arithmetic table does not cover.
+    arithmetic table does not cover.  A namedtuple, equal to the plain
+    tuple of its four fields.
     """
 
-    vertices: tuple
-    edges: tuple
-    mode: str
-    undefined_pairs: tuple
+    __slots__ = ()
 
     @property
     def relation(self):

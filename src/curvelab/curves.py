@@ -19,9 +19,8 @@ undefined, not zero; callers must branch on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import (
     FormatError,
@@ -36,39 +35,81 @@ from .pants_graphs import _ordinary_curve
 from .surface import PantsSlot
 
 
-@dataclass(frozen=True, order=True, slots=True)
 class Slope:
     """A coprime pair naming a curve in a window; q > 0, or (p,q) = (1,0).
 
-    An immutable, slotted pair, ordered and hashed as the tuple (p, q).
-    The public constructor validates: ``Slope(p, q)`` raises ValueError
-    unless the pair is already reduced and sign-normalized.  To name the
-    slope of an arbitrary nonzero integer pair, use :func:`make_slope`.
+    An immutable, slotted pair: slopes hash, compare and order as the
+    tuple (p, q), but equal no tuple, only another Slope.  Assigning
+    ``p`` or ``q`` raises AttributeError.  The public constructor
+    validates: ``Slope(p, q)`` raises ValueError unless the pair is already
+    reduced and sign-normalized.  To name the slope of an arbitrary nonzero
+    integer pair, use :func:`make_slope`.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.q < 0 or (self.q == 0 and self.p != 1):
-            raise ValueError(f"slope ({self.p}, {self.q}) is not sign-normalized")
-        if math.gcd(abs(self.p), self.q) != 1:
-            raise ValueError(f"slope ({self.p}, {self.q}) is not reduced")
+    def __init__(self, p, q):
+        if q < 0 or (q == 0 and p != 1):
+            raise ValueError(f"slope ({p}, {q}) is not sign-normalized")
+        if math.gcd(abs(p), q) != 1:
+            raise ValueError(f"slope ({p}, {q}) is not reduced")
+        _set_p(self, p)
+        _set_q(self, q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Slope")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Slope")
+
+    def __reduce__(self):
+        return Slope, (self.p, self.q)
+
+    def __repr__(self):
+        return f"Slope(p={self.p!r}, q={self.q!r})"
 
     def __str__(self):
         return f"{self.p}/{self.q}"
 
+    def __hash__(self):
+        return hash((self.p, self.q))
 
-_new_slope = object.__new__
-_set_p = Slope.__dict__["p"].__set__
-_set_q = Slope.__dict__["q"].__set__
+    def __eq__(self, other):
+        if other.__class__ is Slope:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is Slope:
+            return (self.p, self.q) < (other.p, other.q)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is Slope:
+            return (self.p, self.q) <= (other.p, other.q)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is Slope:
+            return (self.p, self.q) > (other.p, other.q)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is Slope:
+            return (self.p, self.q) >= (other.p, other.q)
+        return NotImplemented
+
+
+# The slot descriptors write past the refusing __setattr__.
+_set_p = Slope.p.__set__
+_set_q = Slope.q.__set__
 
 
 def _trusted_slope(p, q):
     """A Slope from a pair that is already reduced and sign-normalized,
     built without the constructor's validation; only :func:`make_slope`
     and :func:`twist`, which establish both, call it."""
-    s = _new_slope(Slope)
+    s = object.__new__(Slope)
     _set_p(s, p)
     _set_q(s, q)
     return s
@@ -122,19 +163,16 @@ def slopes_up_to(bound):
 # windows
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "kind center support cuff_slots")):
     """A one-holed-torus or four-holed-sphere neighbourhood of a curve.
 
+    ``kind`` is ``"torus"`` or ``"sphere"``, ``center`` the id of the
+    center curve and ``support`` the tuple of its pants ids.
     ``cuff_slots`` are the pants slots along which the window meets the rest
     of the surface (one for a torus window, four for a sphere window, in
-    support order).
+    support order).  A namedtuple, so a window equals the plain tuple of
+    its four fields; it keeps a ``__dict__`` for its cached ``scale``.
     """
-
-    kind: str
-    center: str
-    support: tuple[str, ...]
-    cuff_slots: tuple[PantsSlot, ...]
 
     @cached_property
     def scale(self):
@@ -286,41 +324,40 @@ def sch04_common_neighbors(w, a, b):
 # curve references
 
 
-@dataclass(frozen=True)
-class PantsCurve:
-    """A decomposition curve, referenced by id."""
-
-    id: str
+# The three reference kinds are namedtuples of one, two and three fields:
+# each equals the plain tuple of its fields, and no two kinds compare equal.
 
 
-@dataclass(frozen=True)
-class WindowCurve:
-    """The slope curve of the window centered at a decomposition curve.
+class PantsCurve(namedtuple("PantsCurve", "id")):
+    """A decomposition curve, referenced by id; equal to the 1-tuple
+    ``(id,)``."""
+
+    __slots__ = ()
+
+
+class WindowCurve(namedtuple("WindowCurve", "center slope")):
+    """The slope curve of the window centered at a decomposition curve;
+    equal to the pair ``(center, slope)``.
 
     Slope (0, 1) is the center itself and must be referenced as a
     PantsCurve instead.
     """
 
-    center: str
-    slope: Slope
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualChain:
+class DualChain(namedtuple("DualChain", "handle_a handle_b interior")):
     """A curve crossing each of two handles once and each interior path
-    curve twice.  Stored with endpoints in sorted order so equal chains
-    compare equal."""
+    curve twice.  Stored with endpoints in sorted order (the interior
+    reversed with them) so equal chains compare equal; equal to the
+    triple ``(handle_a, handle_b, interior)``."""
 
-    handle_a: str
-    handle_b: str
-    interior: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.handle_b < self.handle_a:
-            a, b = self.handle_a, self.handle_b
-            object.__setattr__(self, "handle_a", b)
-            object.__setattr__(self, "handle_b", a)
-            object.__setattr__(self, "interior", tuple(reversed(self.interior)))
+    def __new__(cls, handle_a, handle_b, interior):
+        if handle_b < handle_a:
+            handle_a, handle_b, interior = handle_b, handle_a, tuple(reversed(interior))
+        return tuple.__new__(cls, (handle_a, handle_b, interior))
 
     @property
     def path(self):
@@ -390,14 +427,12 @@ _RANKS = {PantsCurve: 0, WindowCurve: 1, DualChain: 2}
 _DUAL = Slope(1, 0)
 
 
-class _Resolved(NamedTuple):
+class _Resolved(namedtuple("_Resolved", "ref found support")):
     """A reference checked against a graph: what :func:`resolve_ref`
-    returns for it, and the pants supporting it (the region the curve
-    lives in)."""
+    returns for it, and the frozenset of pants supporting it (the region
+    the curve lives in)."""
 
-    ref: object
-    found: object
-    support: frozenset
+    __slots__ = ()
 
 
 def _resolve(g, ref):
@@ -568,13 +603,13 @@ def window_curve_separates(g, w, s):
         far = set()
         for k in group:
             slot = w.cuff_slots[k]
-            cid = g.slot_occupant.get((slot.pants, slot.slot))
+            cid = g.slot_occupant.get(slot)
             if cid is None:
                 continue
             c = g.curve_by_id[cid]
             if c.is_frontier:
                 continue
-            other = next(e for e in c.ends if (e.pants, e.slot) != (slot.pants, slot.slot))
+            other = next(e for e in c.ends if e != slot)
             far.add(other.pants)
         sides.append(far)
     start, goal = sides

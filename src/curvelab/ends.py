@@ -45,7 +45,7 @@ edges, plus the number of nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 
@@ -107,8 +107,7 @@ class _Listing:
         return members
 
 
-@dataclass(frozen=True)
-class EndTree:
+class EndTree(namedtuple("EndTree", "base stride parents deepest")):
     """Levelled forest of live components around ``base``, as a merge
     forest.
 
@@ -119,12 +118,12 @@ class EndTree:
     Two trees are equal exactly when their bases, strides, parents and
     members agree.  The tree of a surface with no frontier has every level
     empty.
-    """
 
-    base: str | None
-    stride: int
-    parents: tuple[tuple[int | None, ...], ...]
-    deepest: tuple[tuple[tuple[str, int], ...], ...]
+    ``base`` is a vertex id (None for an empty graph) and ``stride`` an
+    int; ``parents`` and ``deepest`` are tuples of tuples.  A namedtuple:
+    a tree hashes and compares as the tuple of those four fields, which
+    it equals, and keeps a ``__dict__`` for its cached ``levels``.
+    """
 
     @cached_property
     def levels(self):

@@ -15,7 +15,7 @@ invariants detect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .complexes import curve_inventory
@@ -34,26 +34,28 @@ from .pants_graphs import CurveClass, classify_curve
 from .surface import Curve, GluingGraph, PantsSlot, signature
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(namedtuple("VertexMap", "source target assoc provenance")):
     """A finite injective assignment of curve references.
 
-    ``assoc`` is a tuple of (source reference, target reference) pairs;
-    injectivity is checked at construction time.
+    ``source`` and ``target`` are the two :class:`GluingGraph` s, which
+    the repr leaves out.  ``assoc`` is a tuple of (source reference,
+    target reference) pairs; injectivity is checked at construction time.
+    A namedtuple: a map hashes and compares as the tuple of its four
+    fields, which it equals, and keeps a ``__dict__`` for its cached
+    lookup table.
     """
 
-    source: GluingGraph = field(repr=False)
-    target: GluingGraph = field(repr=False)
-    assoc: tuple
-    provenance: str = ""
-
-    def __post_init__(self):
-        values = [img for _, img in self.assoc]
+    def __new__(cls, source, target, assoc, provenance=""):
+        values = [img for _, img in assoc]
         if len(set(values)) != len(values):
             raise ValueError("vertex map is not injective")
-        keys = [ref for ref, _ in self.assoc]
+        keys = [ref for ref, _ in assoc]
         if len(set(keys)) != len(keys):
             raise ValueError("vertex map assigns a reference twice")
+        return tuple.__new__(cls, (source, target, assoc, provenance))
+
+    def __repr__(self):
+        return f"VertexMap(assoc={self.assoc!r}, provenance={self.provenance!r})"
 
     @cached_property
     def _table(self):
@@ -114,21 +116,21 @@ def check_superinjective(m, pairs):
     return {"checked": checked, "violations": violations, "skipped": skipped}
 
 
-@dataclass(frozen=True)
-class CutGlueResult:
+class CutGlueResult(namedtuple("CutGlueResult", "map witnesses")):
     """Outcome of gluing a gadget into a cut along a separating curve: the
-    map onto the glued surface, which is ``map.target`` (also read as
-    ``target``), and the witnesses, curves of the gadget's handle that no
-    source curve maps to."""
+    :class:`VertexMap` onto the glued surface, which is ``map.target``
+    (also read as ``target``), and the witnesses, a tuple of curves of the
+    gadget's handle that no source curve maps to.  A namedtuple, equal to
+    the pair ``(map, witnesses)``."""
 
-    map: VertexMap
-    witnesses: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        image = {img for _, img in self.map.assoc}
-        clash = [w for w in self.witnesses if w in image]
+    def __new__(cls, map, witnesses):
+        image = {img for _, img in map.assoc}
+        clash = [w for w in witnesses if w in image]
         if clash:
             raise ValueError(f"witnesses meet the image: {clash!r}")
+        return tuple.__new__(cls, (map, witnesses))
 
     @property
     def target(self):

@@ -16,7 +16,7 @@ properties of curves become pure graph theory.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from ._graph import components, lowpoints
@@ -30,19 +30,17 @@ class CurveClass(str, enum.Enum):
     NON_OUTER = "NonOuterSeparating"
 
 
-@dataclass(frozen=True)
-class AdjacencyGraph:
+class AdjacencyGraph(namedtuple("AdjacencyGraph", "adjacency_lists marks")):
     """A(P) together with the frontier marks inherited from the truncation.
 
     ``adjacency_lists`` maps each ordinary (two-ended) curve id to the
     sorted list of its neighbours, the one graph shape of the library (see
     :attr:`GluingGraph.adjacency_lists`, shared with it, so do not mutate
-    it); ``marks`` are the vertices lying on a pants that touches the
-    frontier.
+    it); ``marks`` are the sorted tuple of the vertices lying on a pants
+    that touches the frontier.  A namedtuple, equal to the pair
+    ``(adjacency_lists, marks)``; it keeps a ``__dict__`` for its cached
+    ``vertices`` and ``edges``.
     """
-
-    adjacency_lists: dict
-    marks: tuple[str, ...]
 
     @cached_property
     def vertices(self):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import attrgetter
 
@@ -29,29 +29,28 @@ from .errors import ComplexityTooLow, FormatError, NonIntegralGenus
 SLOTS_PER_PANTS = 3
 
 
-@dataclass(frozen=True, order=True)
-class PantsSlot:
-    """One of the three boundary circles of a pants, addressed by index;
-    slots order as the pair (pants, slot)."""
+class PantsSlot(namedtuple("PantsSlot", "pants slot")):
+    """One of the three boundary circles of a pants, addressed by index.
 
-    pants: str
-    slot: int
+    A namedtuple: slots hash, compare and order as the pair (pants, slot),
+    and a slot equals the plain tuple of its fields."""
+
+    __slots__ = ()
 
     def as_pair(self):
         return [self.pants, self.slot]
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(namedtuple("Curve", "id ends")):
     """A decomposition curve.
 
-    ``ends`` has two entries for an ordinary curve (possibly on the same
-    pants, which makes it a self-gluing) and one entry for a frontier curve
-    of a truncation.
+    ``ends`` is a tuple of :class:`PantsSlot`: two entries for an ordinary
+    curve (possibly on the same pants, which makes it a self-gluing) and
+    one entry for a frontier curve of a truncation.  A namedtuple, so a
+    curve equals the plain tuple ``(id, ends)``.
     """
 
-    id: str
-    ends: tuple[PantsSlot, ...]
+    __slots__ = ()
 
     @property
     def is_frontier(self):
@@ -77,25 +76,27 @@ def _ends_in_order(c):
     return c if ends == c.ends else Curve(c.id, ends)
 
 
-@dataclass(frozen=True)
-class GluingGraph:
+class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
     """A pants decomposition of a surface, finite or truncated-infinite.
 
-    The constructor normalizes ordering so that equal decompositions compare
-    and serialize identically; it does not check well-formedness.  Use
-    :func:`validate` for that.
+    ``pants`` is a tuple of pants ids, ``curves`` a tuple of
+    :class:`Curve` and ``boundary`` a tuple of :class:`PantsSlot`.  The
+    constructor sorts all three, so that equal decompositions compare and
+    serialize identically; it does not check well-formedness.  Use
+    :func:`validate` for that.  A namedtuple: a graph hashes and compares
+    as the tuple of its three fields, which it equals.  It keeps a
+    ``__dict__`` for its cached tables.
     """
 
-    pants: tuple[str, ...]
-    curves: tuple[Curve, ...]
-    boundary: tuple[PantsSlot, ...]
-
-    def __init__(self, pants, curves, boundary=()):
-        object.__setattr__(self, "pants", tuple(sorted(pants)))
-        object.__setattr__(
-            self, "curves", tuple(sorted(map(_ends_in_order, curves), key=attrgetter("id")))
+    def __new__(cls, pants, curves, boundary=()):
+        return tuple.__new__(
+            cls,
+            (
+                tuple(sorted(pants)),
+                tuple(sorted(map(_ends_in_order, curves), key=attrgetter("id"))),
+                tuple(sorted(boundary)),
+            ),
         )
-        object.__setattr__(self, "boundary", tuple(sorted(boundary)))
 
     @cached_property
     def curve_by_id(self):
@@ -123,11 +124,10 @@ class GluingGraph:
 
     @cached_property
     def slot_occupant(self):
-        """Map (pants, slot) -> id of the curve whose end sits there.
-        Boundary-marked slots are absent."""
-        return {
-            (end.pants, end.slot): c.id for c in self.curves for end in c.ends
-        }
+        """Map each :class:`PantsSlot` (equal to its pair (pants, slot)) to
+        the id of the curve whose end sits there.  Boundary-marked slots
+        are absent."""
+        return {end: c.id for c in self.curves for end in c.ends}
 
     def pants_of_curve(self, curve_id):
         """The pants touched by a curve (one or two ids, deduplicated)."""
@@ -183,12 +183,11 @@ class GluingGraph:
         return {v: sorted(nbrs) for v, nbrs in adj.items()}
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
-    """Topological type (genus, boundary count) of a compact surface."""
+class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundary")):
+    """Topological type (genus, boundary count) of a compact surface; a
+    namedtuple, equal to the pair (genus, boundary)."""
 
-    genus: int
-    boundary: int
+    __slots__ = ()
 
 
 class InfiniteModel(str, enum.Enum):
@@ -217,12 +216,11 @@ def _as_model(model):
         raise ValueError(f"unknown model {model!r}; expected one of {names}") from None
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One well-formedness failure found by :func:`validate`."""
+class Violation(namedtuple("Violation", "kind detail")):
+    """One well-formedness failure found by :func:`validate`; a
+    namedtuple, equal to the pair (kind, detail)."""
 
-    kind: str
-    detail: str
+    __slots__ = ()
 
 
 def signature(g):
@@ -307,7 +305,7 @@ def validate(g):
                 Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot}")
             )
             return
-        usage.setdefault((slot.pants, slot.slot), []).append(user)
+        usage.setdefault(slot, []).append(user)
 
     for c in g.curves:
         if len(c.ends) not in (1, 2):

@@ -228,20 +228,25 @@ def test_cli_import_does_not_load_numpy_or_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
+# each costs milliseconds of import on every call; dataclasses also loads inspect
+_HEAVY = {"dataclasses", "inspect", "typing"}
+
+
 def _loaded_submodules(code, *argv):
-    """The ``curvelab.*`` modules a fresh interpreter holds after ``code``."""
-    script = code + (
-        "\nimport json, sys"
-        "\nprint(json.dumps(sorted(m[9:] for m in sys.modules if m.startswith('curvelab.'))))"
-    )
+    """The ``curvelab.*`` modules a fresh ``python -S`` interpreter holds
+    after ``code``, which must have loaded none of ``_HEAVY``.  ``-S``
+    skips the site hooks, which may import modules of their own."""
+    script = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-S", "-c", script, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert not loaded & _HEAVY, sorted(loaded & _HEAVY)
+    return {m[9:] for m in loaded if m.startswith("curvelab.")}
 
 
 def test_package_import_loads_no_submodule():

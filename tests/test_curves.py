@@ -7,7 +7,6 @@ two-crossing neighbor sets are compared against an exhaustive search of
 the coordinate box.
 """
 
-import dataclasses
 import math
 import random
 import time
@@ -163,9 +162,9 @@ def test_slope_constructor_accepts_normalized_pairs():
 
 def test_slopes_are_frozen():
     for s in (Slope(1, 2), make_slope(4, 8)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             s.p = 3
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             s.q = 5
         assert (s.p, s.q) == (1, 2)
 
