@@ -285,8 +285,7 @@ def _path_arguments(p):
 
 
 def _counterexample_arguments(p):
-    from .morphisms import GADGETS
-    from .verify import DEFAULT_SEED
+    from .morphisms import DEFAULT_SEED, GADGETS
 
     p.add_argument("--gadget", choices=GADGETS, default="ladder")
     p.add_argument("--alpha", default="c2")

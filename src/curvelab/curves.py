@@ -31,7 +31,6 @@ from .errors import (
     WrongIntersection,
     ZeroSlope,
 )
-from .pants_graphs import _ordinary_curve
 from .surface import PantsSlot
 
 
@@ -39,7 +38,8 @@ class Slope:
     """A coprime pair naming a curve in a window; q > 0, or (p,q) = (1,0).
 
     An immutable, slotted pair: slopes hash, compare and order as the
-    tuple (p, q), but equal no tuple, only another Slope.  Assigning
+    tuple (p, q), but equal no tuple, only another Slope (``>`` and ``>=``
+    are ``__lt__`` and ``__le__`` reflected).  Assigning
     ``p`` or ``q`` raises AttributeError.  The public constructor
     validates: ``Slope(p, q)`` raises ValueError unless the pair is already
     reduced and sign-normalized.  To name the slope of an arbitrary nonzero
@@ -87,16 +87,6 @@ class Slope:
     def __le__(self, other):
         if other.__class__ is Slope:
             return (self.p, self.q) <= (other.p, other.q)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is Slope:
-            return (self.p, self.q) > (other.p, other.q)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is Slope:
-            return (self.p, self.q) >= (other.p, other.q)
         return NotImplemented
 
 
@@ -199,7 +189,7 @@ def window_around(g, center_id):
     one center share the window kept in :attr:`GluingGraph.ref_table` on
     the record of the center's dual curve (see :func:`_resolve`).
     """
-    c = _ordinary_curve(g, center_id)
+    c = g.ordinary_curve(center_id)
     if c.is_self_gluing:
         p = c.ends[0].pants
         third = ({0, 1, 2} - {c.ends[0].slot, c.ends[1].slot}).pop()
@@ -453,7 +443,7 @@ def _check(g, ref):
     """Check ``ref`` against ``g`` and collect its support from the same
     lookups; the one type dispatch over references."""
     if isinstance(ref, PantsCurve):
-        c = _ordinary_curve(g, ref.id)
+        c = g.ordinary_curve(ref.id)
         return _Resolved(ref, c, frozenset(g.pants_of_curve(ref.id)))
     if isinstance(ref, WindowCurve):
         if ref.slope == Slope(0, 1):
@@ -472,13 +462,13 @@ def _check(g, ref):
         if ref.handle_a == ref.handle_b:
             raise UnknownCurve("a dual chain needs two distinct handles")
         for h in (ref.handle_a, ref.handle_b):
-            if not _ordinary_curve(g, h).is_self_gluing:
+            if not g.ordinary_curve(h).is_self_gluing:
                 raise UnknownCurve(f"chain endpoint {h!r} is not a handle curve")
         path = ref.path
         if len(set(path)) != len(path):
             raise UnknownCurve(f"chain path {path} repeats a curve")
         for cid in ref.interior:
-            _ordinary_curve(g, cid)
+            g.ordinary_curve(cid)
         pants = {cid: set(g.pants_of_curve(cid)) for cid in path}
         for u, w_ in zip(path, path[1:]):
             if not pants[u] & pants[w_]:

@@ -51,7 +51,7 @@ from itertools import accumulate
 
 from ._graph import bfs_distances
 from .errors import BijectionFailure, DepthExceedsTruncation, DepthMismatch
-from .pants_graphs import AdjacencyGraph, adjacency_graph
+from .pants_graphs import adjacency_graph
 
 DEFAULT_STRIDE = 2
 
@@ -168,6 +168,16 @@ def default_base(h, marks):
     return min(h, key=lambda v: (-dist.get(v, math.inf), v))
 
 
+def _find(link, x):
+    """The root of ``x`` in the union-find forest ``link`` (a dict or a
+    list, each entry pointing to its parent, a root to itself), with path
+    halving."""
+    while link[x] != x:
+        link[x] = link[link[x]]
+        x = link[x]
+    return x
+
+
 def _end_tree(h, marks, depth, base, stride):
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -208,12 +218,6 @@ def _end_tree(h, marks, depth, base, stride):
     waiting = {}
     live = set()
 
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     parents = [()] * (depth + 1)
     deepest = [()] * (depth + 1)
     below = []
@@ -227,7 +231,7 @@ def _end_tree(h, marks, depth, base, stride):
             for u in h[v]:
                 if u not in root:
                     continue
-                other = find(u)
+                other = _find(root, u)
                 if other == top:
                     continue
                 keep, gone = (other, top) if other < top else (top, other)
@@ -246,7 +250,7 @@ def _end_tree(h, marks, depth, base, stride):
         for r in nodes:
             waiting[r].clear()
         if k < depth:
-            parents[k + 1] = tuple(index[find(r)] for r in below)
+            parents[k + 1] = tuple(index[_find(root, r)] for r in below)
         below = nodes
     parents[0] = (None,) * len(below)
     return EndTree(base=base, stride=stride, parents=tuple(parents), deepest=tuple(deepest))
@@ -300,12 +304,7 @@ class _Ancestors:
 
     def __call__(self, k, i):
         """Index on the current level of the ancestor of node i of level k."""
-        link = self._link
-        x = self._start[k] + i
-        while link[x] != x:
-            link[x] = link[link[x]]
-            x = link[x]
-        return x - self._start[self._level]
+        return _find(self._link, self._start[k] + i) - self._start[self._level]
 
 
 def induced_end_correspondence(g, depth):

@@ -39,7 +39,10 @@ class BijectionFailure(CurveLabError):
     """The induced end correspondence failed to be a level bijection at
     stride 2.
 
-    This is diagnostic: it signals a generator or model bug, not bad input.
+    Valid truncations can raise it: each tree's ball sits around that
+    tree's own default base, and where the two bases lie apart one ball
+    can split a component that the other keeps whole.  It says that the
+    two trees do not match level by level, not that the input is bad.
     """
 
 

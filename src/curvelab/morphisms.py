@@ -33,6 +33,10 @@ from .errors import NotSeparating, UnknownCurve
 from .pants_graphs import CurveClass, classify_curve
 from .surface import Curve, GluingGraph, PantsSlot, signature
 
+# the default seed of the random pairs fed to :meth:`VertexMap.sample_pairs`
+# by the ``counterexample`` command, and of every seeded ``verify`` suite
+DEFAULT_SEED = 20260814
+
 
 class VertexMap(namedtuple("VertexMap", "source target assoc provenance")):
     """A finite injective assignment of curve references.

@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from ._graph import components, lowpoints
-from .errors import DisconnectedGraph, UnknownCurve
+from .errors import DisconnectedGraph
 from .surface import Curve, GluingGraph, PantsSlot
 
 
@@ -66,17 +66,6 @@ def adjacency_graph(g):
     return AdjacencyGraph(lists, marks)
 
 
-def _ordinary_curve(g, curve_id):
-    """The record of an ordinary (non-frontier) curve of ``g``; raises
-    :class:`UnknownCurve` for a missing or frontier id."""
-    c = g.curve_by_id.get(curve_id)
-    if c is None:
-        raise UnknownCurve(f"no curve {curve_id!r} in this decomposition")
-    if c.is_frontier:
-        raise UnknownCurve(f"curve {curve_id!r} is a frontier curve")
-    return c
-
-
 def classify_curve(g, curve_id):
     """Classify one decomposition curve of ``g``.
 
@@ -89,7 +78,7 @@ def classify_curve(g, curve_id):
     there removes a pair of pants with no further topology, not a genuine
     piece.
     """
-    c = _ordinary_curve(g, curve_id)
+    c = g.ordinary_curve(curve_id)
     if curve_id not in g.separating_curves:
         return CurveClass.NONSEPARATING
     for end in c.ends:

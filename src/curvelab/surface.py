@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from ._graph import components, lowpoints, neighbour_lists
-from .errors import ComplexityTooLow, FormatError, NonIntegralGenus
+from .errors import ComplexityTooLow, FormatError, NonIntegralGenus, UnknownCurve
 
 SLOTS_PER_PANTS = 3
 
@@ -101,6 +101,16 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
     @cached_property
     def curve_by_id(self):
         return {c.id: c for c in self.curves}
+
+    def ordinary_curve(self, curve_id):
+        """The record of an ordinary (non-frontier) curve; raises
+        :class:`UnknownCurve` for a missing or frontier id."""
+        c = self.curve_by_id.get(curve_id)
+        if c is None:
+            raise UnknownCurve(f"no curve {curve_id!r} in this decomposition")
+        if c.is_frontier:
+            raise UnknownCurve(f"curve {curve_id!r} is a frontier curve")
+        return c
 
     @property
     def frontier(self):
@@ -389,21 +399,15 @@ def build_finite_surface(genus, boundary):
     curves = []
     bmarks = []
 
+    # open_slot walks the free right end of the chain
     if genus == 0:
-        # pure boundary chain, boundary >= 4
-        n = boundary - 2
-        pants.extend(f"tp{0}" if i == 0 else (f"tp{1}" if i == n - 1 else f"mp{i}") for i in range(n))
-        first, last = pants[0], pants[-1]
-        bmarks += [PantsSlot(first, 0), PantsSlot(first, 1), PantsSlot(last, 1), PantsSlot(last, 2)]
-        for i in range(n - 1):
-            left, right = pants[i], pants[i + 1]
-            curves.append(Curve(f"s{i + 1}", (PantsSlot(left, 2), PantsSlot(right, 0))))
-            if 0 < i:
-                bmarks.append(PantsSlot(left, 1))
-        return GluingGraph(pants, curves, bmarks)
-
-    # genus >= 1: open_slot walks the free right end of the chain
-    if genus >= 1 and boundary >= 2:
+        # a boundary chain, boundary >= 4, from tp0 through the legs to tp1
+        pants.append("tp0")
+        bmarks += [PantsSlot("tp0", 0), PantsSlot("tp0", 1)]
+        open_slot = PantsSlot("tp0", 2)
+        handles = ()
+        legs = boundary - 4
+    elif boundary >= 2:
         pants += ["xp", "yp"]
         bmarks.append(PantsSlot("xp", 0))
         curves.append(Curve("a", (PantsSlot("xp", 1), PantsSlot("yp", 0))))
@@ -428,7 +432,11 @@ def build_finite_surface(genus, boundary):
         bmarks.append(PantsSlot(mp, 1))
         open_slot = PantsSlot(mp, 2)
 
-    if boundary >= 1:
+    if genus == 0:
+        pants.append("tp1")
+        curves.append(Curve(f"s{legs + 1}", (open_slot, PantsSlot("tp1", 0))))
+        bmarks += [PantsSlot("tp1", 1), PantsSlot("tp1", 2)]
+    elif boundary >= 1:
         bmarks.append(open_slot)
     else:
         # close the chain with a terminal handle block

@@ -36,7 +36,7 @@ from .curves import (
 )
 from .ends import end_trees_isomorphic, induced_end_correspondence
 from .errors import CurveLabError, GadgetTooSmall
-from .morphisms import check_superinjective, cut_and_glue, surfaces_homeomorphic
+from .morphisms import DEFAULT_SEED, check_superinjective, cut_and_glue, surfaces_homeomorphic
 from .pants_graphs import (
     CurveClass,
     adjacency_graph,
@@ -46,7 +46,6 @@ from .pants_graphs import (
 )
 from .surface import InfiniteModel, build_truncation
 
-DEFAULT_SEED = 20260814
 _DETAIL_CAP = 20
 
 # truncation depth that keeps end trees of each model safe at query depth d

@@ -10,8 +10,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from curvelab import (
     CurveClass,
     InfiniteModel,

@@ -1,6 +1,8 @@
 """Command line interface: JSON output, exit codes and determinism."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelab import (
     build_truncation,
@@ -18,6 +22,7 @@ from curvelab import (
 )
 from curvelab.cli import SUBCOMMANDS, build_parser, main
 from test_golden import PROBES
+from test_surface import _BASES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -255,8 +260,9 @@ def test_package_import_loads_no_submodule():
 
 
 _SURFACE = {"cli", "errors", "surface", "_graph"}
-_CURVES = _SURFACE | {"pants_graphs", "curves"}
-_EVERY = _CURVES | {"ends", "complexes", "morphisms", "verify"}
+_CURVES = _SURFACE | {"curves"}
+_COMPLEXES = _CURVES | {"pants_graphs", "complexes"}
+_EVERY = _COMPLEXES | {"ends", "morphisms", "verify"}
 
 # subcommand -> one well-formed call and the submodules it may load
 CALL_MODULES = {
@@ -268,11 +274,9 @@ CALL_MODULES = {
     "intersect": ("intersect --in {l4} --a pants:h0 --b win:h0:2/1", _CURVES),
     "triple": ("triple --a 0/1 --b 2/1", _CURVES),
     "sch04": ("sch04 --a 0/1 --b 1/1", _CURVES),
-    "graph": (
-        "graph --in {l4} --mode c --inventory pants:h0,win:h1:1/2", _CURVES | {"complexes"},
-    ),
-    "path": ("path --in {l4} --from h0 --to h2", _CURVES | {"complexes"}),
-    "counterexample": ("counterexample --samples 5", _EVERY),
+    "graph": ("graph --in {l4} --mode c --inventory pants:h0,win:h1:1/2", _COMPLEXES),
+    "path": ("path --in {l4} --from h0 --to h2", _COMPLEXES),
+    "counterexample": ("counterexample --samples 5", _EVERY - {"verify"}),
     "verify": ("verify --suite triples --bound 3", _EVERY),
 }
 
@@ -559,3 +563,86 @@ def test_validate_rejects_an_infinite_slot_index(loch4, capsys, tmp_path):
         "error": "FormatError",
         "detail": "curve 't1' has a slot index that is not an integer: inf",
     }
+
+
+# one value of each JSON type, for the mutation that retypes a field
+_JSON_VALUES = (None, True, 0, 1.5, "x", [], {})
+_DOC_MUTATIONS = ("drop", "repeat", "retype", "restring", "reslot")
+
+
+def _places(node):
+    """(container, key) for every value inside a JSON document, depth first."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _places(node[key])
+
+
+def _mutated_doc(doc, mutations):
+    """``doc`` with each (kind, i, j) of ``mutations`` applied in turn at
+    its ``i``-th place: drop the value there, repeat it in its list, give
+    it another JSON type, rename a string (to an unknown name, another
+    string of the document, or with ``:`` or ``,`` put in at ``j``) or
+    renumber an integer.  Between them they drop and repeat pants, curves,
+    ends, boundary marks and frontier entries."""
+    for kind, i, j in mutations:
+        places = list(_places(doc))
+        if not places:
+            break
+        node, key = places[i % len(places)]
+        value = node[key]
+        if kind == "drop":
+            del node[key]
+        elif kind == "repeat" and isinstance(node, list):
+            node.insert(key, json.loads(json.dumps(value)))
+        elif kind == "retype":
+            others = [v for v in _JSON_VALUES if type(v) is not type(value)]
+            node[key] = others[j % len(others)]
+        elif kind == "restring" and isinstance(value, str):
+            strings = [n[k] for n, k in places if isinstance(n[k], str)]
+            at = j % (len(value) + 1)
+            choices = ("nope", value[:at] + ":" + value[at:], value[:at] + "," + value[at:])
+            node[key] = (*choices, *strings)[j % (len(strings) + 3)]
+        elif kind == "reslot" and type(value) is int:
+            node[key] = j % 5 - 1
+    return doc
+
+
+# every subcommand that reads a surface; ``a`` and ``b`` are curves of the
+# document before it was mutated
+_FUZZ_CALLS = (
+    "validate --in {f}",
+    "classify --in {f}",
+    "classify --in {f} --curve {a}",
+    "adjacency --in {f}",
+    "ends --in {f} --depth 1",
+    "ends --in {f} --depth 1 --graph curves",
+    "intersect --in {f} --a pants:{a} --b win:{b}:1/2",
+    "graph --in {f} --mode n --inventory pants:{a},win:{b}:1/2,pants:{b}",
+    "path --in {f} --from {a} --to {b}",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_BASES),
+    st.lists(
+        st.tuples(st.sampled_from(_DOC_MUTATIONS), st.integers(0, 500), st.integers(0, 500)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 100),
+    st.integers(0, 100),
+)
+def test_every_call_on_a_mutated_document_exits_0_or_1(tmp_path_factory, base, mutations, x, y):
+    ids = [c.id for c in base.curves]
+    a, b = ids[x % len(ids)], ids[y % len(ids)]
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(_mutated_doc(surface_to_json(base), mutations)))
+    for call in _FUZZ_CALLS:
+        argv = [part.format(f=path, a=a, b=b) for part in call.split()]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        doc = json.loads(out.getvalue())
+        assert code in (0, 1), argv
+        assert code == 0 or set(doc) == {"error", "detail"}, (argv, doc)

@@ -29,6 +29,7 @@ from curvelab import (
     induced_end_correspondence,
     random_gluing_graph,
     surface_end_tree,
+    validate,
 )
 from curvelab import ends
 from curvelab._graph import neighbour_lists
@@ -165,12 +166,29 @@ def test_explicit_base_changes_the_anchor():
     assert t.leaf_counts() == (1, 1, 1)
 
 
-def test_correspondence_fails_on_forged_marks():
-    # an adjacency graph whose marks point nowhere cannot be matched, and
-    # the failure is reported rather than silently absorbed
-    g = _safe("ladder", 2)
-    ct, pt, mapping = induced_end_correspondence(g, 2)
-    assert len(ct.levels[2]) == len(pt.levels[2]) == 2
+def test_correspondence_refuses_a_curve_component_meeting_two_pants_components():
+    # a valid truncation whose default bases disagree: the ball around the
+    # curve e3 leaves one curve component, the ball around the pants p1
+    # splits the live pants into two, and the curves meet both
+    g = GluingGraph(
+        ["p0", "p1", "p2", "p3"],
+        [
+            Curve("e0", (PantsSlot("p0", 2), PantsSlot("p1", 2))),
+            Curve("e1", (PantsSlot("p1", 0), PantsSlot("p2", 2))),
+            Curve("e2", (PantsSlot("p0", 1), PantsSlot("p3", 1))),
+            Curve("e3", (PantsSlot("p3", 0), PantsSlot("p3", 2))),
+            Curve("e4", (PantsSlot("p1", 1), PantsSlot("p2", 1))),
+            Curve("f0", (PantsSlot("p0", 0),)),
+            Curve("f1", (PantsSlot("p2", 0),)),
+        ],
+    )
+    assert validate(g) == ()
+    ct, pt = end_tree(adjacency_graph(g), 0), surface_end_tree(g, 0)
+    assert (ct.base, ct.leaf_counts()) == ("e3", (1,))
+    assert (pt.base, pt.leaf_counts()) == ("p1", (2,))
+    failure = (BijectionFailure, "level 0: curve component 0 meets 2 live pants components")
+    assert _outcome(induced_end_correspondence, g, 0) == failure
+    assert _outcome(_reference_mapping, g, ct, pt, 2) == failure
 
 
 def test_closed_surface_end_tree_is_immediate():

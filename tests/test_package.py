@@ -1,6 +1,7 @@
 """The package namespace: the public names, each imported from the submodule
 that defines it on first use."""
 
+import ast
 import importlib
 import tokenize
 from pathlib import Path
@@ -103,3 +104,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set().union(*map(_names_used, files))
     assert [name for name in curvelab.__all__ if name not in used] == []
+
+
+def _unused_imports(path):
+    """The names that a module-level import of one file binds and that
+    the file never reads.  ``from __future__`` binds none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_level_import_goes_unused():
+    # the namespace table binds what it exports, so it is left out
+    files = [p for p in (ROOT / "src" / "curvelab").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p) for p in sorted(files)}
+    assert {path: names for path, names in unused.items() if names} == {}

@@ -15,7 +15,6 @@ from curvelab import (
     GluingGraph,
     PantsCurve,
     PantsSlot,
-    Slope,
     WindowCurve,
     build_truncation,
     cut_and_glue,
@@ -91,6 +90,15 @@ def test_fields_cannot_be_assigned(x):
 def test_slopes_and_slots_sort_as_their_pairs(slopes, slots):
     assert [_fields(s) for s in sorted(slopes)] == sorted(map(_fields, slopes))
     assert [_fields(s) for s in sorted(slots)] == sorted(map(_fields, slots))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SLOPES, _SLOPES)
+def test_slopes_compare_as_their_pairs(s, t):
+    for x, y in ((s, t), (s, s), (s, make_slope(1, 0)), (make_slope(1, 0), s)):
+        got = [x < y, x <= y, x > y, x >= y]
+        u, v = _fields(x), _fields(y)
+        assert got == [u < v, u <= v, u > v, u >= v], (x, y)
 
 
 @settings(max_examples=200, deadline=None)
