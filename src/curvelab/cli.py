@@ -4,8 +4,9 @@ Every subcommand returns one JSON document, which :func:`main` prints to
 stdout (with a trailing newline); it exits 0 on success, and ``verify``
 exits 1 when its report counts failures.  Domain errors, malformed input
 files and I/O problems print {"error": <exception class>, "detail": ...}
-and exit 1; usage errors exit 2.  Every subcommand that reads ``--in``
-except ``validate`` refuses a surface with any violation as a
+and exit 1; usage errors exit 2.  :func:`main` reads the ``--in`` surface
+of every subcommand that takes one, before its handler runs, and except
+for ``validate`` refuses a surface with any violation as a
 ``FormatError`` naming the first one; ``validate`` reports them all and
 exits 0.  ``--out FILE`` writes the same document to a file and still
 echoes it.
@@ -33,11 +34,21 @@ def _emit(obj, out=None):
     sys.stdout.write(text)
 
 
+def _read_text(path):
+    """The text of the file at ``path``.  Bytes that are not UTF-8 cannot
+    be JSON either: they are the :class:`FormatError` of a surface that is
+    not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not JSON: {exc}") from exc
+
+
 def _read_surface(path):
     from .surface import loads_surface
 
-    with open(path, encoding="utf-8") as fh:
-        return loads_surface(fh.read())
+    return loads_surface(_read_text(path))
 
 
 def _load_surface(path):
@@ -81,10 +92,9 @@ def cmd_gen(args):
     return surface_to_json(g)
 
 
-def cmd_validate(args):
+def cmd_validate(args, g):
     from .surface import validate
 
-    g = _read_surface(args.infile)
     violations = validate(g)
     return {
         "valid": not violations,
@@ -92,20 +102,18 @@ def cmd_validate(args):
     }
 
 
-def cmd_classify(args):
+def cmd_classify(args, g):
     from .pants_graphs import classify_all, classify_curve
 
-    g = _load_surface(args.infile)
     if args.curve is not None:
         return {"curve": args.curve, "class": classify_curve(g, args.curve).value}
     classes = classify_all(g)
     return {"classes": {cid: cls.value for cid, cls in sorted(classes.items())}}
 
 
-def cmd_adjacency(args):
+def cmd_adjacency(args, g):
     from .pants_graphs import adjacency_graph
 
-    g = _load_surface(args.infile)
     a = adjacency_graph(g)
     return {
         "vertices": list(a.vertices),
@@ -114,11 +122,10 @@ def cmd_adjacency(args):
     }
 
 
-def cmd_ends(args):
+def cmd_ends(args, g):
     from .ends import end_tree, surface_end_tree
     from .pants_graphs import adjacency_graph
 
-    g = _load_surface(args.infile)
     if args.graph == "curves":
         tree = end_tree(adjacency_graph(g), args.depth, base=args.base, stride=args.stride)
     else:
@@ -126,10 +133,9 @@ def cmd_ends(args):
     return _tree_json(tree, args.graph)
 
 
-def cmd_intersect(args):
+def cmd_intersect(args, g):
     from .curves import format_ref, global_intersection, parse_ref
 
-    g = _load_surface(args.infile)
     a = parse_ref(args.a)
     b = parse_ref(args.b)
     val = global_intersection(g, a, b)
@@ -161,15 +167,13 @@ def cmd_sch04(args):
     return {"a": str(a), "b": str(b), "solutions": sorted(str(s) for s in sols)}
 
 
-def cmd_graph(args):
+def cmd_graph(args, g):
     from .complexes import local_graph
     from .curves import format_ref, parse_refs
 
-    g = _load_surface(args.infile)
     text = args.inventory
     if text.startswith("@"):  # a file holding the list; no reference starts with "@"
-        with open(text[1:], encoding="utf-8") as fh:
-            text = fh.read().strip()
+        text = _read_text(text[1:]).strip()
     lg = local_graph(g, parse_refs(text), args.mode)
     return {
         "mode": lg.mode,
@@ -180,11 +184,10 @@ def cmd_graph(args):
     }
 
 
-def cmd_path(args):
+def cmd_path(args, g):
     from .complexes import schmutz_path
     from .curves import PantsCurve, format_ref
 
-    g = _load_surface(args.infile)
     path = schmutz_path(g, PantsCurve(args.src), PantsCurve(args.dst))
     return {"path": [format_ref(ref) for ref in path], "length": len(path) - 1}
 
@@ -198,9 +201,9 @@ def cmd_counterexample(args):
 
     source = build_truncation(InfiniteModel.LOCH_NESS, args.trunc_depth)
     result = cut_and_glue(source, args.alpha, gadget=args.gadget)
+    homeomorphic = surfaces_homeomorphic(source, result.target, args.depth)
     pairs = result.map.sample_pairs(args.samples, random.Random(args.seed))
     report = check_superinjective(result.map, pairs)
-    homeomorphic = surfaces_homeomorphic(source, result.target, args.depth)
     return {
         "gadget": args.gadget,
         "alpha": args.alpha,
@@ -221,7 +224,7 @@ def cmd_verify(args):
     overrides = {}
     # the suite flags, in the order the parser adds them, so the first foreign one is named
     for name, value in vars(args).items():
-        if name in ("command", "suite", "out", "fn") or value is None:
+        if name in ("command", "suite", "out") or value is None:
             continue
         if name not in accepted:
             raise FormatError(f"suite {args.suite!r} does not accept --{name.replace('_', '-')}")
@@ -229,8 +232,8 @@ def cmd_verify(args):
     return run_suite(args.suite, **overrides)
 
 
-# Each adds one subcommand's arguments but ``--out``, importing what their
-# choices and defaults name.
+# Each adds one subcommand's arguments but ``--in`` and ``--out``, importing
+# what their choices and defaults name.
 
 
 def _gen_arguments(p):
@@ -242,44 +245,30 @@ def _gen_arguments(p):
     p.add_argument("--boundary", type=int, default=0)
 
 
-def _infile_argument(p):
-    p.add_argument("--in", dest="infile", required=True)
-
-
 def _classify_arguments(p):
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--curve")
 
 
 def _ends_arguments(p):
     from .ends import DEFAULT_STRIDE
 
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--graph", choices=["pants", "curves"], default="pants")
     p.add_argument("--base")
     p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
 
 
-def _intersect_arguments(p):
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-
-def _slope_arguments(p):
+def _pair_arguments(p):
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
 
 def _graph_arguments(p):
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--inventory", required=True)
     p.add_argument("--mode", choices=["c", "n", "g"], required=True)
 
 
 def _path_arguments(p):
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
 
@@ -309,26 +298,27 @@ def _verify_arguments(p):
     p.add_argument("--gadget", choices=GADGETS)
 
 
-# subcommand -> (help, handler, adds its arguments), in the order of --help
+# subcommand -> (help, handler, adds its other arguments, reads the surface
+# named by --in), in the order of --help; None where it has none
 SUBCOMMANDS = {
-    "gen": ("generate a surface gluing graph", cmd_gen, _gen_arguments),
-    "validate": ("check a gluing graph for defects", cmd_validate, _infile_argument),
-    "classify": ("classify decomposition curves", cmd_classify, _classify_arguments),
-    "adjacency": ("adjacency graph of the decomposition", cmd_adjacency, _infile_argument),
-    "ends": ("end tree of a truncation", cmd_ends, _ends_arguments),
+    "gen": ("generate a surface gluing graph", cmd_gen, _gen_arguments, None),
+    "validate": ("check a gluing graph for defects", cmd_validate, None, _read_surface),
+    "classify": ("classify decomposition curves", cmd_classify, _classify_arguments, _load_surface),
+    "adjacency": ("adjacency graph of the decomposition", cmd_adjacency, None, _load_surface),
+    "ends": ("end tree of a truncation", cmd_ends, _ends_arguments, _load_surface),
     "intersect": (
-        "intersection number of two curve references", cmd_intersect, _intersect_arguments,
+        "intersection number of two curve references", cmd_intersect, _pair_arguments,
+        _load_surface,
     ),
-    "triple": ("complete two torus-window slopes to a triple", cmd_triple, _slope_arguments),
-    "sch04": ("slopes crossing two sphere-window slopes twice", cmd_sch04, _slope_arguments),
-    "graph": ("finite curve graph over an inventory", cmd_graph, _graph_arguments),
-    "path": ("short path between two handle curves", cmd_path, _path_arguments),
+    "triple": ("complete two torus-window slopes to a triple", cmd_triple, _pair_arguments, None),
+    "sch04": ("slopes crossing two sphere-window slopes twice", cmd_sch04, _pair_arguments, None),
+    "graph": ("finite curve graph over an inventory", cmd_graph, _graph_arguments, _load_surface),
+    "path": ("short path between two handle curves", cmd_path, _path_arguments, _load_surface),
     "counterexample": (
         "cut-and-glue map with superinjectivity and homeomorphism report",
-        cmd_counterexample,
-        _counterexample_arguments,
+        cmd_counterexample, _counterexample_arguments, None,
     ),
-    "verify": ("run a verification sweep", cmd_verify, _verify_arguments),
+    "verify": ("run a verification sweep", cmd_verify, _verify_arguments, None),
 }
 
 
@@ -341,11 +331,15 @@ def build_parser(command=None):
         description="Combinatorial workbench for surfaces built from pants gluings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, _) in SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text).set_defaults(fn=handler)
+    for name, (help_text, *_) in SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text)
     for name in SUBCOMMANDS if command is None else [command]:
         p = sub.choices[name]
-        SUBCOMMANDS[name][2](p)
+        _, _, add_arguments, read = SUBCOMMANDS[name]
+        if read:
+            p.add_argument("--in", dest="infile", required=True)
+        if add_arguments:
+            add_arguments(p)
         p.add_argument("--out", help="also write the JSON document to this file")
     return parser
 
@@ -355,8 +349,9 @@ def main(argv=None):
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
+    _, handler, _, read = SUBCOMMANDS[args.command]
     try:
-        doc = args.fn(args)
+        doc = handler(args, read(args.infile)) if read else handler(args)
         _emit(doc, args.out)
     except (CurveLabError, ValueError, OSError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})

@@ -616,8 +616,11 @@ def dumps_surface(g):
 
 
 def loads_surface(text):
+    """Parse a surface document.  Text that is not JSON, nests too deeply
+    for the parser or holds an integer too long for Python to convert is a
+    :class:`FormatError` whose detail starts ``not JSON:``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"not JSON: {exc}") from exc
     return surface_from_json(doc)

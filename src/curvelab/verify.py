@@ -370,17 +370,16 @@ def verify_counterexample(
     ``gadget``, and the failure of the surfaces to be homeomorphic once
     ``gadget`` adds an end.  ``gadget`` ``s12`` raises
     :class:`GadgetTooSmall`, since it cannot change the end space."""
-    source = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
-    result = cut_and_glue(source, alpha)
-    rng = random.Random(seed)
-    si = check_superinjective(result.map, result.map.sample_pairs(samples, rng))
-    failures = list(si["violations"])
-
     if gadget == "s12":
         raise GadgetTooSmall(
             "the two-boundary genus-1 gadget is finite; the glued surface "
             "remains homeomorphic to the original"
         )
+    source = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
+    result = cut_and_glue(source, alpha)
+    rng = random.Random(seed)
+    si = check_superinjective(result.map, result.map.sample_pairs(samples, rng))
+    failures = list(si["violations"])
     gadget_map = cut_and_glue(source, alpha, gadget=gadget).map
     gadget_si = check_superinjective(gadget_map, gadget_map.sample_pairs(samples // 2, rng))
     failures.extend(gadget_si["violations"])

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvelab import (
+    VertexMap,
     build_truncation,
     curve_inventory,
     format_ref,
@@ -22,7 +23,7 @@ from curvelab import (
 )
 from curvelab.cli import SUBCOMMANDS, build_parser, main
 from test_golden import PROBES
-from test_surface import _BASES
+from test_surface import _BASES, NOT_JSON
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -127,24 +128,6 @@ def unknown_pants(loch4, tmp_path):
     path = tmp_path / "unknown_pants.json"
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def test_classify_rejects_an_unknown_pants(unknown_pants, capsys):
-    code, out = run(capsys, "classify", "--in", unknown_pants)
-    assert code == 1
-    assert json.loads(out) == {
-        "error": "FormatError",
-        "detail": "SlotCountError: curve 'zz' references unknown pants 'nope'",
-    }
-
-
-def test_validate_reports_an_unknown_pants(unknown_pants, capsys):
-    code, out = run(capsys, "validate", "--in", unknown_pants)
-    assert code == 0
-    j = json.loads(out)
-    assert j["valid"] is False
-    assert {"kind": "SlotCountError",
-            "detail": "curve 'zz' references unknown pants 'nope'"} in j["violations"]
 
 
 def test_adjacency(loch4, capsys):
@@ -292,6 +275,22 @@ def test_a_call_loads_only_its_subcommands_modules(command, loch4):
     )
     loaded = _loaded_submodules(call, *argv.format(l4=loch4).split())
     assert loaded <= allowed, sorted(loaded - allowed)
+
+
+@pytest.mark.parametrize("command", [name for name, entry in SUBCOMMANDS.items() if entry[3]])
+def test_a_surface_with_an_unknown_pants_is_refused_except_by_validate(
+    command, unknown_pants, capsys
+):
+    code, out = run(capsys, *CALL_MODULES[command][0].format(l4=unknown_pants).split())
+    detail = "curve 'zz' references unknown pants 'nope'"
+    if command == "validate":
+        assert code == 0
+        j = json.loads(out)
+        assert j["valid"] is False
+        assert {"kind": "SlotCountError", "detail": detail} in j["violations"]
+    else:
+        assert code == 1
+        assert json.loads(out) == {"error": "FormatError", "detail": f"SlotCountError: {detail}"}
 
 
 def _calls_of(command, monkeypatch):
@@ -473,7 +472,11 @@ def test_vacuous_sizes_are_refused(capsys, argv, detail):
     assert json.loads(out) == {"error": "ValueError", "detail": detail}
 
 
-def test_counterexample_refuses_depth_zero(capsys):
+def test_counterexample_refuses_depth_zero(capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("pairs sampled before the refusal")
+
+    monkeypatch.setattr(VertexMap, "sample_pairs", no_sampling)
     code, out = run(capsys, "counterexample", "--depth", "0")
     assert code == 1
     assert json.loads(out) == {"error": "ValueError", "detail": "depth must be at least 1, got 0"}
@@ -504,16 +507,25 @@ def test_missing_input_file_reports_cleanly(capsys):
     assert json.loads(out)["error"] == "FileNotFoundError"
 
 
-def test_a_file_that_is_not_json_is_a_format_error(capsys, tmp_path):
+# bytes no UTF-8 text starts with, and what follows "not JSON: " in the
+# FormatError of reading them
+UNDECODABLE = (
+    b"\xff\xfe{}",
+    "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+)
+
+
+def test_a_file_that_is_not_json_is_a_format_error(loch4, capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, out = run(capsys, "validate", "--in", str(bad))
+    for content, message in [*((t.encode(), m) for t, m in NOT_JSON.items()), UNDECODABLE]:
+        bad.write_bytes(content)
+        code, out = run(capsys, "validate", "--in", str(bad))
+        assert code == 1
+        assert json.loads(out) == {"error": "FormatError", "detail": f"not JSON: {message}"}
+    # the undecodable bytes, last written, read as an inventory file
+    code, out = run(capsys, "graph", "--in", loch4, "--mode", "c", "--inventory", f"@{bad}")
     assert code == 1
-    assert json.loads(out) == {
-        "error": "FormatError",
-        "detail": "not JSON: Expecting property name enclosed in double quotes: "
-        "line 1 column 2 (char 1)",
-    }
+    assert json.loads(out) == {"error": "FormatError", "detail": f"not JSON: {UNDECODABLE[1]}"}
 
 
 def test_verify_with_failures_still_prints_and_writes_the_report(tmp_path, capsys):

@@ -28,6 +28,7 @@ from curvelab import (
     surfaces_homeomorphic,
     validate,
 )
+from curvelab import verify
 from curvelab.morphisms import GADGETS
 
 
@@ -376,8 +377,14 @@ def test_nonhomeomorphic_counterexample():
         assert check_superinjective(m, pairs)["violations"] == []
 
 
-def test_counterexample_needs_an_end_changing_gadget():
-    with pytest.raises(GadgetTooSmall, match="the two-boundary genus-1 gadget is finite"):
-        run_suite("counterexample", samples=4, gadget="s12")
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done before the refusal")
+
+
+def test_counterexample_needs_an_end_changing_gadget(monkeypatch):
     with pytest.raises(ValueError):
         run_suite("counterexample", samples=4, gadget="mystery")
+    # refused before any map is built, with a bad alpha too
+    monkeypatch.setattr(verify, "cut_and_glue", _no_work)
+    with pytest.raises(GadgetTooSmall, match="the two-boundary genus-1 gadget is finite"):
+        run_suite("counterexample", samples=4, gadget="s12", alpha="nope")

@@ -280,6 +280,26 @@ def test_json_roundtrip():
         assert loads_surface(dumps_surface(g)) == g
 
 
+def _message(parse, text):
+    """The message of the error ``parse(text)`` raises."""
+    try:
+        parse(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+
+
+# text -> what follows "not JSON: " in the FormatError loads_surface raises
+# on it: bad syntax, arrays nested past the parser's limit, and an integer
+# with more digits than Python converts (in Python's own words)
+NOT_JSON = {
+    "{not json": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    "[" * 200_000: (
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+    ),
+    '{"pants": [' + "1" * 5001 + "]}": _message(int, "1" * 5001),
+}
+
+
 def test_json_rejects_garbage():
     # with the tests below, one message of every kind surface_from_json raises
     doc = surface_to_json(LOCH_2)
@@ -308,11 +328,10 @@ def test_json_rejects_garbage():
         with pytest.raises(FormatError) as exc:
             surface_from_json(bad)
         assert str(exc.value) == detail
-    with pytest.raises(FormatError) as exc:
-        loads_surface("{not json")
-    assert str(exc.value) == (
-        "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
-    )
+    for text, message in NOT_JSON.items():
+        with pytest.raises(FormatError) as exc:
+            loads_surface(text)
+        assert str(exc.value) == f"not JSON: {message}"
 
 
 def test_json_rejects_duplicate_ids():

@@ -60,7 +60,7 @@ def test_unknown_suite_is_refused():
 
 def test_verify_flags_are_the_suite_parameters():
     args = vars(build_parser().parse_args(["verify", "--suite", "ends"]))
-    flags = set(args) - {"command", "suite", "out", "fn"}
+    flags = set(args) - {"command", "suite", "out"}
     params = set().union(*(inspect.signature(fn).parameters for fn in SUITES.values()))
     assert flags == params
 
