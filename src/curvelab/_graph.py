@@ -23,25 +23,6 @@ def neighbour_lists(vertices, edges):
     return {v: sorted(vs) for v, vs in nbrs.items()}
 
 
-def components(adj):
-    """The connected components, each a list of vertices, in order of
-    their first vertex in ``adj``."""
-    seen = set()
-    parts = []
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        part = [start]
-        for u in part:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    part.append(v)
-        parts.append(part)
-    return parts
-
-
 def bfs_distances(adj, sources):
     """Hop distance from the nearest of ``sources`` to every vertex it
     reaches (unreached vertices are absent)."""
@@ -93,29 +74,28 @@ def path_to(parent, goal):
     return path[::-1]
 
 
-def bfs_path(adj, start, goal):
-    """Shortest path with lexicographic tie-breaking; None if unreachable."""
-    return path_to(bfs_parents(adj, start, (goal,)), goal)
-
-
 def lowpoints(adj):
-    """Bridges and cut vertices from one depth-first search.
+    """Bridges, cut vertices and components from one depth-first search.
 
-    Returns ``(bridges, cuts)``: the bridges as (parent, child) pairs of
-    the search tree (Tarjan 1974) and the set of cut vertices (Hopcroft
-    and Tarjan 1973).  A tree edge into ``v`` is a bridge when no edge
-    from below ``v`` climbs back to ``v``'s parent or above; a non-root
-    vertex is a cut vertex when some child's subtree climbs no higher
-    than the vertex itself, and a root when it has two children.
+    Returns ``(bridges, cuts, sizes)``: the bridges as (parent, child)
+    pairs of the search tree (Tarjan 1974), the set of cut vertices
+    (Hopcroft and Tarjan 1973), and the list of component sizes, one per
+    search tree, in order of the component's first vertex in ``adj``.  A
+    tree edge into ``v`` is a bridge when no edge from below ``v`` climbs
+    back to ``v``'s parent or above; a non-root vertex is a cut vertex
+    when some child's subtree climbs no higher than the vertex itself,
+    and a root when it has two children.
     """
     order = {}
     low = {}
     bridges = []
     cuts = set()
+    sizes = []
     for root in adj:
         if root in order:
             continue
-        order[root] = low[root] = len(order)
+        first = len(order)
+        order[root] = low[root] = first
         root_children = 0
         stack = [(root, None, iter(adj[root]))]
         while stack:
@@ -141,4 +121,5 @@ def lowpoints(adj):
                     cuts.add(parent)
         if root_children > 1:
             cuts.add(root)
-    return bridges, cuts
+        sizes.append(len(order) - first)
+    return bridges, cuts, sizes

@@ -35,14 +35,14 @@ def _emit(obj, out=None):
 
 
 def _read_text(path):
-    """The text of the file at ``path``.  Bytes that are not UTF-8 cannot
-    be JSON either: they are the :class:`FormatError` of a surface that is
-    not JSON."""
+    """The text of the file at ``path``.  Bytes that are not UTF-8 are a
+    :class:`FormatError` whose detail starts ``not UTF-8:``, in a surface
+    file and an inventory file alike."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise FormatError(f"not JSON: {exc}") from exc
+        raise FormatError(f"not UTF-8: {exc}") from exc
 
 
 def _read_surface(path):
@@ -72,8 +72,8 @@ def _tree_json(tree, which):
         "leaf_counts": list(tree.leaf_counts()),
         "canonical": tree.canonical(),
         "levels": [
-            [{"members": list(n.members), "parent": n.parent} for n in level]
-            for level in tree.levels
+            [{"members": list(m), "parent": p} for p, m in zip(parents, members)]
+            for parents, members in zip(tree.parents, tree.members)
         ],
     }
 

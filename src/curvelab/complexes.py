@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from itertools import repeat
 
-from ._graph import bfs_parents, bfs_path, path_to
+from ._graph import bfs_parents, path_to
 from .curves import (
     DualChain,
     PantsCurve,
@@ -222,7 +222,7 @@ def schmutz_path(g, h1, h2):
     adj = g.adjacency_lists
     legs = []
     for a, b in ((h1.id, third), (third, h2.id)):
-        chain = _dual_chain(bfs_path(adj, a, b))
+        chain = _dual_chain(path_to(bfs_parents(adj, a, (b,)), b))
         if chain is None:
             raise NoRoom(f"no chain path from {a!r} to {b!r} in the adjacency graph")
         legs.append(chain)

@@ -26,8 +26,9 @@ so a vertex lies in a live component on every level from 0 down to its
 deepest one, and its component on a level is the ancestor, through the
 parent links, of its component on its deepest level.  The tree stores
 just that: the parent links of each level, and each vertex's deepest
-level with its node there.  Members are listed on demand, for every level
-at once, in one sweep from the deepest level up.
+level with its node there.  Members are listed on the first read of
+:attr:`EndTree.members`, for every level at once, in one sweep from the
+deepest level up.
 
 The whole tree comes from one breadth-first search and one union-find
 pass.  The distances from the base fix, for each vertex, the deepest level
@@ -56,55 +57,15 @@ from .pants_graphs import adjacency_graph
 DEFAULT_STRIDE = 2
 
 
-class EndTreeNode:
+class EndTreeNode(namedtuple("EndTreeNode", "parent")):
     """One live component, as read from :attr:`EndTree.levels`.
 
     ``parent`` is the index of the component holding it on the previous
-    level (None at level 0).  ``members`` is the sorted tuple of its
-    vertices; the first request lists those of every node of the tree.
+    level (None at level 0).  The members of node i of level k are
+    ``tree.members[k][i]``.
     """
 
-    __slots__ = ("parent", "_listing", "_level", "_index")
-
-    def __init__(self, parent, listing, level, index):
-        self.parent = parent
-        self._listing = listing
-        self._level = level
-        self._index = index
-
-    @property
-    def members(self):
-        return self._listing.members[self._level][self._index]
-
-
-class _Listing:
-    """The parents and deepest vertices of a tree, held by its nodes in
-    place of the tree: a link to the tree would close a reference cycle
-    through the cached ``levels``."""
-
-    def __init__(self, parents, deepest):
-        self.parents = parents
-        self.deepest = deepest
-
-    @cached_property
-    def members(self):
-        """Sorted member tuples of every node, level by level, in one sweep
-        from the deepest level up: a node holds the vertices whose deepest
-        node it is and the members of its children."""
-        parents, deepest = self.parents, self.deepest
-        members = [()] * len(parents)
-        below = ()
-        for k in range(len(parents) - 1, -1, -1):
-            lists = [[] for _ in parents[k]]
-            for v, i in deepest[k]:
-                lists[i].append(v)
-            if below:
-                for p, m in zip(parents[k + 1], below):
-                    lists[p] += m
-            for m in lists:
-                m.sort()  # its own vertices and each child's members are sorted runs
-            below = members[k] = tuple(map(tuple, lists))
-        return members
+    __slots__ = ()
 
 
 class EndTree(namedtuple("EndTree", "base stride parents deepest")):
@@ -122,20 +83,37 @@ class EndTree(namedtuple("EndTree", "base stride parents deepest")):
     ``base`` is a vertex id (None for an empty graph) and ``stride`` an
     int; ``parents`` and ``deepest`` are tuples of tuples.  A namedtuple:
     a tree hashes and compares as the tuple of those four fields, which
-    it equals, and keeps a ``__dict__`` for its cached ``levels``.
+    it equals, and keeps a ``__dict__`` for its cached ``levels`` and
+    ``members``.
     """
 
     @cached_property
     def levels(self):
         """The nodes level by level: ``levels[k][i]`` is node i of level k,
-        with its ``parent`` and its ``members``, as a tuple of tuples.
-        Empty levels are ``()``.  Reading parents lists no members; the
-        first ``members`` read lists every level's in one sweep."""
-        listing = _Listing(self.parents, self.deepest)
-        return tuple(
-            tuple([EndTreeNode(p, listing, k, i) for i, p in enumerate(ps)]) if ps else ()
-            for k, ps in enumerate(self.parents)
-        )
+        with its ``parent``, as a tuple of tuples.  Empty levels are
+        ``()``."""
+        return tuple(tuple(map(EndTreeNode, ps)) for ps in self.parents)
+
+    @cached_property
+    def members(self):
+        """``members[k][i]`` is the sorted tuple of the vertices of node i
+        of level k.  The first read lists every level in one sweep from the
+        deepest level up: a node holds the vertices whose deepest node it
+        is and the members of its children."""
+        parents, deepest = self.parents, self.deepest
+        members = [()] * len(parents)
+        below = ()
+        for k in range(len(parents) - 1, -1, -1):
+            lists = [[] for _ in parents[k]]
+            for v, i in deepest[k]:
+                lists[i].append(v)
+            if below:
+                for p, m in zip(parents[k + 1], below):
+                    lists[p] += m
+            for m in lists:
+                m.sort()  # its own vertices and each child's members are sorted runs
+            below = members[k] = tuple(map(tuple, lists))
+        return tuple(members)
 
     @property
     def depth(self):

@@ -19,7 +19,7 @@ import enum
 from collections import namedtuple
 from functools import cached_property
 
-from ._graph import components, lowpoints
+from ._graph import lowpoints
 from .errors import DisconnectedGraph
 from .surface import Curve, GluingGraph, PantsSlot
 
@@ -108,12 +108,10 @@ def cut_vertices(a):
     Raises :class:`DisconnectedGraph` when A(P) is not connected, since cut
     vertices of a disconnected graph do not mean what callers expect.
     """
-    h = a.adjacency_lists
-    parts = components(h)
-    if len(parts) > 1:
-        sizes = sorted(len(c) for c in parts)
-        raise DisconnectedGraph(f"adjacency graph has components of sizes {sizes}")
-    return tuple(sorted(lowpoints(h)[1]))
+    _, cuts, sizes = lowpoints(a.adjacency_lists)
+    if len(sizes) > 1:
+        raise DisconnectedGraph(f"adjacency graph has components of sizes {sorted(sizes)}")
+    return tuple(sorted(cuts))
 
 
 def random_gluing_graph(n_pants, rng):

@@ -23,7 +23,7 @@ from collections import namedtuple
 from functools import cached_property
 from operator import attrgetter
 
-from ._graph import components, lowpoints, neighbour_lists
+from ._graph import lowpoints, neighbour_lists
 from .errors import ComplexityTooLow, FormatError, NonIntegralGenus, UnknownCurve
 
 SLOTS_PER_PANTS = 3
@@ -154,17 +154,24 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
         return neighbour_lists(self.pants, ((u, v) for u, v, _ in _pants_edges(self.curves)))
 
     @cached_property
+    def pants_lowpoints(self):
+        """The bridges, cut vertices and component sizes of
+        :attr:`pants_graph`, from one depth-first search
+        (:func:`curvelab._graph.lowpoints`) that
+        :attr:`separating_curves` and :func:`validate` share."""
+        return lowpoints(self.pants_graph)
+
+    @cached_property
     def separating_curves(self):
         """Ids of the two-ended curves whose removal disconnects the pants
-        multigraph, found in one bridge pass over :attr:`pants_graph`
-        (:func:`curvelab._graph.lowpoints`).  A self-gluing never
-        separates, and neither does a curve doubled by another curve
-        between the same two pants."""
+        multigraph, read from the bridges of :attr:`pants_lowpoints`.  A
+        self-gluing never separates, and neither does a curve doubled by
+        another curve between the same two pants."""
         between = {}
         for u, v, cid in _pants_edges(self.curves):
             between.setdefault((u, v), []).append(cid)
         separating = set()
-        for u, v in lowpoints(self.pants_graph)[0]:
+        for u, v in self.pants_lowpoints[0]:
             ids = between[(u, v) if u < v else (v, u)]
             if len(ids) == 1:
                 separating.add(ids[0])
@@ -352,7 +359,7 @@ def validate(g):
         lone = {
             c.ends[0].pants for c in g.curves if c.is_self_gluing and c.ends[0].pants not in h
         }
-        parts = sorted([len(c) for c in components(h)] + [1] * len(lone))
+        parts = sorted(g.pants_lowpoints[2] + [1] * len(lone))
         if len(parts) > 1:
             violations.append(
                 Violation("ConnectivityError", f"pants graph splits into parts of sizes {parts}")

@@ -507,7 +507,7 @@ def test_missing_input_file_reports_cleanly(capsys):
     assert json.loads(out)["error"] == "FileNotFoundError"
 
 
-# bytes no UTF-8 text starts with, and what follows "not JSON: " in the
+# bytes no UTF-8 text starts with, and what follows "not UTF-8: " in the
 # FormatError of reading them
 UNDECODABLE = (
     b"\xff\xfe{}",
@@ -517,15 +517,17 @@ UNDECODABLE = (
 
 def test_a_file_that_is_not_json_is_a_format_error(loch4, capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    for content, message in [*((t.encode(), m) for t, m in NOT_JSON.items()), UNDECODABLE]:
+    cases = [(t.encode(), f"not JSON: {m}") for t, m in NOT_JSON.items()]
+    cases.append((UNDECODABLE[0], f"not UTF-8: {UNDECODABLE[1]}"))
+    for content, detail in cases:
         bad.write_bytes(content)
         code, out = run(capsys, "validate", "--in", str(bad))
         assert code == 1
-        assert json.loads(out) == {"error": "FormatError", "detail": f"not JSON: {message}"}
+        assert json.loads(out) == {"error": "FormatError", "detail": detail}
     # the undecodable bytes, last written, read as an inventory file
     code, out = run(capsys, "graph", "--in", loch4, "--mode", "c", "--inventory", f"@{bad}")
     assert code == 1
-    assert json.loads(out) == {"error": "FormatError", "detail": f"not JSON: {UNDECODABLE[1]}"}
+    assert json.loads(out) == {"error": "FormatError", "detail": cases[-1][1]}
 
 
 def test_verify_with_failures_still_prints_and_writes_the_report(tmp_path, capsys):

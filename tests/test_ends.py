@@ -220,7 +220,7 @@ def test_listing_every_level_scales():
     g = build_truncation("loch_ness", 802)
     t = surface_end_tree(g, 400)
     start = time.perf_counter()
-    sizes = [len(node.members) for level in t.levels for node in level]
+    sizes = [len(m) for level in t.members for m in level]
     elapsed = time.perf_counter() - start
     assert len(sizes) == 401 and sizes[0] == len(g.pants) - 1
     assert sizes == sorted(sizes, reverse=True)
@@ -231,35 +231,33 @@ def test_listing_every_level_scales():
     g = _beside(build_finite_surface(2, 0), build_truncation("loch_ness", 10))
     t = surface_end_tree(g, 4000, base="hp0")
     start = time.perf_counter()
-    sizes = [len(node.members) for level in t.levels for node in level]
+    sizes = [len(m) for level in t.members for m in level]
     elapsed = time.perf_counter() - start
     assert sizes == [19] * 4001
     assert elapsed < 1.0, elapsed
 
 
 def test_shape_and_correspondence_list_no_members(monkeypatch):
-    # parents, leaf counts, canonical strings, equality and the
+    # parents, levels, leaf counts, canonical strings, equality and the
     # correspondence read the compact form only
     g = _safe("cantor_tree", 3)
     t = surface_end_tree(g, 3)
     same = surface_end_tree(g, 3)
 
-    def refuse(listing):
+    def refuse(tree):
         raise AssertionError("members listed")
 
-    monkeypatch.setattr(ends._Listing, "members", property(refuse))
+    monkeypatch.setattr(ends.EndTree, "members", property(refuse))
     assert [[node.parent for node in level] for level in t.levels] == [
         [None], [0, 0], [0, 0, 1, 1], [0, 0, 1, 1, 2, 2, 3, 3]
     ]
-    assert [[node.parent for node in level] for level in t.levels[1:]] == [
-        [0, 0], [0, 0, 1, 1], [0, 0, 1, 1, 2, 2, 3, 3]
-    ]
+    assert t.parents == tuple(tuple(node.parent for node in level) for level in t.levels)
     assert t.leaf_counts() == (1, 2, 4, 8)
     assert t.canonical() == same.canonical()
     assert t == same and t != surface_end_tree(g, 2)
     induced_end_correspondence(g, 3)
     with pytest.raises(AssertionError, match="members listed"):
-        t.levels[2][0].members
+        t.members
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def _normal_form(tree):
     return (
         tree.base,
         tree.stride,
-        tuple(tuple((n.members, n.parent) for n in level) for level in tree.levels),
+        tuple(tuple(zip(ms, ps)) for ms, ps in zip(tree.members, tree.parents)),
     )
 
 
@@ -354,12 +352,12 @@ def _reference_mapping(g, ct, pt, stride):
     mapping = []
     for k in range(len(pt.levels)):
         ball = set(nx.single_source_shortest_path_length(h, pt.base, cutoff=stride * k))
-        live = {p: j for j, node in enumerate(pt.levels[k]) for p in node.members}
+        live = {p: j for j, members in enumerate(pt.members[k]) for p in members}
         level_map = {}
-        for i, node in enumerate(ct.levels[k]):
+        for i, members in enumerate(ct.members[k]):
             targets = {
                 live[p]
-                for v in node.members
+                for v in members
                 for p in g.pants_of_curve(v)
                 if p not in ball and p in live
             }

@@ -1,12 +1,14 @@
 """The stdlib graph routines against networkx as the oracle.
 
 Every graph the library builds is a dict from each vertex to its sorted
-neighbour list.  The four routines of ``curvelab._graph`` must agree with
-networkx on bridges, cut vertices, components, single- and multi-source
-distances and shortest-path lengths: on random simple graphs (isolated
-vertices and several components included), on the pants and adjacency
-graphs of the three models, and on a Loch Ness truncation long enough
-that a recursive search would overflow the interpreter's stack.
+neighbour list.  The search routines of ``curvelab._graph`` (the
+depth-first ``lowpoints``, ``bfs_distances``, and ``bfs_parents`` with
+``path_to``) must agree with networkx on bridges, cut vertices, component
+sizes, single- and multi-source distances and shortest-path lengths: on
+random simple graphs (isolated vertices and several components included),
+on the pants and adjacency graphs of the three models, and on a Loch Ness
+truncation long enough that a recursive search would overflow the
+interpreter's stack.
 """
 
 import random
@@ -24,7 +26,7 @@ from curvelab import (
     cut_vertices,
     surface_end_tree,
 )
-from curvelab._graph import bfs_distances, bfs_path, components, lowpoints
+from curvelab._graph import bfs_distances, bfs_parents, lowpoints, path_to
 
 
 def _assert_shape(adj):
@@ -40,18 +42,17 @@ def _check_routines(adj, rng, n_sources=4):
     h = nx.Graph(adj)
     vertices = list(adj)
 
-    bridges, cuts = lowpoints(adj)
+    bridges, cuts, sizes = lowpoints(adj)
     assert len(set(bridges)) == len(bridges)
     for u, v in bridges:
         assert v in adj[u]
     assert {frozenset(e) for e in bridges} == {frozenset(e) for e in nx.bridges(h)}
     assert cuts == set(nx.articulation_points(h))
 
-    parts = components(adj)
-    assert sum(len(p) for p in parts) == len(vertices)
-    assert sorted(sorted(p) for p in parts) == sorted(
-        sorted(c) for c in nx.connected_components(h)
-    )
+    # one size per component, in order of the component's first vertex
+    position = {v: i for i, v in enumerate(vertices)}
+    parts = sorted(nx.connected_components(h), key=lambda c: min(map(position.get, c)))
+    assert sizes == [len(c) for c in parts]
 
     if not vertices:
         assert bfs_distances(adj, []) == {}
@@ -64,7 +65,7 @@ def _check_routines(adj, rng, n_sources=4):
         assert bfs_distances(adj, sources) == want
     for _ in range(n_sources):
         s, t = rng.choice(vertices), rng.choice(vertices)
-        path = bfs_path(adj, s, t)
+        path = path_to(bfs_parents(adj, s, (t,)), t)
         if not nx.has_path(h, s, t):
             assert path is None
             continue

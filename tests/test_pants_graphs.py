@@ -32,7 +32,8 @@ from curvelab import (
     random_gluing_graph,
     validate,
 )
-from curvelab._graph import neighbour_lists
+from curvelab import surface
+from curvelab._graph import lowpoints, neighbour_lists
 
 N = CurveClass.NONSEPARATING
 O = CurveClass.OUTER
@@ -150,6 +151,23 @@ def test_classification_stays_linear_at_scale():
         assert elapsed < 2.0, (model, depth, elapsed)
 
 
+def test_validate_and_classify_all_search_the_pants_graph_once(monkeypatch):
+    searched = []
+
+    def counting(adj):
+        searched.append(adj)
+        return lowpoints(adj)
+
+    monkeypatch.setattr(surface, "lowpoints", counting)
+    for model in InfiniteModel:
+        g = build_truncation(model, 4)
+        assert validate(g) == ()
+        assert searched == [g.pants_graph], model  # the connectivity check
+        classify_all(g)
+        assert searched == [g.pants_graph], model
+        searched.clear()
+
+
 def test_parallel_curves_are_nonseparating():
     # two curves joining the same two pants form a cycle in the multigraph
     g = build_finite_surface(1, 2)
@@ -170,9 +188,12 @@ def test_cut_points_are_exactly_non_outer():
 
 
 def test_cut_vertices_requires_connected():
-    a = AdjacencyGraph(neighbour_lists(("u", "v"), ()), marks=())
-    with pytest.raises(DisconnectedGraph):
+    # three components, met in the order of sizes 3, 1, 2 and named sorted
+    edges = [("x", "y"), ("y", "z"), ("v", "w")]
+    a = AdjacencyGraph(neighbour_lists(("x", "y", "z", "u", "v", "w"), edges), marks=())
+    with pytest.raises(DisconnectedGraph) as exc:
         cut_vertices(a)
+    assert str(exc.value) == "adjacency graph has components of sizes [1, 2, 3]"
 
 
 def test_degree_bounds_hold():
