@@ -30,17 +30,27 @@ level with its node there.  Members are listed on the first read of
 :attr:`EndTree.members`, for every level at once, in one sweep from the
 deepest level up.
 
-The whole tree comes from one breadth-first search and one union-find
-pass.  The distances from the base fix, for each vertex, the deepest level
-whose ball it lies outside.  Adding the vertices in order of decreasing
-distance to a union-find structure, and reading out the components that
-hold a mark before each ball radius is crossed, is offline connectivity by
-reverse deletion (Tarjan 1975), and the live components it reads out form
-the merge tree of the distance function (Carr, Snoeyink and Axen 2003,
-"Computing contour trees in all dimensions").  With path halving,
+The whole tree comes from at most two breadth-first searches and one
+union-find pass.  With the default base, a multi-source search from the
+marks first picks the base (:func:`default_base`); a second one, from the
+base, fixes for each vertex the deepest level whose ball it lies outside.
+Adding the vertices in order of decreasing distance to a union-find
+structure, and reading out the components that hold a mark before each
+ball radius is crossed, is offline connectivity by reverse deletion
+(Tarjan 1975), and the live components it reads out form the merge tree
+of the distance function (Carr, Snoeyink and Axen 2003, "Computing
+contour trees in all dimensions").  With path halving,
 small-into-large moves of the vertices still waiting for a live
 component, and sorting, it takes O((n + m) log n) for n vertices and m
 edges, plus the number of nodes.
+
+Each tree is searched once per query: the graph searched keeps it under
+``(depth, base, stride)``, the pants-graph trees in
+:attr:`GluingGraph.end_trees` and the A(P) trees in
+:attr:`AdjacencyGraph.end_trees` of the graph's one
+:attr:`GluingGraph.adjacency_graph`.  A later call with the same query, and
+:func:`induced_end_correspondence`, get the same tree back.  Trees are
+immutable, so sharing one is safe.
 """
 
 from __future__ import annotations
@@ -234,20 +244,36 @@ def _end_tree(h, marks, depth, base, stride):
     return EndTree(base=base, stride=stride, parents=tuple(parents), deepest=tuple(deepest))
 
 
+def _kept_tree(memo, h, marks, depth, base, stride):
+    """The end tree of ``h`` for the query, from ``memo`` (the searched
+    value's ``end_trees``) under ``(depth, base, stride)``; searched and
+    kept there on the query's first call.  A refused query raises and
+    keeps nothing, so it raises again on the next call."""
+    key = (depth, base, stride)
+    tree = memo.get(key)
+    if tree is None:
+        tree = memo[key] = _end_tree(h, marks, depth, base, stride)
+    return tree
+
+
 def end_tree(a, depth, base=None, stride=DEFAULT_STRIDE):
     """End tree of an adjacency graph ``a`` (an :class:`AdjacencyGraph`),
-    searched in its :attr:`~AdjacencyGraph.adjacency_lists`.
+    searched in its :attr:`~AdjacencyGraph.adjacency_lists` on the first
+    call for ``(depth, base, stride)`` and kept in
+    :attr:`~AdjacencyGraph.end_trees`; later calls return the same tree.
 
     Raises :class:`DepthExceedsTruncation` when some mark falls inside the
     deepest ball, since then the truncation is too shallow for the requested
     depth and deeper levels would be artifacts of the cut.
     """
-    return _end_tree(a.adjacency_lists, set(a.marks), depth, base, stride)
+    return _kept_tree(a.end_trees, a.adjacency_lists, a.marks, depth, base, stride)
 
 
 def surface_end_tree(g, depth, base=None, stride=DEFAULT_STRIDE):
-    """End tree of the pants graph of ``g``, marks at frontier pants."""
-    return _end_tree(g.pants_graph, set(g.frontier_pants), depth, base, stride)
+    """End tree of the pants graph of ``g``, marks at frontier pants;
+    searched on the first call for ``(depth, base, stride)`` and kept in
+    :attr:`GluingGraph.end_trees`, so later calls return the same tree."""
+    return _kept_tree(g.end_trees, g.pants_graph, g.frontier_pants, depth, base, stride)
 
 
 def end_trees_isomorphic(t1, t2):
@@ -288,13 +314,15 @@ class _Ancestors:
 def induced_end_correspondence(g, depth):
     """Match the A(P) end tree of ``g`` with its pants-graph end tree.
 
-    Both trees are built at the default stride 2, each from its default
-    base.  Every level-k component of curves is sent to the unique live
-    pants component meeting the supports of its curves, after discarding
-    pants inside the level-k ball and pants in dead components.  Returns
-    ``(curve_tree, pants_tree, mapping)`` where ``mapping[k][i] = j``
-    matches node i of the curve tree to node j of the pants tree at level
-    k.  Raises :class:`BijectionFailure` if any assignment is ambiguous, the
+    Both trees are the stride-2 trees from the default bases, the ones
+    :func:`end_tree` and :func:`surface_end_tree` return for ``depth``:
+    taken from the graphs' memos, and searched only when no earlier call
+    asked for them.  Every level-k component of curves is sent to the
+    unique live pants component meeting the supports of its curves, after
+    discarding pants inside the level-k ball and pants in dead components.
+    Returns ``(curve_tree, pants_tree, mapping)`` where ``mapping[k][i] =
+    j`` matches node i of the curve tree to node j of the pants tree at
+    level k.  Raises :class:`BijectionFailure` if any assignment is ambiguous, the
     level maps fail to be bijections, or parents do not match; the levels
     are checked from 0 down, so the failure named is the shallowest.
 

@@ -39,7 +39,9 @@ class AdjacencyGraph(namedtuple("AdjacencyGraph", "adjacency_lists marks")):
     it); ``marks`` are the sorted tuple of the vertices lying on a pants
     that touches the frontier.  A namedtuple, equal to the pair
     ``(adjacency_lists, marks)``; it keeps a ``__dict__`` for its cached
-    ``vertices`` and ``edges``.
+    ``vertices``, ``edges`` and ``end_trees``.  A gluing graph has one,
+    :attr:`GluingGraph.adjacency_graph`, which :func:`adjacency_graph`
+    returns on every call, so its cached tables are built once per graph.
     """
 
     @cached_property
@@ -53,17 +55,19 @@ class AdjacencyGraph(namedtuple("AdjacencyGraph", "adjacency_lists marks")):
         lists = self.adjacency_lists
         return tuple((u, v) for u in self.vertices for v in lists[u] if u < v)
 
+    @cached_property
+    def end_trees(self):
+        """``(depth, base, stride)`` -> the end tree of this graph for that
+        query, written only by :func:`curvelab.ends.end_tree` on the
+        query's first call.  A refused query is never stored."""
+        return {}
+
 
 def adjacency_graph(g):
-    """The adjacency graph of the decomposition encoded by ``g``, sharing
-    the cached :attr:`GluingGraph.adjacency_lists`.  The marks are read
-    from the curves on the frontier pants."""
-    lists = g.adjacency_lists
-    at = g.curves_at
-    marks = tuple(
-        sorted({v for p in g.frontier_pants for v in at.get(p, ()) if v in lists})
-    )
-    return AdjacencyGraph(lists, marks)
+    """The adjacency graph of the decomposition encoded by ``g``: the same
+    object on every call, built on the first and kept on the graph as
+    :attr:`GluingGraph.adjacency_graph`."""
+    return g.adjacency_graph
 
 
 def classify_curve(g, curve_id):
@@ -72,33 +76,30 @@ def classify_curve(g, curve_id):
     A curve is nonseparating exactly when it is not a bridge of the pants
     multigraph (self-gluings and doubled edges never separate); the bridges
     come from one pass over the whole graph, cached as
-    :attr:`GluingGraph.separating_curves`, so each call is a lookup.  A
-    separating curve is outer when one of its sides is a single pants whose
-    remaining two circles are all surface boundary or frontier; cutting
-    there removes a pair of pants with no further topology, not a genuine
-    piece.
+    :attr:`GluingGraph.separating_curves`.  A separating curve is outer
+    when one of its sides is a single pants whose remaining two circles
+    are all surface boundary or frontier, that is when one of its pants is
+    in :attr:`GluingGraph.lone_end_pants`; cutting there removes a pair of
+    pants with no further topology, not a genuine piece.  Both tables are
+    cached on ``g``, so each call is two lookups.
     """
-    c = g.ordinary_curve(curve_id)
-    if curve_id not in g.separating_curves:
+    return _class_of(g, g.ordinary_curve(curve_id))
+
+
+def _class_of(g, c):
+    if c.id not in g.separating_curves:
         return CurveClass.NONSEPARATING
-    for end in c.ends:
-        if _bare_pants(g, end.pants, curve_id):
-            return CurveClass.OUTER
+    lone = g.lone_end_pants
+    if c.ends[0].pants in lone or c.ends[1].pants in lone:
+        return CurveClass.OUTER
     return CurveClass.NON_OUTER
 
 
-def _bare_pants(g, pants, curve_id):
-    """True when every circle of ``pants`` other than ``curve_id`` is surface
-    boundary or frontier."""
-    others = [cid for cid in g.curves_at[pants] if cid != curve_id]
-    return all(g.curve_by_id[cid].is_frontier for cid in others)
-
-
 def classify_all(g):
-    """Map each ordinary curve id to its :class:`CurveClass`, in time
-    linear in the size of ``g`` (one bridge pass, then a lookup per
-    curve)."""
-    return {c.id: classify_curve(g, c.id) for c in g.curves if not c.is_frontier}
+    """Map each ordinary curve id to its :class:`CurveClass`, in order of
+    id, by the rule of :func:`classify_curve` in one loop over the curves:
+    linear in the size of ``g``."""
+    return {c.id: _class_of(g, c) for c in g.curves if not c.is_frontier}
 
 
 def cut_vertices(a):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 from operator import attrgetter
 
@@ -178,6 +178,22 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
         return frozenset(separating)
 
     @cached_property
+    def lone_end_pants(self):
+        """Pants carrying exactly one end of an ordinary curve, counted
+        with multiplicity: every other circle of such a pants is surface
+        boundary or frontier.  A separating curve is outer exactly when
+        one of its two pants is among them."""
+        count = Counter(end.pants for c in self.curves if not c.is_frontier for end in c.ends)
+        return frozenset(p for p, n in count.items() if n == 1)
+
+    @cached_property
+    def end_trees(self):
+        """``(depth, base, stride)`` -> the end tree of :attr:`pants_graph`
+        for that query, written only by :func:`curvelab.ends.surface_end_tree`
+        on the query's first call.  A refused query is never stored."""
+        return {}
+
+    @cached_property
     def ref_table(self):
         """Curve reference -> its checked record, written only by
         :func:`curvelab.curves._resolve` on the reference's first lookup,
@@ -198,6 +214,18 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
             for u in here:
                 adj[u].update(v for v in here if v != u)
         return {v: sorted(nbrs) for v, nbrs in adj.items()}
+
+    @cached_property
+    def adjacency_graph(self):
+        """The adjacency graph A(P), one per graph: an
+        :class:`~curvelab.pants_graphs.AdjacencyGraph` sharing
+        :attr:`adjacency_lists`, marked at the curves on the frontier
+        pants.  Read through :func:`curvelab.pants_graphs.adjacency_graph`."""
+        from .pants_graphs import AdjacencyGraph  # that module imports this one
+
+        lists, at = self.adjacency_lists, self.curves_at
+        marks = sorted({v for p in self.frontier_pants for v in at.get(p, ()) if v in lists})
+        return AdjacencyGraph(lists, tuple(marks))
 
 
 class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundary")):

@@ -121,6 +121,40 @@ def test_depth_exceeding_truncation_is_refused():
         end_tree(adjacency_graph(g), 3)
 
 
+def test_a_refused_query_keeps_nothing():
+    g = build_truncation("loch_ness", 3)
+    a = adjacency_graph(g)
+    refused = [
+        (surface_end_tree, g, 2, {}, DepthExceedsTruncation),
+        (end_tree, a, 3, {}, DepthExceedsTruncation),
+        (surface_end_tree, g, 1, {"stride": 0}, ValueError),
+        (end_tree, a, 1, {"base": "nope"}, ValueError),
+        (surface_end_tree, g, -1, {}, ValueError),
+    ]
+    for build, h, depth, options, error in refused:
+        for _ in range(2):
+            with pytest.raises(error):
+                build(h, depth, **options)
+    assert g.end_trees == {} and a.end_trees == {}
+
+
+def test_each_query_keeps_its_own_tree():
+    # depth, base and stride each make a query of its own: a key without
+    # one of them would hand back the tree of another query
+    g = build_truncation("loch_ness", 8)
+    a = adjacency_graph(g)
+    for build, h, lists, marks, base in (
+        (surface_end_tree, g, g.pants_graph, g.frontier_pants, "hp1"),
+        (end_tree, a, a.adjacency_lists, a.marks, "h1"),
+    ):
+        queries = [(2, None, 2), (3, None, 2), (2, base, 2), (2, None, 1), (2, base, 1)]
+        trees = [build(h, d, base=b, stride=s) for d, b, s in queries]
+        for (d, b, s), t in zip(queries, trees):
+            assert t == ends._end_tree(lists, marks, d, b, s), (d, b, s)
+            assert build(h, d, base=b, stride=s) is t, (d, b, s)
+        assert len(h.end_trees) == len(queries)
+
+
 def test_finite_surface_has_no_ends():
     g = build_finite_surface(2, 1)
     t = surface_end_tree(g, 2)
@@ -154,8 +188,36 @@ def test_correspondence_returns_the_default_trees():
         for d in range(1, 7):
             g = _safe(model.value, d)
             ct, pt, _ = induced_end_correspondence(g, d)
-            assert ct == end_tree(adjacency_graph(g), d), (model, d)
-            assert pt == surface_end_tree(g, d), (model, d)
+            assert ct is end_tree(adjacency_graph(g), d), (model, d)
+            assert pt is surface_end_tree(g, d), (model, d)
+            assert ct == ends._end_tree(g.adjacency_lists, adjacency_graph(g).marks, d, None, 2)
+            assert pt == ends._end_tree(g.pants_graph, g.frontier_pants, d, None, 2)
+
+
+def test_correspondence_reuses_the_kept_trees(monkeypatch):
+    searched = []
+    search = ends._end_tree
+
+    def counting(h, marks, depth, base, stride):
+        searched.append((depth, base, stride))
+        return search(h, marks, depth, base, stride)
+
+    monkeypatch.setattr(ends, "_end_tree", counting)
+    for model in InfiniteModel:
+        g = _safe(model.value, 3)
+        pt = surface_end_tree(g, 3)
+        ct = end_tree(adjacency_graph(g), 3)
+        assert searched == [(3, None, 2)] * 2, model
+        got_ct, got_pt, _ = induced_end_correspondence(g, 3)
+        assert searched == [(3, None, 2)] * 2, model
+        assert got_ct is ct and got_pt is pt, model
+        searched.clear()
+        # the other way round: the correspondence searches, the calls reuse
+        g = _safe(model.value, 3)
+        ct, pt, _ = induced_end_correspondence(g, 3)
+        assert end_tree(adjacency_graph(g), 3) is ct and surface_end_tree(g, 3) is pt
+        assert searched == [(3, None, 2)] * 2, model
+        searched.clear()
 
 
 def test_explicit_base_changes_the_anchor():
@@ -242,7 +304,7 @@ def test_shape_and_correspondence_list_no_members(monkeypatch):
     # correspondence read the compact form only
     g = _safe("cantor_tree", 3)
     t = surface_end_tree(g, 3)
-    same = surface_end_tree(g, 3)
+    same = surface_end_tree(_safe("cantor_tree", 3), 3)  # an equal tree, not t
 
     def refuse(tree):
         raise AssertionError("members listed")
@@ -254,7 +316,7 @@ def test_shape_and_correspondence_list_no_members(monkeypatch):
     assert t.parents == tuple(tuple(node.parent for node in level) for level in t.levels)
     assert t.leaf_counts() == (1, 2, 4, 8)
     assert t.canonical() == same.canonical()
-    assert t == same and t != surface_end_tree(g, 2)
+    assert t is not same and t == same and t != surface_end_tree(g, 2)
     induced_end_correspondence(g, 3)
     with pytest.raises(AssertionError, match="members listed"):
         t.members

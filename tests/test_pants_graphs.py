@@ -54,6 +54,16 @@ def test_adjacency_graph_shares_the_cached_lists():
         assert adjacency_graph(g).adjacency_lists is g.adjacency_lists
 
 
+def test_adjacency_graph_is_built_once_per_graph():
+    for model in InfiniteModel:
+        g = build_truncation(model, 3)
+        a = adjacency_graph(g)
+        assert adjacency_graph(g) is a
+        # an equal graph has its own
+        twin = build_truncation(model, 3)
+        assert adjacency_graph(twin) == a and adjacency_graph(twin) is not a
+
+
 def test_adjacency_excludes_frontier():
     g = build_truncation("cantor_tree", 2)
     a = adjacency_graph(g)
@@ -130,14 +140,27 @@ def test_bridge_pass_matches_the_reference_on_models_and_census():
     graphs = [build_truncation(m, d) for m, d in REFERENCE_MODELS]
     graphs += [build_finite_surface(genus, b) for genus, b in CENSUS]
     for g in graphs:
-        assert classify_all(g) == _reference_classes(g), g.pants[:3]
+        _check_classes(g)
+
+
+def _check_classes(g):
+    """``classify_all`` against the reference, in curve order, and each
+    ``classify_curve`` against ``classify_all``."""
+    classes = classify_all(g)
+    assert classes == _reference_classes(g), g.pants[:3]
+    assert list(classes) == [c.id for c in g.curves if not c.is_frontier]
+    assert {cid: classify_curve(g, cid) for cid in classes} == classes
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_bridge_pass_matches_the_reference_on_random_graphs(n_pants, seed):
-    g = random_gluing_graph(n_pants, random.Random(seed))
-    assert classify_all(g) == _reference_classes(g)
+    # the random graphs have no frontier; the frontier side of the outer
+    # rule is checked on a copy with some boundary turned into frontier
+    rng = random.Random(seed)
+    g = random_gluing_graph(n_pants, rng)
+    _check_classes(g)
+    _check_classes(_with_frontier(g, rng))
 
 
 def test_classification_stays_linear_at_scale():
