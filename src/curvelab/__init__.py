@@ -25,13 +25,14 @@ _EXPORTS = {
         "NotTorusWindow", "UndefinedPair", "UnknownCurve", "WrongIntersection", "ZeroSlope",
     ),
     "surface": (
-        "Curve", "GluingGraph", "InfiniteModel", "PantsSlot", "SurfaceSignature", "Violation",
-        "build_finite_surface", "build_truncation", "dumps_surface", "loads_surface",
-        "signature", "surface_from_json", "surface_to_json", "validate",
+        "AdjacencyGraph", "Curve", "GluingGraph", "InfiniteModel", "PantsSlot",
+        "SurfaceSignature", "Violation", "build_finite_surface", "build_truncation",
+        "dumps_surface", "loads_surface", "signature", "surface_from_json", "surface_to_json",
+        "validate",
     ),
     "pants_graphs": (
-        "AdjacencyGraph", "CurveClass", "adjacency_graph", "classify_all", "classify_curve",
-        "cut_vertices", "random_gluing_graph",
+        "CurveClass", "adjacency_graph", "classify_all", "classify_curve", "cut_vertices",
+        "random_gluing_graph",
     ),
     "ends": (
         "EndTree", "EndTreeNode", "end_tree", "end_trees_isomorphic",

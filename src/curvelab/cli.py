@@ -81,12 +81,14 @@ def _tree_json(tree, which):
 def cmd_gen(args):
     from .surface import build_finite_surface, build_truncation, surface_to_json
 
+    if (args.model, args.depth) != (None, None) and (args.genus, args.boundary) != (None, None):
+        raise FormatError("give --model with --depth, or --genus with --boundary, not a mix")
     if args.model:
         if args.depth is None:
             raise FormatError("--model requires --depth")
         g = build_truncation(args.model, args.depth)
     elif args.genus is not None:
-        g = build_finite_surface(args.genus, args.boundary)
+        g = build_finite_surface(args.genus, args.boundary or 0)
     else:
         raise FormatError("provide --model with --depth, or --genus with --boundary")
     return surface_to_json(g)
@@ -112,9 +114,7 @@ def cmd_classify(args, g):
 
 
 def cmd_adjacency(args, g):
-    from .pants_graphs import adjacency_graph
-
-    a = adjacency_graph(g)
+    a = g.adjacency_graph
     return {
         "vertices": list(a.vertices),
         "edges": [list(e) for e in a.edges],
@@ -124,10 +124,9 @@ def cmd_adjacency(args, g):
 
 def cmd_ends(args, g):
     from .ends import end_tree, surface_end_tree
-    from .pants_graphs import adjacency_graph
 
     if args.graph == "curves":
-        tree = end_tree(adjacency_graph(g), args.depth, base=args.base, stride=args.stride)
+        tree = end_tree(g.adjacency_graph, args.depth, base=args.base, stride=args.stride)
     else:
         tree = surface_end_tree(g, args.depth, base=args.base, stride=args.stride)
     return _tree_json(tree, args.graph)
@@ -196,13 +195,13 @@ def cmd_counterexample(args):
     import random
 
     from .curves import format_ref
-    from .morphisms import check_superinjective, cut_and_glue, surfaces_homeomorphic
+    from .morphisms import check_superinjective, cut_and_glue, sample_pairs, surfaces_homeomorphic
     from .surface import InfiniteModel, build_truncation
 
     source = build_truncation(InfiniteModel.LOCH_NESS, args.trunc_depth)
     result = cut_and_glue(source, args.alpha, gadget=args.gadget)
     homeomorphic = surfaces_homeomorphic(source, result.target, args.depth)
-    pairs = result.map.sample_pairs(args.samples, random.Random(args.seed))
+    pairs = sample_pairs(result.map.domain, args.samples, random.Random(args.seed))
     report = check_superinjective(result.map, pairs)
     return {
         "gadget": args.gadget,
@@ -242,7 +241,7 @@ def _gen_arguments(p):
     p.add_argument("--model", choices=[m.value for m in InfiniteModel])
     p.add_argument("--depth", type=int)
     p.add_argument("--genus", type=int)
-    p.add_argument("--boundary", type=int, default=0)
+    p.add_argument("--boundary", type=int)
 
 
 def _classify_arguments(p):

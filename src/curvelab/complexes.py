@@ -27,12 +27,12 @@ from .curves import (
     PantsCurve,
     Slope,
     WindowCurve,
+    _DUAL,
     _pairing,
     _resolve,
     format_ref,
     resolve_ref,
     slopes_up_to,
-    window_around,
     window_curve_separates,
 )
 from .errors import NoRoom, UnknownCurve
@@ -86,24 +86,26 @@ def curve_inventory(g, slope_bound):
     chain per unordered handle pair, found by breadth-first search in the
     adjacency graph: one search per handle reaches every later handle.
 
+    A curve spans a window when its dual curve (slope 1/0) resolves; the
+    record kept for it holds the window every window curve of that center
+    shares, so each center is searched once per graph, here or before.
+
     The ``diameter`` suite samples it, and
     :func:`~curvelab.morphisms.cut_and_glue` maps it.
     """
     refs = [PantsCurve(c.id) for c in g.curves if not c.is_frontier]
     centers = []
-    for c in g.curves:
-        if c.is_frontier:
-            continue
+    for ref in refs:
         try:
-            window_around(g, c.id)
+            _resolve(g, WindowCurve(ref.id, _DUAL))
         except UnknownCurve:
             continue
-        centers.append(c.id)
+        centers.append(ref.id)
     if centers:
         slopes = [s for s in slopes_up_to(slope_bound) if s != Slope(0, 1)]
         refs.extend(WindowCurve(cid, s) for cid in centers for s in slopes)
-    handles = [c.id for c in g.curves if c.is_self_gluing]
-    adj = g.adjacency_lists
+    handles = g.handles
+    adj = g.adjacency_graph.adjacency_lists
     for i, a in enumerate(handles):
         later = handles[i + 1 :]
         parent = bfs_parents(adj, a, later)
@@ -212,14 +214,10 @@ def schmutz_path(g, h1, h2):
             raise UnknownCurve(f"curve {h.id!r} is not a handle curve")
     if h1 == h2:
         return [h1]
-    third = None
-    for c in g.curves:
-        if c.is_self_gluing and c.id not in (h1.id, h2.id):
-            third = c.id
-            break
+    third = next((h for h in g.handles if h not in (h1.id, h2.id)), None)
     if third is None:
         raise NoRoom("no third handle curve available; deepen the truncation")
-    adj = g.adjacency_lists
+    adj = g.adjacency_graph.adjacency_lists
     legs = []
     for a, b in ((h1.id, third), (third, h2.id)):
         chain = _dual_chain(path_to(bfs_parents(adj, a, (b,)), b))

@@ -185,9 +185,11 @@ def window_around(g, center_id):
     four-holed sphere: the two pants share no second curve and neither
     carries a self-gluing.  Raises :class:`UnknownCurve` otherwise.
 
-    Each call examines the center afresh; the window curve references of
-    one center share the window kept in :attr:`GluingGraph.ref_table` on
-    the record of the center's dual curve (see :func:`_resolve`).
+    Each call examines the center afresh.  The library calls it once per
+    center: the window curve references of one center share the window
+    kept in :attr:`GluingGraph.ref_table` on the record of the center's
+    dual curve (see :func:`_resolve`), which
+    :func:`~curvelab.complexes.curve_inventory` looks up to find centers.
     """
     c = g.ordinary_curve(center_id)
     if c.is_self_gluing:

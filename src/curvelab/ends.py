@@ -62,7 +62,6 @@ from itertools import accumulate
 
 from ._graph import bfs_distances
 from .errors import BijectionFailure, DepthExceedsTruncation, DepthMismatch
-from .pants_graphs import adjacency_graph
 
 DEFAULT_STRIDE = 2
 
@@ -336,8 +335,7 @@ def induced_end_correspondence(g, depth):
     can fail on valid truncations.  Matching the two end spaces there needs
     an interleaving of the trees, which this module does not build yet.
     """
-    a = adjacency_graph(g)
-    ct = end_tree(a, depth)
+    ct = end_tree(g.adjacency_graph, depth)
     pt = surface_end_tree(g, depth)
 
     curve_node = {v: (k, i) for k, level in enumerate(ct.deepest) for v, i in level}

@@ -33,9 +33,19 @@ from .errors import NotSeparating, UnknownCurve
 from .pants_graphs import CurveClass, classify_curve
 from .surface import Curve, GluingGraph, PantsSlot, signature
 
-# the default seed of the random pairs fed to :meth:`VertexMap.sample_pairs`
-# by the ``counterexample`` command, and of every seeded ``verify`` suite
+# the default seed of the random pairs :func:`sample_pairs` draws for the
+# ``counterexample`` command, and of every seeded ``verify`` suite
 DEFAULT_SEED = 20260814
+
+
+def sample_pairs(items, count, rng):
+    """``count`` pairs drawn uniformly, with repetition, from the sequence
+    ``items`` by ``rng``: first element, then second, pair by pair.
+    Raises ValueError when ``count`` is negative."""
+    if count < 0:
+        raise ValueError(f"samples must be at least 0, got {count}")
+    n = len(items)
+    return [(items[rng.randrange(n)], items[rng.randrange(n)]) for _ in range(count)]
 
 
 class VertexMap(namedtuple("VertexMap", "source target assoc provenance")):
@@ -68,18 +78,6 @@ class VertexMap(namedtuple("VertexMap", "source target assoc provenance")):
     @property
     def domain(self):
         return tuple(ref for ref, _ in self.assoc)
-
-    def sample_pairs(self, count, rng):
-        """``count`` pairs drawn uniformly, with repetition, from the
-        domain by ``rng``: first element, then second, pair by pair.
-        Raises ValueError when ``count`` is negative."""
-        if count < 0:
-            raise ValueError(f"samples must be at least 0, got {count}")
-        domain = self.domain
-        return [
-            (domain[rng.randrange(len(domain))], domain[rng.randrange(len(domain))])
-            for _ in range(count)
-        ]
 
     def apply(self, ref):
         try:

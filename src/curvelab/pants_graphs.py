@@ -16,8 +16,6 @@ properties of curves become pure graph theory.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
-from functools import cached_property
 
 from ._graph import lowpoints
 from .errors import DisconnectedGraph
@@ -30,43 +28,10 @@ class CurveClass(str, enum.Enum):
     NON_OUTER = "NonOuterSeparating"
 
 
-class AdjacencyGraph(namedtuple("AdjacencyGraph", "adjacency_lists marks")):
-    """A(P) together with the frontier marks inherited from the truncation.
-
-    ``adjacency_lists`` maps each ordinary (two-ended) curve id to the
-    sorted list of its neighbours, the one graph shape of the library (see
-    :attr:`GluingGraph.adjacency_lists`, shared with it, so do not mutate
-    it); ``marks`` are the sorted tuple of the vertices lying on a pants
-    that touches the frontier.  A namedtuple, equal to the pair
-    ``(adjacency_lists, marks)``; it keeps a ``__dict__`` for its cached
-    ``vertices``, ``edges`` and ``end_trees``.  A gluing graph has one,
-    :attr:`GluingGraph.adjacency_graph`, which :func:`adjacency_graph`
-    returns on every call, so its cached tables are built once per graph.
-    """
-
-    @cached_property
-    def vertices(self):
-        """The vertices, sorted."""
-        return tuple(sorted(self.adjacency_lists))
-
-    @cached_property
-    def edges(self):
-        """The edges as sorted pairs, in order of their first vertex."""
-        lists = self.adjacency_lists
-        return tuple((u, v) for u in self.vertices for v in lists[u] if u < v)
-
-    @cached_property
-    def end_trees(self):
-        """``(depth, base, stride)`` -> the end tree of this graph for that
-        query, written only by :func:`curvelab.ends.end_tree` on the
-        query's first call.  A refused query is never stored."""
-        return {}
-
-
 def adjacency_graph(g):
     """The adjacency graph of the decomposition encoded by ``g``: the same
-    object on every call, built on the first and kept on the graph as
-    :attr:`GluingGraph.adjacency_graph`."""
+    :class:`~curvelab.surface.AdjacencyGraph` on every call, built on the
+    first and kept on the graph as :attr:`GluingGraph.adjacency_graph`."""
     return g.adjacency_graph
 
 

@@ -204,28 +204,58 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
         return {}
 
     @cached_property
-    def adjacency_lists(self):
-        """Ordinary curve id -> sorted ids of the other ordinary curves
-        sharing a pants with it: the neighbours in the adjacency graph
-        A(P).  Shared by every caller; do not mutate it."""
-        adj = {c.id: set() for c in self.curves if not c.is_frontier}
-        for ids in self.curves_at.values():
-            here = [cid for cid in ids if cid in adj]
-            for u in here:
-                adj[u].update(v for v in here if v != u)
-        return {v: sorted(nbrs) for v, nbrs in adj.items()}
+    def handles(self):
+        """Ids of the self-gluing curves, the handle curves, in id order."""
+        return tuple(c.id for c in self.curves if c.is_self_gluing)
 
     @cached_property
     def adjacency_graph(self):
-        """The adjacency graph A(P), one per graph: an
-        :class:`~curvelab.pants_graphs.AdjacencyGraph` sharing
-        :attr:`adjacency_lists`, marked at the curves on the frontier
-        pants.  Read through :func:`curvelab.pants_graphs.adjacency_graph`."""
-        from .pants_graphs import AdjacencyGraph  # that module imports this one
+        """The adjacency graph A(P), one per graph: its lists give each
+        ordinary curve id the sorted ids of the other ordinary curves
+        sharing a pants with it, and it is marked at the curves on the
+        frontier pants.  Also read through
+        :func:`curvelab.pants_graphs.adjacency_graph`."""
+        adj = {c.id: set() for c in self.curves if not c.is_frontier}
+        at = self.curves_at
+        for ids in at.values():
+            here = [cid for cid in ids if cid in adj]
+            for u in here:
+                adj[u].update(v for v in here if v != u)
+        marks = sorted({v for p in self.frontier_pants for v in at.get(p, ()) if v in adj})
+        return AdjacencyGraph({v: sorted(nbrs) for v, nbrs in adj.items()}, tuple(marks))
 
-        lists, at = self.adjacency_lists, self.curves_at
-        marks = sorted({v for p in self.frontier_pants for v in at.get(p, ()) if v in lists})
-        return AdjacencyGraph(lists, tuple(marks))
+
+class AdjacencyGraph(namedtuple("AdjacencyGraph", "adjacency_lists marks")):
+    """A(P) together with the frontier marks inherited from the truncation.
+
+    ``adjacency_lists`` maps each ordinary (two-ended) curve id to the
+    sorted list of its neighbours, the one graph shape of the library,
+    shared by every caller, so do not mutate it; ``marks`` are the sorted
+    tuple of the vertices lying on a pants that touches the frontier.  A
+    namedtuple, equal to the pair ``(adjacency_lists, marks)``; it keeps a
+    ``__dict__`` for its cached ``vertices``, ``edges`` and ``end_trees``.
+    A gluing graph builds its one A(P) on first use and keeps it as
+    :attr:`GluingGraph.adjacency_graph`, so these tables are built once
+    per graph.
+    """
+
+    @cached_property
+    def vertices(self):
+        """The vertices, sorted."""
+        return tuple(sorted(self.adjacency_lists))
+
+    @cached_property
+    def edges(self):
+        """The edges as sorted pairs, in order of their first vertex."""
+        lists = self.adjacency_lists
+        return tuple((u, v) for u in self.vertices for v in lists[u] if u < v)
+
+    @cached_property
+    def end_trees(self):
+        """``(depth, base, stride)`` -> the end tree of this graph for that
+        query, written only by :func:`curvelab.ends.end_tree` on the
+        query's first call.  A refused query is never stored."""
+        return {}
 
 
 class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundary")):

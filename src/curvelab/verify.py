@@ -36,7 +36,9 @@ from .curves import (
 )
 from .ends import end_trees_isomorphic, induced_end_correspondence
 from .errors import CurveLabError, GadgetTooSmall
-from .morphisms import DEFAULT_SEED, check_superinjective, cut_and_glue, surfaces_homeomorphic
+from .morphisms import (
+    DEFAULT_SEED, check_superinjective, cut_and_glue, sample_pairs, surfaces_homeomorphic,
+)
 from .pants_graphs import (
     CurveClass,
     adjacency_graph,
@@ -303,13 +305,10 @@ def verify_diameter(trunc_depth=5, samples=100, seed=DEFAULT_SEED):
     handle_samples = 50
     g = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
     inventory = curve_inventory(g, 3)
-    handles = [c.id for c in g.curves if c.is_self_gluing]
     rng = random.Random(seed)
     failures = []
     checked = 0
-    for _ in range(samples):
-        c1 = inventory[rng.randrange(len(inventory))]
-        c2 = inventory[rng.randrange(len(inventory))]
+    for c1, c2 in sample_pairs(inventory, samples, rng):
         checked += 1
         try:
             wit = disjointness_witness(g, c1, c2)
@@ -329,9 +328,7 @@ def verify_diameter(trunc_depth=5, samples=100, seed=DEFAULT_SEED):
             failures.append(
                 {"pair": [format_ref(c1), format_ref(c2)], "witness": format_ref(wit)}
             )
-    for _ in range(handle_samples):
-        h1 = PantsCurve(handles[rng.randrange(len(handles))])
-        h2 = PantsCurve(handles[rng.randrange(len(handles))])
+    for h1, h2 in sample_pairs([PantsCurve(h) for h in g.handles], handle_samples, rng):
         checked += 1
         try:
             path = schmutz_path(g, h1, h2)
@@ -378,10 +375,12 @@ def verify_counterexample(
     source = build_truncation(InfiniteModel.LOCH_NESS, trunc_depth)
     result = cut_and_glue(source, alpha)
     rng = random.Random(seed)
-    si = check_superinjective(result.map, result.map.sample_pairs(samples, rng))
+    si = check_superinjective(result.map, sample_pairs(result.map.domain, samples, rng))
     failures = list(si["violations"])
     gadget_map = cut_and_glue(source, alpha, gadget=gadget).map
-    gadget_si = check_superinjective(gadget_map, gadget_map.sample_pairs(samples // 2, rng))
+    gadget_si = check_superinjective(
+        gadget_map, sample_pairs(gadget_map.domain, samples // 2, rng)
+    )
     failures.extend(gadget_si["violations"])
     homeomorphic = surfaces_homeomorphic(source, gadget_map.target, depth=1)
     if homeomorphic:

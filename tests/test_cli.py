@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvelab import (
-    VertexMap,
     build_truncation,
     curve_inventory,
     format_ref,
     loads_surface,
     surface_to_json,
 )
+from curvelab import morphisms
 from curvelab.cli import SUBCOMMANDS, build_parser, main
 from test_golden import PROBES
 from test_surface import _BASES, NOT_JSON
@@ -62,6 +62,29 @@ def test_gen_requires_a_recipe(capsys):
     code, out = run(capsys, "gen")
     assert code == 1
     assert json.loads(out)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen --model loch_ness --depth 2 --genus 2",
+        "gen --genus 2 --depth 5",
+        "gen --model ladder --depth 1 --boundary 3",
+    ],
+)
+def test_gen_refuses_a_mix_of_recipes(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FormatError",
+        "detail": "give --model with --depth, or --genus with --boundary, not a mix",
+    }
+
+
+def test_gen_reads_a_lone_genus_as_closed(capsys):
+    code, out = run(capsys, "gen", "--genus", "2")
+    assert code == 0
+    assert out == run(capsys, "gen", "--genus", "2", "--boundary", "0")[1]
 
 
 def test_output_is_deterministic(capsys):
@@ -252,8 +275,8 @@ CALL_MODULES = {
     "gen": ("gen --genus 2 --boundary 1", _SURFACE),
     "validate": ("validate --in {l4}", _SURFACE),
     "classify": ("classify --in {l4}", _SURFACE | {"pants_graphs"}),
-    "adjacency": ("adjacency --in {l4}", _SURFACE | {"pants_graphs"}),
-    "ends": ("ends --in {l4} --depth 1", _SURFACE | {"pants_graphs", "ends"}),
+    "adjacency": ("adjacency --in {l4}", _SURFACE),
+    "ends": ("ends --in {l4} --depth 1", _SURFACE | {"ends"}),
     "intersect": ("intersect --in {l4} --a pants:h0 --b win:h0:2/1", _CURVES),
     "triple": ("triple --a 0/1 --b 2/1", _CURVES),
     "sch04": ("sch04 --a 0/1 --b 1/1", _CURVES),
@@ -476,7 +499,7 @@ def test_counterexample_refuses_depth_zero(capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("pairs sampled before the refusal")
 
-    monkeypatch.setattr(VertexMap, "sample_pairs", no_sampling)
+    monkeypatch.setattr(morphisms, "sample_pairs", no_sampling)
     code, out = run(capsys, "counterexample", "--depth", "0")
     assert code == 1
     assert json.loads(out) == {"error": "ValueError", "detail": "depth must be at least 1, got 0"}

@@ -1,6 +1,7 @@
 """Local curve graphs, disjointness witnesses and handle-to-handle paths."""
 
 import random
+import sys
 import time
 
 import networkx as nx
@@ -151,6 +152,26 @@ def test_window_curves_of_a_center_share_one_window():
     windowed = [r for r in g.ref_table.values() if isinstance(r.ref, WindowCurve)]
     assert len(windowed) == 270
     assert len({id(r.found) for r in windowed}) == len({r.ref.center for r in windowed}) == 18
+
+
+def test_each_window_center_is_searched_once():
+    # the inventory finds each center through the record its window curves
+    # share, so local_graph searches no center again; the profile hook
+    # counts calls by code object, whatever name a module calls it by
+    g = build_truncation("loch_ness", 10)
+    centers = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is window_around.__code__:
+            centers.append(frame.f_locals["center_id"])
+
+    sys.setprofile(profile)
+    try:
+        local_graph(g, curve_inventory(g, 3), "c")
+    finally:
+        sys.setprofile(None)
+    assert centers == [c.id for c in g.curves if not c.is_frontier]
+    assert len(centers) == 28
 
 
 def test_a_failing_reference_is_not_kept():
@@ -577,7 +598,7 @@ def _check_against_reference(g, rng):
             raised.append(exc.value)
     assert len({id(e) for e in raised}) == len(raised)
     adj = _reference_adjacency(g)
-    assert g.adjacency_lists == adj
+    assert g.adjacency_graph.adjacency_lists == adj
 
     outside = {}
     spans = [want[1] for want in windows.values() if want[0] == "ok"]

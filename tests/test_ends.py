@@ -190,7 +190,8 @@ def test_correspondence_returns_the_default_trees():
             ct, pt, _ = induced_end_correspondence(g, d)
             assert ct is end_tree(adjacency_graph(g), d), (model, d)
             assert pt is surface_end_tree(g, d), (model, d)
-            assert ct == ends._end_tree(g.adjacency_lists, adjacency_graph(g).marks, d, None, 2)
+            a = adjacency_graph(g)
+            assert ct == ends._end_tree(a.adjacency_lists, a.marks, d, None, 2)
             assert pt == ends._end_tree(g.pants_graph, g.frontier_pants, d, None, 2)
 
 

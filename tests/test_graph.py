@@ -100,8 +100,7 @@ def test_routines_match_networkx_on_models():
         for depth in range(1, 13):
             g = build_truncation(model, depth)
             _check_routines(g.pants_graph, rng)
-            _check_routines(g.adjacency_lists, rng)
-            assert adjacency_graph(g).adjacency_lists == g.adjacency_lists
+            _check_routines(adjacency_graph(g).adjacency_lists, rng)
 
 
 def test_routines_do_not_recurse_on_a_long_path():

@@ -51,7 +51,8 @@ def test_adjacency_graph_of_small_chain():
 def test_adjacency_graph_shares_the_cached_lists():
     for model in InfiniteModel:
         g = build_truncation(model, 3)
-        assert adjacency_graph(g).adjacency_lists is g.adjacency_lists
+        assert adjacency_graph(g) is g.adjacency_graph
+        assert g.adjacency_graph.adjacency_lists == _reference_lists(g)
 
 
 def test_adjacency_graph_is_built_once_per_graph():
@@ -226,7 +227,7 @@ def test_degree_bounds_hold():
     rng = random.Random(3)
     graphs += [random_gluing_graph(rng.randint(2, 20), rng) for _ in range(10)]
     for g in graphs:
-        lists = g.adjacency_lists
+        lists = g.adjacency_graph.adjacency_lists
         assert all(len(nbrs) <= 4 for nbrs in lists.values())
         outer = [cid for cid, cls in classify_all(g).items() if cls is O]
         assert all(len(lists[cid]) <= 2 for cid in outer)
@@ -279,9 +280,35 @@ def _reference_marks(g):
     the frontier pants."""
     return tuple(
         v
-        for v in sorted(g.adjacency_lists)
+        for v in sorted(_reference_lists(g))
         if any(p in g.frontier_pants for p in g.pants_of_curve(v))
     )
+
+
+def _reference_lists(g):
+    """A(P) curve by curve: the other ordinary curves on the pants of
+    each ordinary curve."""
+    ordinary = {c.id for c in g.curves if not c.is_frontier}
+    return {
+        u: sorted({v for p in g.pants_of_curve(u) for v in g.curves_at[p] if v in ordinary} - {u})
+        for u in sorted(ordinary)
+    }
+
+
+def _reference_handles(g):
+    """The curves with both ends on one pants, sorted."""
+    return tuple(sorted(
+        c.id for c in g.curves if len(c.ends) == 2 and c.ends[0].pants == c.ends[1].pants
+    ))
+
+
+def _check_lists_and_handles(g):
+    """The kept A(P) is the one :func:`adjacency_graph` returns, its lists
+    match the reference, and :attr:`GluingGraph.handles` lists the
+    self-gluings in id order."""
+    assert adjacency_graph(g) is g.adjacency_graph
+    assert g.adjacency_graph.adjacency_lists == _reference_lists(g)
+    assert g.handles == _reference_handles(g)
 
 
 def _with_frontier(g, rng):
@@ -308,6 +335,22 @@ def test_marks_match_the_reference_on_random_graphs(n_pants, seed):
     for g in (random_gluing_graph(n_pants, rng), _with_frontier(random_gluing_graph(n_pants, rng), rng)):
         assert validate(g) == ()
         assert adjacency_graph(g).marks == _reference_marks(g)
+
+
+def test_lists_and_handles_match_the_reference_on_models_and_census():
+    graphs = [build_truncation(m, d) for m in InfiniteModel for d in range(1, 9)]
+    graphs += [build_finite_surface(genus, b) for genus, b in CENSUS]
+    for g in graphs:
+        _check_lists_and_handles(g)
+    assert all(g.handles for g in graphs[:24]) and not build_finite_surface(0, 4).handles
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_lists_and_handles_match_the_reference_on_random_graphs(n_pants, seed):
+    rng = random.Random(seed)
+    for g in (random_gluing_graph(n_pants, rng), _with_frontier(random_gluing_graph(n_pants, rng), rng)):
+        _check_lists_and_handles(g)
 
 
 def test_random_graphs_are_valid_and_deterministic():
