@@ -131,8 +131,10 @@ def local_graph(g, inventory, mode):
     through the intersection table, found from an index of the vertices
     on each pants; the runs of later vertices in between are edges in
     modes "c" and "n" and nothing in mode "g".  The cost is Python work
-    per pair whose supports meet plus the output, besides one separation
-    search per sphere window curve in modes "n" and "g".
+    per pair whose supports meet plus the output, besides at most one
+    separation search per sphere window and slope parity class in modes
+    "n" and "g", kept on the graph (see
+    :func:`~curvelab.curves.window_curve_separates`).
     """
     if mode not in _RELATIONS:
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
@@ -205,7 +207,10 @@ def schmutz_path(g, h1, h2):
     Every consecutive pair intersects exactly once by the dual-chain rules.
     The third handle is the smallest handle curve distinct from both
     endpoints; :class:`NoRoom` when none exists or no connecting chain path
-    exists in the adjacency graph.
+    exists in the adjacency graph.  Each leg, from an endpoint to the third
+    handle or back, is searched once per graph and kept in
+    :attr:`~curvelab.surface.AdjacencyGraph.legs`, so a repeated leg costs
+    a lookup.
     """
     for h in (h1, h2):
         if not isinstance(h, PantsCurve):
@@ -217,10 +222,12 @@ def schmutz_path(g, h1, h2):
     third = next((h for h in g.handles if h not in (h1.id, h2.id)), None)
     if third is None:
         raise NoRoom("no third handle curve available; deepen the truncation")
-    adj = g.adjacency_graph.adjacency_lists
+    ag = g.adjacency_graph
     legs = []
     for a, b in ((h1.id, third), (third, h2.id)):
-        chain = _dual_chain(path_to(bfs_parents(adj, a, (b,)), b))
+        if (a, b) not in ag.legs:
+            ag.legs[a, b] = _dual_chain(path_to(bfs_parents(ag.adjacency_lists, a, (b,)), b))
+        chain = ag.legs[a, b]
         if chain is None:
             raise NoRoom(f"no chain path from {a!r} to {b!r} in the adjacency graph")
         legs.append(chain)

@@ -580,18 +580,39 @@ _CUFF_PAIRINGS = {
 def window_curve_separates(g, w, s):
     """Whether the window curve with slope ``s`` separates the whole surface.
 
+    ``w`` must be the window of ``g`` at ``w.center``, the one kept on the
+    record of the center's dual curve (see :func:`_resolve`); any other
+    window, a detached one or one of another graph, raises
+    :class:`UnknownCurve`, as does a center that spans no window.
+
     Torus window curves never separate.  A sphere window curve splits the
     window's four cuffs two against two according to the slope's parity
     class; it separates the surface exactly when no path outside the window
-    reconnects the two cuff groups.  Cuffs on surface boundary or frontier
-    reconnect nothing.  The paths are searched in the cached
-    :attr:`GluingGraph.pants_graph` with the window's pants left out, from
-    one group's far pants until the other group's is reached.
+    reconnects the two cuff groups.  The answer depends on the slope only
+    through its parity class, so it is kept in
+    :attr:`GluingGraph.window_sides` on the first ask of each class: each
+    window is searched at most once per class per graph.
     """
+    if _resolve(g, WindowCurve(w.center, _DUAL)).found != w:
+        raise UnknownCurve(f"the {w.kind} window at {w.center!r} does not belong to this graph")
     if w.kind == "torus":
         return False
+    key = (w.center, s.p % 2, s.q % 2)
+    sides = g.window_sides
+    answer = sides.get(key)
+    if answer is None:
+        answer = sides[key] = _groups_apart(g, w, _CUFF_PAIRINGS[key[1:]])
+    return answer
+
+
+def _groups_apart(g, w, groups):
+    """Whether no path outside the sphere window ``w`` joins its two cuff
+    groups.  Cuffs on surface boundary or frontier reconnect nothing.  The
+    paths are searched in the cached :attr:`GluingGraph.pants_graph` with
+    the window's pants left out, from one group's far pants until the
+    other group's is reached."""
     sides = []
-    for group in _CUFF_PAIRINGS[(s.p % 2, s.q % 2)]:
+    for group in groups:
         far = set()
         for k in group:
             slot = w.cuff_slots[k]

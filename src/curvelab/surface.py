@@ -204,6 +204,15 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
         return {}
 
     @cached_property
+    def window_sides(self):
+        """``(center, p % 2, q % 2)`` -> whether the sphere window curves of
+        that center and slope parity class separate the surface, written
+        only by :func:`curvelab.curves.window_curve_separates` on the first
+        ask of the class.  Like :attr:`ref_table` it grows with the distinct
+        windows and classes asked, at most three entries per window."""
+        return {}
+
+    @cached_property
     def handles(self):
         """Ids of the self-gluing curves, the handle curves, in id order."""
         return tuple(c.id for c in self.curves if c.is_self_gluing)
@@ -233,7 +242,8 @@ class AdjacencyGraph(namedtuple("AdjacencyGraph", "adjacency_lists marks")):
     shared by every caller, so do not mutate it; ``marks`` are the sorted
     tuple of the vertices lying on a pants that touches the frontier.  A
     namedtuple, equal to the pair ``(adjacency_lists, marks)``; it keeps a
-    ``__dict__`` for its cached ``vertices``, ``edges`` and ``end_trees``.
+    ``__dict__`` for its cached ``vertices``, ``edges``, ``end_trees`` and
+    ``legs``.
     A gluing graph builds its one A(P) on first use and keeps it as
     :attr:`GluingGraph.adjacency_graph`, so these tables are built once
     per graph.
@@ -255,6 +265,15 @@ class AdjacencyGraph(namedtuple("AdjacencyGraph", "adjacency_lists marks")):
         """``(depth, base, stride)`` -> the end tree of this graph for that
         query, written only by :func:`curvelab.ends.end_tree` on the
         query's first call.  A refused query is never stored."""
+        return {}
+
+    @cached_property
+    def legs(self):
+        """``(start handle, goal handle)`` -> the dual chain along the
+        breadth-first path between them, or None when no path joins them,
+        written only by :func:`curvelab.complexes.schmutz_path` on the
+        leg's first ask.  It grows with the distinct legs asked, not with
+        the paths."""
         return {}
 
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from curvelab import complexes, curves
 from curvelab import (
+    Curve,
     CurveClass,
     CurveLabError,
     DualChain,
+    GluingGraph,
     InfiniteModel,
     NoRoom,
     PantsCurve,
@@ -811,3 +813,183 @@ def test_local_graph_matches_the_reference_across_disjoint_runs():
             want = _reference_local_graph(g, inventory, mode, {})
             assert (lg.vertices, lg.edges, lg.undefined_pairs) == want, (order, mode)
         rng.shuffle(inventory)
+
+
+# ---------------------------------------------------------------------------
+# the tables a graph keeps for paths and separation
+
+
+def _handle_refs(g):
+    return [PantsCurve(c.id) for c in g.curves if c.is_self_gluing]
+
+
+def _check_every_leg(g, rng, sample=None):
+    """``schmutz_path`` against the reference on every ordered handle pair
+    (or a seeded sample of ``sample`` of them), first on the fresh graph
+    and again, in another order, on the warm one."""
+    handles = _handle_refs(g)
+    pairs = [(a, b) for a in handles for b in handles]
+    if sample is not None and len(pairs) > sample:
+        pairs = rng.sample(pairs, sample)
+    adj = _reference_adjacency(g)
+    want = {pair: _outcome(_reference_schmutz_path, g, adj, *pair) for pair in pairs}
+    assert "legs" not in g.adjacency_graph.__dict__
+    for _ in ("fresh", "warm"):
+        rng.shuffle(pairs)
+        for pair in pairs:
+            assert _outcome(schmutz_path, g, *pair) == want[pair], pair
+
+
+LEG_CENSUS = [(genus, b) for genus in range(4) for b in range(5) if 3 * genus - 3 + b >= 1]
+
+
+def test_every_leg_matches_the_reference_on_models_and_census():
+    # Cantor trees of depth 7 and 8 have 127 and 255 handles, and the
+    # reference searches twice per pair, so they check a sample of pairs
+    rng = random.Random("legs")
+    for model in InfiniteModel:
+        for depth in range(1, 9):
+            sample = 600 if model is InfiniteModel.CANTOR_TREE and depth > 6 else None
+            _check_every_leg(build_truncation(model, depth), rng, sample)
+    for genus, b in LEG_CENSUS:
+        _check_every_leg(build_finite_surface(genus, b), rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_every_leg_matches_the_reference_on_random_graphs(n_pants, seed):
+    rng = random.Random(seed)
+    _check_every_leg(random_gluing_graph(n_pants, rng), rng)
+
+
+def _counting_search(monkeypatch):
+    """Record (start, goals) of every breadth-first search of complexes."""
+    search = complexes.bfs_parents
+    searched = []
+
+    def counting(adj, start, goals):
+        searched.append((start, tuple(goals)))
+        return search(adj, start, goals)
+
+    monkeypatch.setattr(complexes, "bfs_parents", counting)
+    return searched
+
+
+def _legs_asked(handles, pairs):
+    """The legs the paths between ``pairs`` of distinct handle ids ask
+    for, by the definition: from the first handle to the smallest handle
+    outside the pair, and from there to the second."""
+    legs = set()
+    for a, b in pairs:
+        third = next(h for h in handles if h not in (a, b))
+        legs.update({(a, third), (third, b)})
+    return legs
+
+
+def test_each_leg_is_searched_once_per_graph(monkeypatch):
+    searched = _counting_search(monkeypatch)
+    runs = []
+    for _ in range(2):
+        g = build_truncation("loch_ness", 10)
+        handles = [c.id for c in g.curves if c.is_self_gluing]
+        pairs = [(a, b) for a in handles for b in handles if a != b]
+        searched.clear()
+        for _ in range(3):
+            for a, b in pairs:
+                schmutz_path(g, PantsCurve(a), PantsCurve(b))
+        legs = _legs_asked(handles, pairs)
+        assert sorted(searched) == sorted((a, (b,)) for a, b in legs)
+        assert set(g.adjacency_graph.legs) == legs
+        runs.append(sorted(searched))
+    # a new graph keeps its own table and searches again
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 34
+
+
+def test_a_missing_leg_is_kept_and_refused_alike(monkeypatch):
+    # a handle block apart from the rest: the leg from h0 has no path
+    searched = _counting_search(monkeypatch)
+    g = GluingGraph(
+        ("hp0", "hp1", "hp2"),
+        [
+            Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2))),
+            Curve("h1", (PantsSlot("hp1", 1), PantsSlot("hp1", 2))),
+            Curve("h2", (PantsSlot("hp2", 1), PantsSlot("hp2", 2))),
+            Curve("c", (PantsSlot("hp1", 0), PantsSlot("hp2", 0))),
+        ],
+        [PantsSlot("hp0", 0)],
+    )
+    details = []
+    for _ in range(2):
+        with pytest.raises(NoRoom) as exc:
+            schmutz_path(g, PantsCurve("h0"), PantsCurve("h2"))
+        details.append(str(exc.value))
+    assert details == ["no chain path from 'h0' to 'h1' in the adjacency graph"] * 2
+    assert g.adjacency_graph.legs == {("h0", "h1"): None}
+    assert searched == [("h0", ("h1",))]
+
+
+def _sphere_windows(g):
+    """The reference window of every curve of ``g`` spanning a sphere
+    window."""
+    windows = []
+    for c in g.curves:
+        outcome = _outcome(_reference_window, g, c.id)
+        if outcome[0] == "ok" and outcome[1].kind == "sphere":
+            windows.append(outcome[1])
+    return windows
+
+
+def _check_window_sides(g):
+    """Every slope of every sphere window of ``g``, asked twice, against
+    the reference; the answers of one parity class agree."""
+    outside = {}
+    slopes = slopes_up_to(5)
+    for w in _sphere_windows(g):
+        by_class = {}
+        for s in slopes:
+            want = _reference_separates(g, w, s, outside)
+            assert window_curve_separates(g, w, s) == want, (w.center, s)
+            assert window_curve_separates(g, w, s) == want, (w.center, s)
+            by_class.setdefault((s.p % 2, s.q % 2), set()).add(want)
+        assert all(len(answers) == 1 for answers in by_class.values()), w.center
+    assert len(g.window_sides) == 3 * len(_sphere_windows(g))
+
+
+def test_window_sides_match_the_reference_on_models_and_census():
+    for model in InfiniteModel:
+        for depth in range(1, 9 if model is InfiniteModel.CANTOR_TREE else 13):
+            _check_window_sides(build_truncation(model, depth))
+    for genus, b in CENSUS:
+        _check_window_sides(build_finite_surface(genus, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_window_sides_match_the_reference_on_random_graphs(n_pants, seed):
+    _check_window_sides(random_gluing_graph(n_pants, random.Random(seed)))
+
+
+def test_each_window_class_is_searched_once_per_graph(monkeypatch):
+    search = curves._groups_apart
+    searched = []
+
+    def counting(g, w, groups):
+        searched.append((w.center, groups))
+        return search(g, w, groups)
+
+    monkeypatch.setattr(curves, "_groups_apart", counting)
+    runs = []
+    for _ in range(2):
+        g = build_truncation("loch_ness", 10)
+        inventory = curve_inventory(g, 3)
+        searched.clear()
+        for mode in "ngng":
+            local_graph(g, inventory, mode)
+        for w in _sphere_windows(g):
+            for s in slopes_up_to(5):
+                window_curve_separates(g, w, s)
+        # 8 sphere windows, three parity classes each
+        assert len(searched) == len(set(searched)) == len(g.window_sides) == 24
+        runs.append(searched[:])
+    assert runs[0] == runs[1]

@@ -45,6 +45,7 @@ from curvelab import (
     slopes_up_to,
     triple_completion,
     twist,
+    validate,
     window_around,
     window_curve_separates,
     window_intersection,
@@ -732,8 +733,6 @@ RING = GluingGraph(
 def test_sphere_window_curves_around_a_handle():
     # A-B-C form a ring, so the window at x has two cuffs leading to the
     # same exterior piece; curves pairing them across do not separate
-    from curvelab import validate
-
     assert validate(RING) == ()
     w = window_around(RING, "x")
     assert not window_curve_separates(RING, w, make_slope(0, 1))
@@ -742,3 +741,44 @@ def test_sphere_window_curves_around_a_handle():
     # parity is all that matters
     assert not window_curve_separates(RING, w, make_slope(3, 5))
     assert window_curve_separates(RING, w, make_slope(3, 2))
+
+
+def test_window_curve_separates_refuses_a_window_of_no_graph():
+    g = build_truncation("loch_ness", 4)
+    for kind in ("sphere", "torus"):
+        with pytest.raises(UnknownCurve, match="no curve 'window'"):
+            window_curve_separates(g, abstract_window(kind), make_slope(1, 1))
+
+
+def test_window_curve_separates_refuses_a_window_of_another_graph():
+    small = build_truncation("loch_ness", 4)
+    big = build_truncation("loch_ness", 8)
+    # Loch Ness 4 has no c6 at all, and c4 only as a frontier curve
+    for center in ("c6", "c4"):
+        with pytest.raises(UnknownCurve, match=f"'{center}'"):
+            window_curve_separates(small, window_around(big, center), make_slope(1, 1))
+    # a center both graphs have, spanning another window in each
+    turned = GluingGraph(
+        RING.pants,
+        [
+            Curve("x", (PantsSlot("A", 1), PantsSlot("B", 0))),
+            Curve("u", (PantsSlot("A", 0), PantsSlot("C", 0))),
+            Curve("v", (PantsSlot("B", 1), PantsSlot("C", 1))),
+        ],
+        RING.boundary,
+    )
+    assert validate(turned) == ()
+    for w, g in ((window_around(RING, "x"), turned), (window_around(turned, "x"), RING)):
+        with pytest.raises(UnknownCurve, match="window at 'x' does not belong to this graph"):
+            window_curve_separates(g, w, make_slope(1, 0))
+    # a one-holed torus whose handle h1 keeps its cuff on slot 2, not 0
+    torus = GluingGraph(
+        ["hp1"], [Curve("h1", (PantsSlot("hp1", 0), PantsSlot("hp1", 1)))], [PantsSlot("hp1", 2)]
+    )
+    with pytest.raises(UnknownCurve, match="torus window at 'h1' does not belong"):
+        window_curve_separates(torus, window_around(small, "h1"), make_slope(1, 0))
+    # the same window built again, of an equal graph, is this graph's own
+    again = build_truncation("loch_ness", 4)
+    for center in ("c2", "h1"):
+        w = window_around(again, center)
+        assert window_curve_separates(small, w, make_slope(1, 1)) == (center == "c2")
