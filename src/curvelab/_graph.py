@@ -7,8 +7,6 @@ Python; all searches are iterative, since a truncation can be a path far
 longer than the recursion limit.
 """
 
-from __future__ import annotations
-
 from collections import deque
 
 

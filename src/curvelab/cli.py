@@ -17,8 +17,6 @@ it calls, and :func:`main` adds the arguments of the called subcommand
 only.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

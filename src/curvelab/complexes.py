@@ -15,8 +15,6 @@ length-4 path in the unit-intersection graph threaded through a third
 handle by dual chains.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import repeat

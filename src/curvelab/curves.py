@@ -16,8 +16,6 @@ package needs and returns None for pairs outside its table.  None means
 undefined, not zero; callers must branch on it.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property
@@ -333,18 +331,28 @@ class WindowCurve(namedtuple("WindowCurve", "center slope")):
 
     Slope (0, 1) is the center itself and must be referenced as a
     PantsCurve instead.
+
+    Not slotted: its ``__dict__`` keeps the text :func:`format_ref` wrote
+    for it, so a curve on many edges is formatted once.  The text is a
+    cache, not state: copies and pickles carry none (``__getstate__``
+    returns None), and equality, hash, repr and ``_asdict()`` ignore it.
     """
 
-    __slots__ = ()
+    def __getstate__(self):
+        return None
 
 
 class DualChain(namedtuple("DualChain", "handle_a handle_b interior")):
     """A curve crossing each of two handles once and each interior path
     curve twice.  Stored with endpoints in sorted order (the interior
     reversed with them) so equal chains compare equal; equal to the
-    triple ``(handle_a, handle_b, interior)``."""
+    triple ``(handle_a, handle_b, interior)``.
 
-    __slots__ = ()
+    Like :class:`WindowCurve`, it keeps its :func:`format_ref` text in its
+    ``__dict__``, and copies and pickles carry none."""
+
+    def __getstate__(self):
+        return None
 
     def __new__(cls, handle_a, handle_b, interior):
         if handle_b < handle_a:
@@ -392,15 +400,29 @@ def parse_refs(text):
 
 def format_ref(ref):
     """The text :func:`parse_ref` reads back as ``ref``.  Raises TypeError
-    for anything but the three reference types."""
+    for anything but the three reference types.
+
+    The text of a window curve or a dual chain is kept in the reference's
+    ``__dict__`` on its first format and returned on later ones: a graph
+    document writes each vertex once per edge it is on.  A pants curve is
+    formatted afresh each time: its text costs little more than the
+    lookup, and keeping it would slow the first format of the many fresh
+    pants references that the witness and path searches build.
+    """
     kind = type(ref)
-    if kind is WindowCurve:
-        s = ref.slope
-        return f"win:{ref.center}:{s.p}/{s.q}"
+    if kind is WindowCurve or kind is DualChain:
+        kept = ref.__dict__
+        text = kept.get("text")
+        if text is None:
+            if kind is WindowCurve:
+                s = ref.slope
+                text = f"win:{ref.center}:{s.p}/{s.q}"
+            else:
+                text = f"chain:{ref.handle_a}:{ref.handle_b}:{','.join(ref.interior)}"
+            kept["text"] = text
+        return text
     if kind is PantsCurve:
         return f"pants:{ref.id}"
-    if kind is DualChain:
-        return f"chain:{ref.handle_a}:{ref.handle_b}:{','.join(ref.interior)}"
     raise TypeError(f"not a curve reference: {ref!r}")
 
 

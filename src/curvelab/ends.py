@@ -53,8 +53,6 @@ Each tree is searched once per query: the graph searched keeps it under
 immutable, so sharing one is safe.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property

@@ -13,8 +13,6 @@ curves, and the two surfaces can fail to be homeomorphic, which the end
 invariants detect.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 

@@ -13,8 +13,6 @@ exactly the cut vertices, which is what makes A(P) useful: separation
 properties of curves become pure graph theory.
 """
 
-from __future__ import annotations
-
 import enum
 
 from ._graph import lowpoints

@@ -15,8 +15,6 @@ under the same identifier, so the depth-d graph is an induced subgraph of the
 depth-(d+1) graph.
 """
 
-from __future__ import annotations
-
 import enum
 import json
 from collections import Counter, namedtuple

@@ -14,8 +14,6 @@ the pairs through ``a`` and, for each, the search the closed form is
 compared with.
 """
 
-from __future__ import annotations
-
 import random
 from bisect import bisect_right
 

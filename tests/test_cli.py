@@ -239,8 +239,10 @@ def test_cli_import_does_not_load_numpy_or_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
-# each costs milliseconds of import on every call; dataclasses also loads inspect
-_HEAVY = {"dataclasses", "inspect", "typing"}
+# each costs milliseconds of import on every call; dataclasses also loads
+# inspect; __future__ is loaded by a module that imports from it, and no
+# module has an annotation to postpone
+_HEAVY = {"__future__", "dataclasses", "inspect", "typing"}
 
 
 def _loaded_submodules(code, *argv):

@@ -7,7 +7,9 @@ two-crossing neighbor sets are compared against an exhaustive search of
 the coordinate box.
 """
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -616,6 +618,56 @@ def test_parse_rejects_center_slope():
 def test_chain_reference_normalizes_orientation():
     assert DualChain("h1", "h0", ("t1", "c1")) == DualChain("h0", "h1", ("c1", "t1"))
     assert format_ref(DualChain("h1", "h0", ("t1", "c1"))) == "chain:h0:h1:c1,t1"
+
+
+def _written_text(ref):
+    """The text of a window curve or dual chain as the f-strings of
+    format_ref write it, with no kept text to read."""
+    if isinstance(ref, WindowCurve):
+        return f"win:{ref.center}:{ref.slope.p}/{ref.slope.q}"
+    return f"chain:{ref.handle_a}:{ref.handle_b}:{','.join(ref.interior)}"
+
+
+# window curves over make_slope pairs (negative p and 1/0 among them), and
+# chains with random interiors whose endpoints come in either order
+_KEPT_REFS = st.one_of(
+    st.builds(WindowCurve, _IDS, _REF_SLOPES),
+    st.builds(DualChain, _IDS, _IDS, st.lists(_IDS, max_size=4).map(tuple)),
+)
+
+
+@given(_KEPT_REFS, _KEPT_REFS)
+@example(WindowCurve("h0", Slope(1, 0)), WindowCurve("c2", Slope(-3, 2)))
+@example(DualChain("h1", "h0", ("t1", "c1")), DualChain("h0", "h1", ()))
+def test_format_ref_keeps_the_text_on_the_reference(ref, other):
+    want = _written_text(ref)
+    for _ in range(2):
+        assert format_ref(ref) == want
+        assert format_ref(other) == _written_text(other)
+    assert parse_ref(want) == ref
+    for copied in (copy.copy(ref), copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+        assert copied == ref
+        assert format_ref(copied) == want
+    assert format_ref(ref._replace()) == want
+    moved = ref._replace(**{ref._fields[0]: ref[0] + "x"})
+    assert format_ref(moved) == _written_text(moved)
+
+
+@given(_KEPT_REFS)
+def test_the_kept_text_is_no_part_of_the_value(ref):
+    fresh = type(ref)(*ref)
+    format_ref(ref)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(ref, protocol) == pickle.dumps(fresh, protocol)
+    assert (ref, hash(ref), repr(ref), ref._asdict()) == (
+        fresh, hash(fresh), repr(fresh), fresh._asdict()
+    )
+
+
+def test_pants_curves_keep_no_text():
+    ref = PantsCurve("h0")
+    assert format_ref(ref) == "pants:h0"
+    assert not hasattr(ref, "__dict__")
 
 
 def test_resolve_ref_checks_the_surface():

@@ -5,7 +5,9 @@ sha256 of everything it printed, and its exit code, with the digest in
 :data:`PROBES`.  The set covers every subcommand, the error documents of
 ``classify``, ``intersect`` and ``triple``, and all seven ``verify`` suites
 at their defaults.  Its inputs are written by ``gen`` into a temporary
-directory (``{d}`` in a probe), so no output names a path.
+directory (``{d}`` in a probe), so no output names a path; beside them
+goes the standard inventory of the Loch Ness depth 4 truncation at slope
+bound 3 (106 curves), whose graphs write each curve on many edges.
 
 A change meant to keep the outputs must leave every digest as it is.  A
 change meant to alter an output replaces that digest and says why.
@@ -15,6 +17,7 @@ import hashlib
 import io
 from contextlib import redirect_stdout
 
+from curvelab import build_truncation, curve_inventory, format_ref
 from curvelab.cli import main
 
 INPUTS = {
@@ -23,6 +26,9 @@ INPUTS = {
     "ct3.json": "gen --model cantor_tree --depth 3",
     "s21.json": "gen --genus 2 --boundary 1",
 }
+
+# file name -> (model, depth, slope bound) of a curve_inventory list
+INVENTORIES = {"l4inv.txt": ("loch_ness", 4, 3)}
 
 # (argv, exit code, sha256 of stdout)
 PROBES = [
@@ -154,6 +160,13 @@ PROBES = [
      "1e6ba551e6d39988e4fdb35f0be198a3e140979d7b30ed77b3e87be8ea2c9ba4"),
     ("counterexample --trunc-depth 8 --alpha c3 --samples 30", 0,
      "e134d015d139baf8982005642995fd5340cf0ac8ba105a6dd6779331bde4663e"),
+    # 4,230, 1,729 and 128 edges
+    ("graph --in {d}/l4.json --inventory @{d}/l4inv.txt --mode c", 0,
+     "ffb8836f8d7e07b3e3bf6984d55fcc93c8cdaf3fb29a61d92e5d269fb22babcc"),
+    ("graph --in {d}/l4.json --inventory @{d}/l4inv.txt --mode n", 0,
+     "aa74dd57712caacd5ff2fb45aa4935bb5ad8e5530a545a4aae10d0224e662a8b"),
+    ("graph --in {d}/l4.json --inventory @{d}/l4inv.txt --mode g", 0,
+     "a540bcb22a08fd58374c629e2c9c2f9de86826f68307a339ed7b3307653e49a4"),
 ]
 
 
@@ -168,6 +181,9 @@ def test_cli_output_matches_the_pinned_digests(tmp_path):
     for name, argv in INPUTS.items():
         code, _ = run(argv.split() + ["--out", str(tmp_path / name)])
         assert code == 0, argv
+    for name, (model, depth, bound) in INVENTORIES.items():
+        refs = curve_inventory(build_truncation(model, depth), bound)
+        (tmp_path / name).write_text(",".join(map(format_ref, refs)))
     mismatched = []
     for argv, want_code, want in PROBES:
         code, out = run(argv.format(d=tmp_path).split())
