@@ -29,7 +29,6 @@ from .errors import (
     WrongIntersection,
     ZeroSlope,
 )
-from .surface import PantsSlot
 
 
 class Slope:
@@ -189,6 +188,8 @@ def window_around(g, center_id):
     dual curve (see :func:`_resolve`), which
     :func:`~curvelab.complexes.curve_inventory` looks up to find centers.
     """
+    from .surface import PantsSlot  # here, so that slope-only calls skip loading surface
+
     c = g.ordinary_curve(center_id)
     if c.is_self_gluing:
         p = c.ends[0].pants

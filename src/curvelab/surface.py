@@ -19,12 +19,13 @@ import enum
 import json
 from collections import Counter, namedtuple
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from ._graph import lowpoints, neighbour_lists
 from .errors import ComplexityTooLow, FormatError, NonIntegralGenus, UnknownCurve
 
 SLOTS_PER_PANTS = 3
+_SLOT_INDICES = frozenset(range(SLOTS_PER_PANTS))
 
 
 class PantsSlot(namedtuple("PantsSlot", "pants slot")):
@@ -34,9 +35,6 @@ class PantsSlot(namedtuple("PantsSlot", "pants slot")):
     and a slot equals the plain tuple of its fields."""
 
     __slots__ = ()
-
-    def as_pair(self):
-        return [self.pants, self.slot]
 
 
 class Curve(namedtuple("Curve", "id ends")):
@@ -225,9 +223,12 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
         adj = {c.id: set() for c in self.curves if not c.is_frontier}
         at = self.curves_at
         for ids in at.values():
-            here = [cid for cid in ids if cid in adj]
-            for u in here:
-                adj[u].update(v for v in here if v != u)
+            if len(ids) > 1:
+                here = [cid for cid in ids if cid in adj]
+                for u in here:
+                    adj[u].update(here)
+        for u, nbrs in adj.items():
+            nbrs.discard(u)
         marks = sorted({v for p in self.frontier_pants for v in at.get(p, ()) if v in adj})
         return AdjacencyGraph({v: sorted(nbrs) for v, nbrs in adj.items()}, tuple(marks))
 
@@ -351,18 +352,25 @@ def _duplicate_ids(pants, curve_ids):
         seen.add(cid)
 
 
-def _unreferable(cid):
-    """What is wrong with a curve id that curve references cannot carry,
-    one that is not a string, is empty or holds ``:`` or ``,``; None for
-    any other id."""
-    if type(cid) is not str:
-        return f"curve id {cid!r} is not a string"
-    if not cid or ":" in cid or "," in cid:
-        return (
-            f"curve id {cid!r} cannot appear in a curve reference: "
-            "it is empty or holds ':' or ','"
-        )
-    return None
+def _unreferable(curve_ids):
+    """What is wrong with each curve id that curve references cannot
+    carry, one that is not a string, is empty or holds ``:`` or ``,``, in
+    list order; empty when every id can be carried.  A list of such ids is
+    recognised without a Python-level step per id."""
+    if set(map(type, curve_ids)) <= {str} and all(curve_ids):
+        text = "".join(curve_ids)
+        if ":" not in text and "," not in text:
+            return []
+    problems = []
+    for cid in curve_ids:
+        if type(cid) is not str:
+            problems.append(f"curve id {cid!r} is not a string")
+        elif not cid or ":" in cid or "," in cid:
+            problems.append(
+                f"curve id {cid!r} cannot appear in a curve reference: "
+                "it is empty or holds ':' or ','"
+            )
+    return problems
 
 
 def validate(g):
@@ -376,56 +384,70 @@ def validate(g):
     """
     curve_ids = [c.id for c in g.curves]
     violations = [Violation("DuplicateId", d) for d in _duplicate_ids(g.pants, curve_ids)]
-    violations += [Violation("InvalidId", d) for d in map(_unreferable, curve_ids) if d]
+    violations += [Violation("InvalidId", d) for d in _unreferable(curve_ids)]
 
     pants_set = set(g.pants)
-    usage = {}  # (pants, slot) -> the curves using it, None for a boundary mark
+    first = {}  # (pants, slot) -> its first user, None for a boundary mark
+    reused = {}  # (pants, slot) -> every user, for a slot used more than once
 
     def what(user):
         return "boundary mark" if user is None else f"curve {user.id!r}"
 
-    def use(slot, user):
+    def unusable(slot, user):
+        """The violation of a slot on an unknown pants or, failing that,
+        with an index out of range."""
         if slot.pants not in pants_set:
-            violations.append(
-                Violation(
-                    "SlotCountError", f"{what(user)} references unknown pants {slot.pants!r}"
-                )
+            return Violation(
+                "SlotCountError", f"{what(user)} references unknown pants {slot.pants!r}"
             )
-            return
-        if not 0 <= slot.slot < SLOTS_PER_PANTS:
-            violations.append(
-                Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot}")
-            )
-            return
-        usage.setdefault(slot, []).append(user)
+        return Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot}")
 
     for c in g.curves:
-        if len(c.ends) not in (1, 2):
-            violations.append(
-                Violation("SlotCountError", f"curve {c.id!r} has {len(c.ends)} ends")
-            )
-        for end in c.ends:
-            use(end, c)
-        if len(c.ends) == 2 and c.ends[0] == c.ends[1]:
+        ends = c.ends
+        if len(ends) not in (1, 2):
+            violations.append(Violation("SlotCountError", f"curve {c.id!r} has {len(ends)} ends"))
+        for end in ends:
+            if end.pants in pants_set and 0 <= end.slot < SLOTS_PER_PANTS:
+                if end in first:
+                    reused.setdefault(end, [first[end]]).append(c)
+                else:
+                    first[end] = c
+            else:
+                violations.append(unusable(end, c))
+        if len(ends) == 2 and ends[0] == ends[1]:
             violations.append(
                 Violation("SlotCountError", f"curve {c.id!r} glues a slot to itself")
             )
     for slot in g.boundary:
-        use(slot, None)
+        if slot.pants in pants_set and 0 <= slot.slot < SLOTS_PER_PANTS:
+            if slot in first:
+                reused.setdefault(slot, [first[slot]]).append(None)
+            else:
+                first[slot] = None
+        else:
+            violations.append(unusable(slot, None))
 
-    for p in g.pants:
-        for k in range(SLOTS_PER_PANTS):
-            users = usage.get((p, k), [])
-            if len(users) == 0:
-                violations.append(Violation("SlotCountError", f"slot ({p!r}, {k}) is unused"))
-            elif len(users) > 1:
-                violations.append(
-                    Violation(
-                        "SlotCountError",
-                        f"slot ({p!r}, {k}) used {len(users)} times: "
-                        + ", ".join(map(what, users)),
+    # when every slot of every distinct pants is used exactly once there is
+    # nothing to report; an index such as 0.5 passes the range test but
+    # fills no slot, so the count proves it only when no such index is used
+    if (
+        reused
+        or len(first) != SLOTS_PER_PANTS * len(pants_set)
+        or not set(map(itemgetter(1), first)) <= _SLOT_INDICES
+    ):
+        for p in g.pants:
+            for k in range(SLOTS_PER_PANTS):
+                users = reused.get((p, k))
+                if users:
+                    violations.append(
+                        Violation(
+                            "SlotCountError",
+                            f"slot ({p!r}, {k}) used {len(users)} times: "
+                            + ", ".join(map(what, users)),
+                        )
                     )
-                )
+                elif (p, k) not in first:
+                    violations.append(Violation("SlotCountError", f"slot ({p!r}, {k}) is unused"))
 
     if len(g.pants) > 1:
         h = g.pants_graph
@@ -609,16 +631,15 @@ def surface_to_json(g):
     """Plain-dict form of a gluing graph, with deterministic ordering."""
     return {
         "pants": list(g.pants),
-        "curves": [
-            {"id": c.id, "ends": [end.as_pair() for end in c.ends]} for c in g.curves
-        ],
-        "boundary": [s.as_pair() for s in g.boundary],
+        "curves": [{"id": c.id, "ends": list(map(list, c.ends))} for c in g.curves],
+        "boundary": list(map(list, g.boundary)),
         "frontier": list(g.frontier),
     }
 
 
 # ``what.format(*args)`` names the checked value in the error, formatted
-# only when raising.
+# only when raising.  The reader tests each value inline and calls these
+# only on one that fails, so that each message has one home.
 
 
 def _array(value, what, *args):
@@ -635,6 +656,15 @@ def _string(value, what, *args):
     return value
 
 
+def _strings(values, what):
+    """``values`` if each is a JSON string, else the error of the first
+    that is not."""
+    if not set(map(type, values)) <= {str}:
+        for value in values:
+            _string(value, what)
+    return values
+
+
 def _slot(pair, what, *args):
     p, k = pair
     if type(k) is not int:
@@ -644,6 +674,14 @@ def _slot(pair, what, *args):
     if type(p) is not str:
         raise FormatError(f"pants of {what.format(*args)} is not a JSON string: {p!r}")
     return PantsSlot(p, k)
+
+
+def _check_ids(curves):
+    """Raise the :func:`_unreferable` error of the first of ``curves``
+    whose id curve references cannot carry."""
+    problems = _unreferable([c.id for c in curves])
+    if problems:
+        raise FormatError(problems[0]) from None
 
 
 def surface_from_json(doc):
@@ -658,26 +696,45 @@ def surface_from_json(doc):
     or curve id, a curve id equal to a pants id, and a ``frontier`` list
     inconsistent with the one-ended curves.
     """
+    new = tuple.__new__
     try:
-        pants = [_string(p, "pants id") for p in _array(doc["pants"], "pants")]
+        pants = _strings(_array(doc["pants"], "pants"), "pants id")
         curves = []
-        for rec in _array(doc["curves"], "curves"):
-            raw_ends = rec["ends"]
-            cid = rec.get("id")
-            ends = tuple(
-                _slot(pair, "curve {!r}", cid)
-                for pair in _array(raw_ends, "curve {!r} ends", cid)
-            )
-            if not 1 <= len(ends) <= 2:
-                raise FormatError(f"curve {cid!r} has {len(ends)} ends")
-            cid = _string(rec["id"], "curve id")
-            problem = _unreferable(cid)
-            if problem:
-                raise FormatError(problem)
-            curves.append(Curve(cid, ends))
-        boundary = [_slot(pair, "boundary mark") for pair in _array(doc["boundary"], "boundary")]
+        try:
+            for rec in _array(doc["curves"], "curves"):
+                raw_ends = rec["ends"]
+                cid = rec.get("id")
+                if type(raw_ends) is not list:
+                    _array(raw_ends, "curve {!r} ends", cid)
+                ends = []
+                for pair in raw_ends:
+                    if (
+                        type(pair) is list and len(pair) == 2
+                        and type(pair[1]) is int and type(pair[0]) is str
+                    ):
+                        ends.append(new(PantsSlot, pair))
+                    else:
+                        ends.append(_slot(pair, "curve {!r}", cid))
+                if not 1 <= len(ends) <= 2:
+                    raise FormatError(f"curve {cid!r} has {len(ends)} ends")
+                if type(cid) is not str:
+                    _string(rec["id"], "curve id")
+                curves.append(new(Curve, (cid, tuple(ends))))
+        except (FormatError, KeyError, TypeError, ValueError):
+            # the ids are checked once all curves are read; an earlier
+            # curve's bad id is still the error reported
+            _check_ids(curves)
+            raise
+        _check_ids(curves)
+        boundary = [
+            new(PantsSlot, pair)
+            if type(pair) is list and len(pair) == 2
+            and type(pair[1]) is int and type(pair[0]) is str
+            else _slot(pair, "boundary mark")
+            for pair in _array(doc["boundary"], "boundary")
+        ]
         declared = sorted(
-            _string(i, "frontier entry") for i in _array(doc.get("frontier", []), "frontier")
+            _strings(_array(doc.get("frontier", []), "frontier"), "frontier entry")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed surface document: {exc}") from exc
@@ -685,9 +742,10 @@ def surface_from_json(doc):
     if duplicate is not None:
         raise FormatError(duplicate)
     g = GluingGraph(pants, curves, boundary)
-    if declared != sorted(g.frontier):
+    frontier = list(g.frontier)  # in id order, as the curves are
+    if declared != frontier:
         raise FormatError(
-            f"frontier list {declared} does not match one-ended curves {sorted(g.frontier)}"
+            f"frontier list {declared} does not match one-ended curves {frontier}"
         )
     return g
 

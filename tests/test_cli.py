@@ -269,6 +269,8 @@ def test_package_import_loads_no_submodule():
 
 _SURFACE = {"cli", "errors", "surface", "_graph"}
 _CURVES = _SURFACE | {"curves"}
+# slope arithmetic alone: window_around loads surface only when called
+_SLOPES = {"cli", "errors", "curves"}
 _COMPLEXES = _CURVES | {"pants_graphs", "complexes"}
 _EVERY = _COMPLEXES | {"ends", "morphisms", "verify"}
 
@@ -280,8 +282,8 @@ CALL_MODULES = {
     "adjacency": ("adjacency --in {l4}", _SURFACE),
     "ends": ("ends --in {l4} --depth 1", _SURFACE | {"ends"}),
     "intersect": ("intersect --in {l4} --a pants:h0 --b win:h0:2/1", _CURVES),
-    "triple": ("triple --a 0/1 --b 2/1", _CURVES),
-    "sch04": ("sch04 --a 0/1 --b 1/1", _CURVES),
+    "triple": ("triple --a 0/1 --b 2/1", _SLOPES),
+    "sch04": ("sch04 --a 0/1 --b 1/1", _SLOPES),
     "graph": ("graph --in {l4} --mode c --inventory pants:h0,win:h1:1/2", _COMPLEXES),
     "path": ("path --in {l4} --from h0 --to h2", _COMPLEXES),
     "counterexample": ("counterexample --samples 5", _EVERY - {"verify"}),

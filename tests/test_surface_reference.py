@@ -1,0 +1,374 @@
+"""The surface reader, writer and validator against reference copies.
+
+The references below are the plain versions of ``surface_from_json``,
+``surface_to_json``, ``validate`` and A(P): one checker call per slot and
+per curve id, a list of users per slot, a scan of every slot of every
+pants and one generator per curve-pants incidence.  The library's
+versions test types inline, skip the scan when no slot can be wrong and
+drop self-loops once per vertex, so they must build an equal graph or
+raise a ``FormatError`` with the same detail, write the same bytes,
+report the same violations in the same order and build the same A(P).
+"""
+
+import itertools
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvelab import (
+    AdjacencyGraph,
+    Curve,
+    GluingGraph,
+    InfiniteModel,
+    PantsSlot,
+    Violation,
+    build_finite_surface,
+    build_truncation,
+    dumps_surface,
+    loads_surface,
+    random_gluing_graph,
+    surface_to_json,
+    validate,
+)
+from curvelab.errors import FormatError
+from test_cli import _DOC_MUTATIONS, _JSON_VALUES, _mutated_doc, _places
+from test_pants_graphs import CENSUS, _with_frontier
+from test_surface import _BASES, _MUTATIONS, LOCH_2, _mutated
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def _ref_array(value, what, *args):
+    if type(value) is not list:
+        raise FormatError(
+            f"{what.format(*args)} must be a JSON array, got {type(value).__name__}"
+        )
+    return value
+
+
+def _ref_string(value, what, *args):
+    if type(value) is not str:
+        raise FormatError(f"{what.format(*args)} is not a JSON string: {value!r}")
+    return value
+
+
+def _ref_slot(pair, what, *args):
+    p, k = pair
+    if type(k) is not int:
+        raise FormatError(
+            f"{what.format(*args)} has a slot index that is not an integer: {k!r}"
+        )
+    if type(p) is not str:
+        raise FormatError(f"pants of {what.format(*args)} is not a JSON string: {p!r}")
+    return PantsSlot(p, k)
+
+
+def _ref_unreferable(cid):
+    if type(cid) is not str:
+        return f"curve id {cid!r} is not a string"
+    if not cid or ":" in cid or "," in cid:
+        return (
+            f"curve id {cid!r} cannot appear in a curve reference: "
+            "it is empty or holds ':' or ','"
+        )
+    return None
+
+
+def _ref_duplicate_ids(pants, curve_ids):
+    pants_ids = set()
+    for p in pants:
+        if p in pants_ids:
+            yield f"pants id {p!r} repeated"
+        pants_ids.add(p)
+    seen = set()
+    for cid in curve_ids:
+        if cid in seen:
+            yield f"curve id {cid!r} repeated"
+        elif cid in pants_ids:
+            yield f"curve id {cid!r} is also a pants id"
+        seen.add(cid)
+
+
+def _ref_from_json(doc):
+    try:
+        pants = [_ref_string(p, "pants id") for p in _ref_array(doc["pants"], "pants")]
+        curves = []
+        for rec in _ref_array(doc["curves"], "curves"):
+            raw_ends = rec["ends"]
+            cid = rec.get("id")
+            ends = tuple(
+                _ref_slot(pair, "curve {!r}", cid)
+                for pair in _ref_array(raw_ends, "curve {!r} ends", cid)
+            )
+            if not 1 <= len(ends) <= 2:
+                raise FormatError(f"curve {cid!r} has {len(ends)} ends")
+            cid = _ref_string(rec["id"], "curve id")
+            problem = _ref_unreferable(cid)
+            if problem:
+                raise FormatError(problem)
+            curves.append(Curve(cid, ends))
+        boundary = [
+            _ref_slot(pair, "boundary mark") for pair in _ref_array(doc["boundary"], "boundary")
+        ]
+        declared = sorted(
+            _ref_string(i, "frontier entry")
+            for i in _ref_array(doc.get("frontier", []), "frontier")
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed surface document: {exc}") from exc
+    duplicate = next(_ref_duplicate_ids(pants, [c.id for c in curves]), None)
+    if duplicate is not None:
+        raise FormatError(duplicate)
+    g = GluingGraph(pants, curves, boundary)
+    if declared != sorted(g.frontier):
+        raise FormatError(
+            f"frontier list {declared} does not match one-ended curves {sorted(g.frontier)}"
+        )
+    return g
+
+
+def _ref_loads(text):
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not JSON: {exc}") from exc
+    return _ref_from_json(doc)
+
+
+def _ref_dumps(g):
+    doc = {
+        "pants": list(g.pants),
+        "curves": [
+            {"id": c.id, "ends": [[end.pants, end.slot] for end in c.ends]} for c in g.curves
+        ],
+        "boundary": [[s.pants, s.slot] for s in g.boundary],
+        "frontier": list(g.frontier),
+    }
+    return json.dumps(doc, ensure_ascii=False) + "\n"
+
+
+def _ref_validate(g):
+    curve_ids = [c.id for c in g.curves]
+    violations = [Violation("DuplicateId", d) for d in _ref_duplicate_ids(g.pants, curve_ids)]
+    violations += [Violation("InvalidId", d) for d in map(_ref_unreferable, curve_ids) if d]
+    pants_set = set(g.pants)
+    usage = {}
+
+    def what(user):
+        return "boundary mark" if user is None else f"curve {user.id!r}"
+
+    def use(slot, user):
+        if slot.pants not in pants_set:
+            violations.append(
+                Violation(
+                    "SlotCountError", f"{what(user)} references unknown pants {slot.pants!r}"
+                )
+            )
+            return
+        if not 0 <= slot.slot < 3:
+            violations.append(
+                Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot}")
+            )
+            return
+        usage.setdefault(slot, []).append(user)
+
+    for c in g.curves:
+        if len(c.ends) not in (1, 2):
+            violations.append(
+                Violation("SlotCountError", f"curve {c.id!r} has {len(c.ends)} ends")
+            )
+        for end in c.ends:
+            use(end, c)
+        if len(c.ends) == 2 and c.ends[0] == c.ends[1]:
+            violations.append(
+                Violation("SlotCountError", f"curve {c.id!r} glues a slot to itself")
+            )
+    for slot in g.boundary:
+        use(slot, None)
+    for p in g.pants:
+        for k in range(3):
+            users = usage.get((p, k), [])
+            if len(users) == 0:
+                violations.append(Violation("SlotCountError", f"slot ({p!r}, {k}) is unused"))
+            elif len(users) > 1:
+                violations.append(
+                    Violation(
+                        "SlotCountError",
+                        f"slot ({p!r}, {k}) used {len(users)} times: "
+                        + ", ".join(map(what, users)),
+                    )
+                )
+    if len(g.pants) > 1:
+        h = g.pants_graph
+        lone = {
+            c.ends[0].pants for c in g.curves if c.is_self_gluing and c.ends[0].pants not in h
+        }
+        parts = sorted(g.pants_lowpoints[2] + [1] * len(lone))
+        if len(parts) > 1:
+            violations.append(
+                Violation("ConnectivityError", f"pants graph splits into parts of sizes {parts}")
+            )
+    return tuple(violations)
+
+
+def _ref_adjacency(g):
+    adj = {c.id: set() for c in g.curves if not c.is_frontier}
+    at = g.curves_at
+    for ids in at.values():
+        here = [cid for cid in ids if cid in adj]
+        for u in here:
+            adj[u].update(v for v in here if v != u)
+    marks = sorted({v for p in g.frontier_pants for v in at.get(p, ()) if v in adj})
+    return AdjacencyGraph({v: sorted(nbrs) for v, nbrs in adj.items()}, tuple(marks))
+
+
+# ---------------------------------------------------------------------------
+# the reader
+
+
+def _outcome(fn, *args):
+    """``("ok", result)``, or the type and message of what ``fn`` raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # any exception must match the reference's
+        return (type(exc).__name__, str(exc))
+
+
+def _assert_reads_as_the_reference(doc):
+    text = json.dumps(doc)
+    got, want = _outcome(loads_surface, text), _outcome(_ref_loads, text)
+    assert got == want, text
+    # an equal graph also has curves and slots of the same types
+    if got[0] == "ok":
+        g = got[1]
+        assert all(type(c) is Curve for c in g.curves)
+        assert all(type(s) is PantsSlot for c in g.curves for s in c.ends + g.boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_BASES),
+    st.lists(
+        st.tuples(st.sampled_from(_DOC_MUTATIONS), st.integers(0, 500), st.integers(0, 500)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_reader_matches_the_reference_on_mutated_documents(base, mutations):
+    _assert_reads_as_the_reference(_mutated_doc(surface_to_json(base), mutations))
+
+
+def test_reader_matches_the_reference_at_every_place_and_value():
+    # every value of the document in turn dropped or replaced by one of
+    # each JSON type, then a curve end and a boundary mark given every pair
+    # of JSON values (a slot index is checked before its pants)
+    doc = surface_to_json(LOCH_2)
+    for i in range(len(list(_places(doc)))):
+        for value in ("drop", *_JSON_VALUES):
+            bad = json.loads(json.dumps(doc))
+            node, key = list(_places(bad))[i]
+            if value == "drop":
+                del node[key]
+            else:
+                node[key] = value
+            _assert_reads_as_the_reference(bad)
+    for p, k in itertools.product((*_JSON_VALUES, "hp0"), (*_JSON_VALUES, 2)):
+        end = {**doc["curves"][0], "ends": [[p, k], doc["curves"][0]["ends"][1]]}
+        _assert_reads_as_the_reference({**doc, "curves": [end] + doc["curves"][1:]})
+        _assert_reads_as_the_reference({**doc, "boundary": [[p, k]]})
+
+
+def test_reader_reports_an_earlier_bad_id_before_a_later_bad_curve():
+    doc = surface_to_json(LOCH_2)
+    doc["curves"][0]["id"] = "c:1"
+    later_curves = (
+        {"id": "z"},
+        {"id": "z", "ends": [["hp0", "0"]]},
+        {"id": 7, "ends": [["hp0", 0]]},
+    )
+    for later in later_curves:
+        bad = {**doc, "curves": doc["curves"] + [later]}
+        _assert_reads_as_the_reference(bad)
+        assert _outcome(loads_surface, json.dumps(bad))[1].startswith("curve id 'c:1' cannot")
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+def test_writer_matches_the_reference_on_models_and_census():
+    graphs = [build_truncation(m, d) for m in InfiniteModel for d in range(1, 11)]
+    graphs += [build_finite_surface(genus, b) for genus, b in CENSUS]
+    for g in graphs:
+        assert dumps_surface(g) == _ref_dumps(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_writer_matches_the_reference_on_random_graphs(n_pants, seed):
+    rng = random.Random(seed)
+    g = _with_frontier(random_gluing_graph(n_pants, rng), rng)
+    text = dumps_surface(g)
+    assert text == _ref_dumps(g)
+    assert loads_surface(text) == g == _ref_loads(text)
+
+
+# ---------------------------------------------------------------------------
+# the validator and A(P)
+
+# besides the mutations of test_surface: a slot index that passes the
+# range test but names no slot, and a boundary mark on a used slot
+_MORE = ("half slot", "boundary on a curve slot")
+
+
+def _more_mutated(g, mutations):
+    pants, curves, boundary = list(g.pants), list(g.curves), list(g.boundary)
+    for kind, i, _ in mutations:
+        if not curves:
+            break
+        c = curves[i % len(curves)]
+        if kind == "half slot" and c.ends:
+            curves[i % len(curves)] = Curve(c.id, (PantsSlot(c.ends[0].pants, 0.5),) + c.ends[1:])
+        elif kind == "boundary on a curve slot" and c.ends:
+            boundary.append(c.ends[-1])
+    return GluingGraph(pants, curves, boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_BASES),
+    st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS + _MORE), st.integers(0, 200), st.integers(0, 200)),
+        max_size=3,
+    ),
+)
+def test_validate_and_adjacency_match_the_reference_on_mutated_graphs(base, mutations):
+    ours = [m for m in mutations if m[0] in _MUTATIONS]
+    g = _more_mutated(_mutated(base, ours), [m for m in mutations if m[0] in _MORE])
+    assert validate(g) == _ref_validate(g)
+    assert g.adjacency_graph == _ref_adjacency(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_validate_and_adjacency_match_the_reference_on_random_graphs(n_pants, seed):
+    rng = random.Random(seed)
+    g = _with_frontier(random_gluing_graph(n_pants, rng), rng)
+    assert validate(g) == _ref_validate(g) == ()
+    assert g.adjacency_graph == _ref_adjacency(g)
+
+
+def test_validate_matches_the_reference_with_repeated_pants_ids():
+    g = build_truncation("ladder", 3)
+    for twice in (g.pants[:1], g.pants[:3], g.pants):
+        h = GluingGraph(g.pants + twice, g.curves, g.boundary)
+        got = validate(h)
+        assert got == _ref_validate(h)
+        assert [v.kind for v in got] == ["DuplicateId"] * len(twice)
+    # a repeated pants with a clashing slot reports the clash once per copy
+    clash = GluingGraph(g.pants + g.pants[:1], g.curves, (PantsSlot(g.pants[0], 0),))
+    assert validate(clash) == _ref_validate(clash)
+    assert sum("used 2 times" in v.detail for v in validate(clash)) == 2
