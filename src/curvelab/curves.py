@@ -333,10 +333,11 @@ class WindowCurve(namedtuple("WindowCurve", "center slope")):
     Slope (0, 1) is the center itself and must be referenced as a
     PantsCurve instead.
 
-    Not slotted: its ``__dict__`` keeps the text :func:`format_ref` wrote
-    for it, so a curve on many edges is formatted once.  The text is a
-    cache, not state: copies and pickles carry none (``__getstate__``
-    returns None), and equality, hash, repr and ``_asdict()`` ignore it.
+    Not slotted: its ``text`` attribute, set on the first format, keeps
+    the text :func:`format_ref` wrote for it, so a curve on many edges is
+    formatted once.  The text is a cache, not state: copies and pickles
+    carry none (``__getstate__`` returns None), and equality, hash, repr
+    and ``_asdict()`` ignore it.
     """
 
     def __getstate__(self):
@@ -349,8 +350,8 @@ class DualChain(namedtuple("DualChain", "handle_a handle_b interior")):
     reversed with them) so equal chains compare equal; equal to the
     triple ``(handle_a, handle_b, interior)``.
 
-    Like :class:`WindowCurve`, it keeps its :func:`format_ref` text in its
-    ``__dict__``, and copies and pickles carry none."""
+    Like :class:`WindowCurve`, it keeps its :func:`format_ref` text as
+    its ``text`` attribute, and copies and pickles carry none."""
 
     def __getstate__(self):
         return None
@@ -403,24 +404,25 @@ def format_ref(ref):
     """The text :func:`parse_ref` reads back as ``ref``.  Raises TypeError
     for anything but the three reference types.
 
-    The text of a window curve or a dual chain is kept in the reference's
-    ``__dict__`` on its first format and returned on later ones: a graph
-    document writes each vertex once per edge it is on.  A pants curve is
-    formatted afresh each time: its text costs little more than the
-    lookup, and keeping it would slow the first format of the many fresh
-    pants references that the witness and path searches build.
+    The text of a window curve or a dual chain is kept on the reference
+    as its ``text`` attribute on its first format and read back on later
+    ones: a graph document writes each vertex once per edge it is on.  A
+    pants curve is formatted afresh each time: its text costs little more
+    than the lookup, and keeping it would slow the first format of the
+    many fresh pants references that the witness and path searches build.
     """
-    kind = type(ref)
+    kind = ref.__class__
     if kind is WindowCurve or kind is DualChain:
-        kept = ref.__dict__
-        text = kept.get("text")
-        if text is None:
-            if kind is WindowCurve:
-                s = ref.slope
-                text = f"win:{ref.center}:{s.p}/{s.q}"
-            else:
-                text = f"chain:{ref.handle_a}:{ref.handle_b}:{','.join(ref.interior)}"
-            kept["text"] = text
+        try:
+            return ref.text
+        except AttributeError:
+            pass
+        if kind is WindowCurve:
+            s = ref.slope
+            text = f"win:{ref.center}:{s.p}/{s.q}"
+        else:
+            text = f"chain:{ref.handle_a}:{ref.handle_b}:{','.join(ref.interior)}"
+        ref.text = text
         return text
     if kind is PantsCurve:
         return f"pants:{ref.id}"
@@ -438,7 +440,6 @@ def resolve_ref(g, ref):
     return _resolve(g, ref).found
 
 
-_RANKS = {PantsCurve: 0, WindowCurve: 1, DualChain: 2}
 _DUAL = Slope(1, 0)
 
 
@@ -457,20 +458,26 @@ def _resolve(g, ref):
     again with the same message.  The table trades memory for repeats: it
     keeps one record per distinct reference asked of ``g``, and the record
     of the dual curve (slope 1/0) of each window center asked, whose
-    Window and support the center's window curves share."""
+    Window and support the center's window curves share.  A record is
+    read only for a reference of its own class: an equal object of
+    another class, such as a subclass instance or a plain tuple, goes to
+    :func:`_check`, which refuses it."""
     r = g.ref_table.get(ref)
-    if r is None:
+    if r is None or r.ref.__class__ is not ref.__class__:
         r = g.ref_table[ref] = _check(g, ref)
     return r
 
 
 def _check(g, ref):
     """Check ``ref`` against ``g`` and collect its support from the same
-    lookups; the one type dispatch over references."""
-    if isinstance(ref, PantsCurve):
+    lookups.  Dispatches on the exact class of ``ref``: a subclass of a
+    reference type, like any other object, is an unsupported reference,
+    so :func:`_pairing` sees only the three classes it knows."""
+    kind = ref.__class__
+    if kind is PantsCurve:
         c = g.ordinary_curve(ref.id)
         return _Resolved(ref, c, frozenset(g.pants_of_curve(ref.id)))
-    if isinstance(ref, WindowCurve):
+    if kind is WindowCurve:
         if ref.slope == Slope(0, 1):
             raise UnknownCurve(
                 f"slope 0/1 duplicates the center; use pants:{ref.center}"
@@ -483,7 +490,7 @@ def _check(g, ref):
             w = window_around(g, ref.center)
             r = g.ref_table[dual] = _Resolved(dual, w, frozenset(w.support))
         return r if ref == dual else _Resolved(ref, r.found, r.support)
-    if isinstance(ref, DualChain):
+    if kind is DualChain:
         if ref.handle_a == ref.handle_b:
             raise UnknownCurve("a dual chain needs two distinct handles")
         for h in (ref.handle_a, ref.handle_b):
@@ -508,29 +515,37 @@ def _pairing(a, b):
     """The intersection table on two resolved references; see
     :func:`global_intersection`.  The only home of the pairing rules.
 
+    Dispatches on the exact classes of the two references, which
+    :func:`_check` guarantees are the three reference classes; a pants
+    curve is put first by one swap.  A pairing costs these class tests
+    and at most one disjointness test of the supports.
+
     Two references whose supports are disjoint pair to 0, under every rule:
     a pants curve meets a window curve only as its center and a dual chain
     only on its path, both inside the other's support.
     :func:`~curvelab.complexes.local_graph` rests on this and never asks
     such a pair, so a new rule must keep it."""
-    if _RANKS[type(a.ref)] > _RANKS[type(b.ref)]:
-        a, b = b, a
-    c1, c2 = a.ref, b.ref
-    if isinstance(c2, PantsCurve):
-        return 0
-    if isinstance(c1, PantsCurve) and isinstance(c2, WindowCurve):
-        return b.found.scale * abs(c2.slope.p) if c1.id == c2.center else 0
-    if isinstance(c1, PantsCurve):
-        if c1.id in (c2.handle_a, c2.handle_b):
+    c1 = a.ref
+    c2 = b.ref
+    k1 = c1.__class__
+    k2 = c2.__class__
+    if k2 is PantsCurve:
+        if k1 is PantsCurve:
+            return 0
+        a, b, c1, c2, k1, k2 = b, a, c2, c1, k2, k1
+    if k1 is PantsCurve:
+        if k2 is WindowCurve:
+            return b.found.scale * abs(c2.slope.p) if c1.id == c2.center else 0
+        if c1.id == c2.handle_a or c1.id == c2.handle_b:
             return 1
         return 2 if c1.id in c2.interior else 0
-    if isinstance(c1, WindowCurve) and isinstance(c2, WindowCurve):
-        if c1.center == c2.center:
-            return window_intersection(a.found, c1.slope, c2.slope)
-        return None if a.support & b.support else 0
-    if c1 == c2:
-        return 0
-    return None if a.support & b.support else 0
+    if k1 is k2:
+        if k1 is WindowCurve:
+            if c1.center == c2.center:
+                return window_intersection(a.found, c1.slope, c2.slope)
+        elif c1 == c2:  # one dual chain twice
+            return 0
+    return 0 if a.support.isdisjoint(b.support) else None
 
 
 def global_intersection(g, c1, c2):

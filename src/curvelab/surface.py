@@ -79,7 +79,10 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
     :class:`Curve` and ``boundary`` a tuple of :class:`PantsSlot`.  The
     constructor sorts all three, so that equal decompositions compare and
     serialize identically; it does not check well-formedness.  Use
-    :func:`validate` for that.  A namedtuple: a graph hashes and compares
+    :func:`validate` for that.  Sorting compares slot indices, so the
+    constructor still raises TypeError when two ends of one curve, or two
+    boundary marks, share a pants and carry indices that do not compare,
+    such as ``1`` and ``"0"``.  A namedtuple: a graph hashes and compares
     as the tuple of its three fields, which it equals.  It keeps a
     ``__dict__`` for its cached tables.
     """
@@ -400,14 +403,18 @@ def validate(g):
             return Violation(
                 "SlotCountError", f"{what(user)} references unknown pants {slot.pants!r}"
             )
-        return Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot}")
+        return Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot!r}")
 
     for c in g.curves:
         ends = c.ends
         if len(ends) not in (1, 2):
             violations.append(Violation("SlotCountError", f"curve {c.id!r} has {len(ends)} ends"))
         for end in ends:
-            if end.pants in pants_set and 0 <= end.slot < SLOTS_PER_PANTS:
+            try:
+                usable = end.pants in pants_set and 0 <= end.slot < SLOTS_PER_PANTS
+            except TypeError:  # an index that does not compare with an int
+                usable = False
+            if usable:
                 if end in first:
                     reused.setdefault(end, [first[end]]).append(c)
                 else:
@@ -419,7 +426,11 @@ def validate(g):
                 Violation("SlotCountError", f"curve {c.id!r} glues a slot to itself")
             )
     for slot in g.boundary:
-        if slot.pants in pants_set and 0 <= slot.slot < SLOTS_PER_PANTS:
+        try:
+            usable = slot.pants in pants_set and 0 <= slot.slot < SLOTS_PER_PANTS
+        except TypeError:
+            usable = False
+        if usable:
             if slot in first:
                 reused.setdefault(slot, [first[slot]]).append(None)
             else:

@@ -666,6 +666,67 @@ def test_resolve_once_matches_the_reference_on_random_graphs(n_pants, seed):
     _check_against_reference(g, rng)
 
 
+def _memoized(fn, g):
+    """``fn(g, key)`` computed once per key object, raising a fresh
+    UnknownCurve with the same message on every ask of a failing key.
+    Keyed by identity, since the pool's references are asked again and
+    again; the memo keeps each key alive, so no identity is reused."""
+    memo = {}
+
+    def cached(graph, key):
+        got = memo.get(id(key))
+        if got is None:
+            assert graph is g
+            try:
+                got = key, None, fn(g, key)
+            except UnknownCurve as exc:
+                got = key, str(exc), None
+            memo[id(key)] = got
+        if got[1] is not None:
+            raise UnknownCurve(got[1])
+        return got[2]
+
+    return cached
+
+
+def _pair_graphs():
+    yield from (build_truncation(m, depth) for m in InfiniteModel for depth in range(1, 5))
+    yield from (build_finite_surface(genus, b) for genus, b in CENSUS)
+    for seed in range(20):
+        rng = random.Random(f"pairs-{seed}")
+        yield random_gluing_graph(rng.randint(1, 30), rng)
+
+
+def test_every_ordered_pair_matches_the_reference(monkeypatch):
+    """``global_intersection`` in both orders against the reference, value
+    or error, on every pair of the slope-bound-2 inventory and the invalid
+    references.  The reference's lookups are memoized per graph, its rules
+    are not: on a 2-core VM the test takes about 3 s, and 36 s with the
+    lookups unmemoized."""
+    module = sys.modules[__name__]
+    names = ("_reference_resolve", "_reference_window", "_reference_support")
+    originals = {name: getattr(module, name) for name in names}
+    rng = random.Random("pairs")
+    for g in _pair_graphs():
+        for name in names:
+            monkeypatch.setattr(module, name, _memoized(originals[name], g))
+        ordinary = [c.id for c in g.curves if not c.is_frontier]
+        windows = {cid: _outcome(_reference_window, g, cid) for cid in ordinary}
+        _, invalid = _random_inventories(g, rng, windows, _reference_adjacency(g))
+        valid = curve_inventory(g, 2)
+        for i, a in enumerate(valid):
+            for b in valid[i:]:
+                want = _reference_intersection(g, a, b)
+                assert global_intersection(g, a, b) == want, (a, b)
+                assert global_intersection(g, b, a) == want, (b, a)
+        for a in invalid:
+            for b in valid + invalid:
+                for pair in ((a, b), (b, a)):
+                    assert _outcome(global_intersection, g, *pair) == _outcome(
+                        _reference_intersection, g, *pair
+                    ), pair
+
+
 def _reference_window_centers(g, bound):
     """Window curves with coordinates up to ``bound`` at every curve
     admitting a window."""

@@ -11,6 +11,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from curvelab import (
     format_ref,
     global_intersection,
     is_triple,
+    local_graph,
     make_slope,
     parse_ref,
     parse_refs,
@@ -687,6 +689,49 @@ def test_resolve_ref_checks_the_surface():
     ):
         with pytest.raises(UnknownCurve):
             resolve_ref(g, parse_ref(bad))
+
+
+class _PantsSub(PantsCurve):
+    __slots__ = ()
+
+
+class _WindowSub(WindowCurve):
+    pass
+
+
+class _ChainSub(DualChain):
+    pass
+
+
+_SUBCLASSES = {PantsCurve: _PantsSub, WindowCurve: _WindowSub, DualChain: _ChainSub}
+
+
+def test_only_the_exact_reference_classes_are_references():
+    # a subclass instance, or a plain tuple, equals a reference and hashes
+    # alike, so it is refused also once the equal reference is checked
+    g = build_truncation("loch_ness", 4)
+    exact = [parse_ref(t) for t in ("pants:h0", "win:h0:1/1", "chain:h0:h1:c1,t1")]
+    other = parse_ref("pants:c2")
+    for warm in (False, True):
+        if warm:
+            local_graph(g, exact + [other], "c")
+        for ref in exact:
+            for foreign in (_SUBCLASSES[type(ref)](*ref), tuple(ref)):
+                assert foreign == ref and hash(foreign) == hash(ref)
+                refused = pytest.raises(
+                    UnknownCurve, match=re.escape(f"unsupported reference {foreign!r}")
+                )
+                with refused:
+                    resolve_ref(g, foreign)
+                with refused:
+                    global_intersection(g, foreign, other)
+                with refused:
+                    global_intersection(g, other, foreign)
+                with refused:
+                    local_graph(g, [other, foreign], "c")
+                with pytest.raises(TypeError, match="not a curve reference"):
+                    format_ref(foreign)
+                assert foreign not in g.ref_table or type(g.ref_table[foreign].ref) is type(ref)
 
 
 def test_window_around_torus_and_sphere():

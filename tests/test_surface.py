@@ -454,6 +454,25 @@ def test_validate_messages_are_pinned():
     )
 
 
+@pytest.mark.parametrize("index", ["0", None, (0,)])
+def test_validate_reports_an_index_that_does_not_compare(index):
+    # the range test cannot order such an index against an int; it is
+    # reported like an out-of-range one, shown by its repr
+    curve = Curve("a", (PantsSlot("p", index), PantsSlot("q", 1)))
+    unused = [
+        Violation("SlotCountError", f"slot {slot!r} is unused")
+        for slot in [("p", 0), ("p", 1), ("q", 0), ("q", 2)]
+    ]
+    bad_end = Violation("SlotCountError", f"curve 'a' uses invalid slot index {index!r}")
+    bad_mark = Violation("SlotCountError", f"boundary mark uses invalid slot index {index!r}")
+    g = GluingGraph(["p", "q"], [curve], [PantsSlot("p", 2)])
+    assert validate(g) == (bad_end, *unused)
+    g = GluingGraph(["p", "q"], [curve], [PantsSlot("p", 2), PantsSlot("q", index)])
+    assert validate(g) == (bad_end, bad_mark, *unused)
+    with pytest.raises(TypeError):
+        GluingGraph(["p"], [Curve("a", (PantsSlot("p", index), PantsSlot("p", 1)))])
+
+
 def test_gluing_graph_keeps_curves_whose_ends_are_in_order():
     kept = Curve("a", (PantsSlot("p0", 0), PantsSlot("p1", 0)))
     flipped = Curve("b", (PantsSlot("p1", 1), PantsSlot("p0", 1)))
