@@ -31,7 +31,17 @@ from .errors import (
 )
 
 
-class Slope:
+class _SlopeFields:
+    """The slots of :class:`Slope` and of the open class it is built in."""
+
+    __slots__ = ("p", "q")
+
+
+class _OpenSlope(_SlopeFields):
+    __slots__ = ()
+
+
+class Slope(_SlopeFields):
     """A coprime pair naming a curve in a window; q > 0, or (p,q) = (1,0).
 
     An immutable, slotted pair: slopes hash, compare and order as the
@@ -40,18 +50,18 @@ class Slope:
     ``p`` or ``q`` raises AttributeError.  The public constructor
     validates: ``Slope(p, q)`` raises ValueError unless the pair is already
     reduced and sign-normalized.  To name the slope of an arbitrary nonzero
-    integer pair, use :func:`make_slope`.
+    integer pair, use :func:`make_slope`.  Every slope, this
+    constructor's included, is built by :func:`_slope`, which says how.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ()
 
-    def __init__(self, p, q):
+    def __new__(cls, p, q):
         if q < 0 or (q == 0 and p != 1):
             raise ValueError(f"slope ({p}, {q}) is not sign-normalized")
         if math.gcd(abs(p), q) != 1:
             raise ValueError(f"slope ({p}, {q}) is not reduced")
-        _set_p(self, p)
-        _set_q(self, q)
+        return _slope(p, q)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a Slope")
@@ -87,18 +97,17 @@ class Slope:
         return NotImplemented
 
 
-# The slot descriptors write past the refusing __setattr__.
-_set_p = Slope.p.__set__
-_set_q = Slope.q.__set__
-
-
-def _trusted_slope(p, q):
-    """A Slope from a pair that is already reduced and sign-normalized,
-    built without the constructor's validation; only :func:`make_slope`
-    and :func:`twist`, which establish both, call it."""
-    s = object.__new__(Slope)
-    _set_p(s, p)
-    _set_q(s, q)
+def _slope(p, q):
+    """The one builder of a Slope, from a pair that is already reduced and
+    sign-normalized; it checks neither.  :class:`Slope`'s refusing
+    ``__setattr__`` blocks plain slot stores, and a slot descriptor call
+    per field costs more than a store, so the fields are stored on an
+    :class:`_OpenSlope`, which shares the slots, and the object's class is
+    then switched to Slope.  :func:`twist` repeats these steps inline."""
+    s = _OpenSlope()
+    s.p = p
+    s.q = q
+    s.__class__ = Slope
     return s
 
 
@@ -106,10 +115,10 @@ def make_slope(p, q):
     """Reduce and sign-normalize an integer pair into a Slope.
 
     One gcd reduces the pair (the division is skipped when it is already
-    coprime), the sign is normalized, and the Slope is built without
-    running the constructor's validation again, since the pair is valid
-    by construction.  Raises :class:`ZeroSlope` on (0, 0), which names no
-    curve.
+    coprime), the sign is normalized, and the Slope is built by
+    :func:`_slope` without running the constructor's validation again,
+    since the pair is valid by construction.  Raises :class:`ZeroSlope`
+    on (0, 0), which names no curve.
     """
     d = math.gcd(p, q)
     if d != 1:
@@ -118,7 +127,7 @@ def make_slope(p, q):
         p, q = p // d, q // d
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    return _trusted_slope(p, q)
+    return _slope(p, q)
 
 
 def parse_slope(text):
@@ -236,19 +245,30 @@ def twist(w, along, s, direction=1):
     fixes ``along`` and preserves every pairwise window intersection
     number.  The window's scale (2 on the sphere) makes it the Dehn twist,
     not the half-twist, in both kinds: i(T^k(s), s) = |k| i(along, s)^2.
+    ``direction`` is the int 1 or -1; anything else, a float or a bool
+    included, raises ValueError.
 
     The action is a unimodular linear map, so it sends a coprime pair to a
     coprime pair: the image of a Slope needs no gcd, only the sign
-    normalization (q > 0, or the pair (1, 0)).
+    normalization (q > 0, or the pair (1, 0)).  The image is built by the
+    steps of :func:`_slope`, inline: the call would cost a tenth of a twist.
     """
-    if direction not in (1, -1):
+    if direction.__class__ is not int or direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    d = direction * w.scale * (s.p * along.q - s.q * along.p)
-    p = s.p + d * along.p
-    q = s.q + d * along.q
+    ap = along.p
+    aq = along.q
+    sp = s.p
+    sq = s.q
+    d = direction * w.scale * (sp * aq - sq * ap)
+    p = sp + d * ap
+    q = sq + d * aq
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    return _trusted_slope(p, q)
+    t = _OpenSlope()
+    t.p = p
+    t.q = q
+    t.__class__ = Slope
+    return t
 
 
 def is_triple(w, a, b, c):

@@ -62,7 +62,7 @@ def classify_all(g):
     """Map each ordinary curve id to its :class:`CurveClass`, in order of
     id, by the rule of :func:`classify_curve` in one loop over the curves:
     linear in the size of ``g``."""
-    return {c.id: _class_of(g, c) for c in g.curves if not c.is_frontier}
+    return {c.id: _class_of(g, c) for c in g.curves if len(c.ends) != 1}
 
 
 def cut_vertices(a):
@@ -92,6 +92,7 @@ def random_gluing_graph(n_pants, rng):
     free = {p: [0, 1, 2] for p in names}
     curves = []
     counter = 0
+    new = tuple.__new__
 
     def take(p):
         return free[p].pop(rng.randrange(len(free[p])))
@@ -100,13 +101,14 @@ def random_gluing_graph(n_pants, rng):
     open_pants = [names[0]]
     for p in names[1:]:
         anchor = rng.choice(open_pants)
-        curves.append(Curve(f"e{counter}", (PantsSlot(anchor, take(anchor)), PantsSlot(p, take(p)))))
+        ends = (new(PantsSlot, (anchor, take(anchor))), new(PantsSlot, (p, take(p))))
+        curves.append(new(Curve, (f"e{counter}", ends)))
         counter += 1
         if not free[anchor]:
             open_pants.remove(anchor)
         open_pants.append(p)
 
-    loose = [PantsSlot(p, s) for p in names for s in free[p]]
+    loose = [new(PantsSlot, (p, s)) for p in names for s in free[p]]
     rng.shuffle(loose)
     boundary = []
     while loose:
@@ -115,6 +117,6 @@ def random_gluing_graph(n_pants, rng):
             boundary.append(s)
         else:
             t = loose.pop()
-            curves.append(Curve(f"e{counter}", (s, t)))
+            curves.append(new(Curve, (f"e{counter}", (s, t))))
             counter += 1
     return GluingGraph(names, curves, boundary)

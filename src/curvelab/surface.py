@@ -43,7 +43,8 @@ class Curve(namedtuple("Curve", "id ends")):
     ``ends`` is a tuple of :class:`PantsSlot`: two entries for an ordinary
     curve (possibly on the same pants, which makes it a self-gluing) and
     one entry for a frontier curve of a truncation.  A namedtuple, so a
-    curve equals the plain tuple ``(id, ends)``.
+    curve equals the plain tuple ``(id, ends)``.  The graph's tables test
+    ``ends`` inline rather than call the two properties once per curve.
     """
 
     __slots__ = ()
@@ -62,13 +63,21 @@ def _pants_edges(curves):
     different pants.  Self-gluings, frontier half edges and curves with
     any other number of ends join no two pants."""
     for c in curves:
-        if len(c.ends) == 2 and not c.is_self_gluing:
-            yield c.ends[0].pants, c.ends[1].pants, c.id
+        ends = c.ends
+        if len(ends) == 2 and ends[0].pants != ends[1].pants:
+            yield ends[0].pants, ends[1].pants, c.id
 
 
 def _ends_in_order(c):
-    """``c`` itself if its ends are a sorted tuple, else a copy whose are."""
-    ends = tuple(sorted(c.ends))
+    """``c`` itself if its ends are a sorted tuple, else a copy whose are.
+    A tuple of one end, or of two that ``sorted`` would keep, is in order
+    without a sort."""
+    ends = c.ends
+    if ends.__class__ is tuple and (
+        len(ends) == 1 or len(ends) == 2 and not ends[1] < ends[0]
+    ):
+        return c
+    ends = tuple(sorted(ends))
     return c if ends == c.ends else Curve(c.id, ends)
 
 
@@ -114,12 +123,12 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
     @property
     def frontier(self):
         """Ids of the frontier curves, sorted."""
-        return tuple(c.id for c in self.curves if c.is_frontier)
+        return tuple(c.id for c in self.curves if len(c.ends) == 1)
 
     @cached_property
     def frontier_pants(self):
         """Pants that carry at least one frontier half slot."""
-        return frozenset(c.ends[0].pants for c in self.curves if c.is_frontier)
+        return frozenset(c.ends[0].pants for c in self.curves if len(c.ends) == 1)
 
     @cached_property
     def curves_at(self):
@@ -182,7 +191,7 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
         with multiplicity: every other circle of such a pants is surface
         boundary or frontier.  A separating curve is outer exactly when
         one of its two pants is among them."""
-        count = Counter(end.pants for c in self.curves if not c.is_frontier for end in c.ends)
+        count = Counter(end.pants for c in self.curves if len(c.ends) != 1 for end in c.ends)
         return frozenset(p for p, n in count.items() if n == 1)
 
     @cached_property
@@ -214,7 +223,10 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
     @cached_property
     def handles(self):
         """Ids of the self-gluing curves, the handle curves, in id order."""
-        return tuple(c.id for c in self.curves if c.is_self_gluing)
+        return tuple(
+            c.id for c in self.curves
+            if len(c.ends) == 2 and c.ends[0].pants == c.ends[1].pants
+        )
 
     @cached_property
     def adjacency_graph(self):
@@ -223,7 +235,7 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
         sharing a pants with it, and it is marked at the curves on the
         frontier pants.  Also read through
         :func:`curvelab.pants_graphs.adjacency_graph`."""
-        adj = {c.id: set() for c in self.curves if not c.is_frontier}
+        adj = {c.id: set() for c in self.curves if len(c.ends) != 1}
         at = self.curves_at
         for ids in at.values():
             if len(ids) > 1:

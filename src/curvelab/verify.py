@@ -259,14 +259,15 @@ def verify_dtcoords():
     failures = []
     checked = 0
     slopes = slopes_up_to(slope_bound)
+    powers = range(1, max_twist + 1)
     for kind in ("torus", "sphere"):
         w = abstract_window(kind)
         for along in slopes:
+            checked += len(slopes)
             for s in slopes:
-                checked += 1
                 want = window_intersection(w, s, along)
                 t = s
-                for k in range(1, max_twist + 1):
+                for k in powers:
                     t = twist(w, along, t)
                     got = window_intersection(w, t, along)
                     if got != want:

@@ -139,8 +139,8 @@ def _reference_slope(p, q):
     return Slope(p, q)
 
 
-def _reference_twist(along, s, direction):
-    d = s.p * along.q - s.q * along.p
+def _reference_twist(along, s, direction, scale):
+    d = scale * (s.p * along.q - s.q * along.p)
     return _reference_slope(s.p + direction * d * along.p, s.q + direction * d * along.q)
 
 
@@ -166,12 +166,29 @@ def test_slope_constructor_accepts_normalized_pairs():
 
 
 def test_slopes_are_frozen():
-    for s in (Slope(1, 2), make_slope(4, 8)):
-        with pytest.raises(AttributeError):
-            s.p = 3
-        with pytest.raises(AttributeError):
-            s.q = 5
-        assert (s.p, s.q) == (1, 2)
+    # every way a slope is made: the constructor, make_slope, a twist
+    # image, a slopes_up_to member, and copy, deepcopy and pickle trips
+    made = [
+        Slope(1, 2),
+        make_slope(4, 8),
+        twist(SPHERE, Slope(0, 1), Slope(1, 4)),
+        slopes_up_to(2)[7],
+    ]
+    trips = (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)))
+    made += [trip(s) for s in made for trip in trips]
+    for s in made:
+        p, q = s.p, s.q
+        assert type(s) is Slope and not hasattr(s, "__dict__")
+        for field in ("p", "q", "r"):
+            with pytest.raises(AttributeError):
+                setattr(s, field, 3)
+            with pytest.raises(AttributeError):
+                delattr(s, field)
+        assert (s.p, s.q) == (p, q)
+        assert s == Slope(p, q)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(s, protocol) == pickle.dumps(Slope(p, q), protocol)
+    assert [(s.p, s.q) for s in made[:4]] == [(1, 2), (1, 2), (1, 6), (2, 1)]
 
 
 def test_slopes_sort_as_their_pairs():
@@ -214,12 +231,13 @@ def test_twist_powers_match_the_reference(moves_a, moves_b, direction):
     a, b = _word_columns(moves_a)
     c, _ = _word_columns(moves_b)
     along = _reference_slope(*a)
-    for start in (b, c, (c[0] + 3 * b[0], c[1] + 3 * b[1])):
-        got = want = _reference_slope(*start)
-        for _ in range(5):
-            got = twist(TORUS, along, got, direction)
-            want = _reference_twist(along, want, direction)
-            _assert_same_slope(got, want)
+    for w, scale in ((TORUS, 1), (SPHERE, 2)):
+        for start in (b, c, (c[0] + 3 * b[0], c[1] + 3 * b[1])):
+            got = want = _reference_slope(*start)
+            for _ in range(5):
+                got = twist(w, along, got, direction)
+                want = _reference_twist(along, want, direction, scale)
+                _assert_same_slope(got, want)
 
 
 # --- window intersection against the geometric oracle ---------------------
@@ -309,8 +327,12 @@ def test_twist_power_obeys_the_crossing_bound(kind, a, b, c, k):
 
 
 def test_twist_rejects_other_directions():
-    with pytest.raises(ValueError):
-        twist(TORUS, make_slope(0, 1), make_slope(1, 0), 2)
+    # a float would give a slope like Slope(p=1.0, q=1.0), whose text
+    # 1.0/1.0 parse_slope refuses
+    for direction in (2, 0, 1.0, -1.0, 0.5, True):
+        for w in (TORUS, SPHERE):
+            with pytest.raises(ValueError, match="direction must be"):
+                twist(w, make_slope(0, 1), make_slope(1, 0), direction)
 
 
 # --- triples ----------------------------------------------------------------

@@ -8,11 +8,22 @@ versions test types inline, skip the scan when no slot can be wrong and
 drop self-loops once per vertex, so they must build an equal graph or
 raise a ``FormatError`` with the same detail, write the same bytes,
 report the same violations in the same order and build the same A(P).
+
+The graph tables (the frontier, its pants, the lone-end pants, the
+handles, the pants graph, the separating curves, A(P) and the curve
+classes) and the constructor's end sorting have references too, which
+read each curve through ``Curve.is_frontier`` and ``Curve.is_self_gluing``
+and sort every curve's ends.  The library tests the ends inline and
+sorts only ends out of order, so it must give equal answers, or raise the
+same error, on valid graphs and on graphs that only the constructor
+accepts.
 """
 
 import itertools
 import json
 import random
+from collections import Counter
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,19 +31,23 @@ from hypothesis import strategies as st
 from curvelab import (
     AdjacencyGraph,
     Curve,
+    CurveClass,
     GluingGraph,
     InfiniteModel,
     PantsSlot,
     Violation,
     build_finite_surface,
     build_truncation,
+    classify_all,
     dumps_surface,
     loads_surface,
     random_gluing_graph,
     surface_to_json,
     validate,
 )
+from curvelab._graph import lowpoints, neighbour_lists
 from curvelab.errors import FormatError
+from curvelab.surface import _ends_in_order
 from test_cli import _DOC_MUTATIONS, _JSON_VALUES, _mutated_doc, _places
 from test_pants_graphs import CENSUS, _with_frontier
 from test_surface import _BASES, _MUTATIONS, LOCH_2, _mutated
@@ -221,8 +236,77 @@ def _ref_adjacency(g):
         here = [cid for cid in ids if cid in adj]
         for u in here:
             adj[u].update(v for v in here if v != u)
-    marks = sorted({v for p in g.frontier_pants for v in at.get(p, ()) if v in adj})
+    marks = sorted({v for p in _ref_frontier_pants(g) for v in at.get(p, ()) if v in adj})
     return AdjacencyGraph({v: sorted(nbrs) for v, nbrs in adj.items()}, tuple(marks))
+
+
+def _ref_ends_in_order(c):
+    ends = tuple(sorted(c.ends))
+    return c if ends == c.ends else Curve(c.id, ends)
+
+
+def _ref_gluing_graph(pants, curves, boundary):
+    return tuple.__new__(
+        GluingGraph,
+        (
+            tuple(sorted(pants)),
+            tuple(sorted(map(_ref_ends_in_order, curves), key=attrgetter("id"))),
+            tuple(sorted(boundary)),
+        ),
+    )
+
+
+def _ref_pants_edges(curves):
+    for c in curves:
+        if len(c.ends) == 2 and not c.is_self_gluing:
+            yield c.ends[0].pants, c.ends[1].pants, c.id
+
+
+def _ref_frontier(g):
+    return tuple(c.id for c in g.curves if c.is_frontier)
+
+
+def _ref_frontier_pants(g):
+    return frozenset(c.ends[0].pants for c in g.curves if c.is_frontier)
+
+
+def _ref_lone_end_pants(g):
+    count = Counter(end.pants for c in g.curves if not c.is_frontier for end in c.ends)
+    return frozenset(p for p, n in count.items() if n == 1)
+
+
+def _ref_handles(g):
+    return tuple(c.id for c in g.curves if c.is_self_gluing)
+
+
+def _ref_pants_graph(g):
+    return neighbour_lists(g.pants, ((u, v) for u, v, _ in _ref_pants_edges(g.curves)))
+
+
+def _ref_separating_curves(g):
+    between = {}
+    for u, v, cid in _ref_pants_edges(g.curves):
+        between.setdefault((u, v), []).append(cid)
+    separating = set()
+    for u, v in lowpoints(_ref_pants_graph(g))[0]:
+        ids = between[(u, v) if u < v else (v, u)]
+        if len(ids) == 1:
+            separating.add(ids[0])
+    return frozenset(separating)
+
+
+def _ref_classify_all(g):
+    separating = _ref_separating_curves(g)
+    lone = _ref_lone_end_pants(g)
+
+    def class_of(c):
+        if c.id not in separating:
+            return CurveClass.NONSEPARATING
+        if c.ends[0].pants in lone or c.ends[1].pants in lone:
+            return CurveClass.OUTER
+        return CurveClass.NON_OUTER
+
+    return {c.id: class_of(c) for c in g.curves if not c.is_frontier}
 
 
 # ---------------------------------------------------------------------------
@@ -372,3 +456,123 @@ def test_validate_matches_the_reference_with_repeated_pants_ids():
     clash = GluingGraph(g.pants + g.pants[:1], g.curves, (PantsSlot(g.pants[0], 0),))
     assert validate(clash) == _ref_validate(clash)
     assert sum("used 2 times" in v.detail for v in validate(clash)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the graph tables and the constructor's end sorting
+
+# each table of a built graph, read through the library and the reference
+_TABLES = {
+    "frontier": (attrgetter("frontier"), _ref_frontier),
+    "frontier_pants": (attrgetter("frontier_pants"), _ref_frontier_pants),
+    "lone_end_pants": (attrgetter("lone_end_pants"), _ref_lone_end_pants),
+    "handles": (attrgetter("handles"), _ref_handles),
+    "pants_graph": (attrgetter("pants_graph"), _ref_pants_graph),
+    "separating_curves": (attrgetter("separating_curves"), _ref_separating_curves),
+    "adjacency_graph": (attrgetter("adjacency_graph"), _ref_adjacency),
+    "classify_all": (classify_all, _ref_classify_all),
+}
+
+
+def _in_order(outcome):
+    """An outcome whose dict, if any, is listed in its key order."""
+    kind, value = outcome
+    return (kind, list(value.items())) if isinstance(value, dict) else outcome
+
+
+def _assert_tables_match_the_reference(g):
+    for name, (ours, ref) in _TABLES.items():
+        got, want = _in_order(_outcome(ours, g)), _in_order(_outcome(ref, g))
+        assert got == want, name
+        if got[0] == "ok":
+            assert type(got[1]) is type(want[1]), name
+
+
+def _assert_builds_as_the_reference(pants, curves, boundary):
+    """Each curve's ends are put in order, and the graph built, as the
+    references do: the same curve object when it is kept, an equal one of
+    the same class otherwise, or the same error; then every table of the
+    graph matches."""
+    for c in curves:
+        got, want = _outcome(_ends_in_order, c), _outcome(_ref_ends_in_order, c)
+        assert got == want, c
+        if got[0] == "ok":
+            assert (got[1] is c) == (want[1] is c) and type(got[1]) is type(want[1]), c
+    got = _outcome(GluingGraph, pants, curves, boundary)
+    assert got == _outcome(_ref_gluing_graph, pants, curves, boundary)
+    if got[0] == "ok":
+        _assert_tables_match_the_reference(got[1])
+    return got
+
+
+def test_graph_tables_match_the_reference_on_models_and_census():
+    graphs = [build_truncation(m, d) for m in InfiniteModel for d in range(1, 11)]
+    graphs += [build_finite_surface(genus, b) for genus, b in CENSUS]
+    for g in graphs:
+        assert _assert_builds_as_the_reference(g.pants, g.curves, g.boundary) == ("ok", g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_graph_tables_match_the_reference_on_random_graphs(n_pants, seed):
+    rng = random.Random(seed)
+    g = _with_frontier(random_gluing_graph(n_pants, rng), rng)
+    assert _assert_builds_as_the_reference(g.pants, g.curves, g.boundary) == ("ok", g)
+
+
+# changes to curve ends that the constructor accepts and validate refuses,
+# or that it must put back in order: an index that does not compare with
+# the others, such as "0" beside 1, raises TypeError only between two ends
+# on one pants
+_END_MUTATIONS = ("no ends", "three ends", "reverse ends", "text index", "list of ends")
+
+
+def _end_mutated(g, mutations):
+    """The fields of ``g`` with each (kind, i, _) of ``mutations`` applied
+    to its ``i``-th curve, before any constructor sorts them."""
+    curves = list(g.curves)
+    for kind, i, _ in mutations:
+        if not curves:
+            break
+        k = i % len(curves)
+        cid, ends = curves[k].id, tuple(curves[k].ends)
+        if kind == "no ends":
+            ends = ()
+        elif kind == "three ends":
+            ends = (ends * 3)[:3]
+        elif kind == "reverse ends":
+            ends = ends[::-1]
+        elif kind == "text index" and ends:
+            ends = (PantsSlot(ends[0].pants, str(ends[0].slot)),) + ends[1:]
+        elif kind == "list of ends":
+            ends = list(ends)
+        curves[k] = Curve(cid, ends)
+    return g.pants, curves, g.boundary
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_BASES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_MUTATIONS + _END_MUTATIONS), st.integers(0, 200), st.integers(0, 200)
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_graph_tables_match_the_reference_on_mutated_graphs(base, mutations):
+    g = _mutated(base, [m for m in mutations if m[0] in _MUTATIONS])
+    _assert_builds_as_the_reference(*_end_mutated(g, [m for m in mutations if m[0] in _END_MUTATIONS]))
+
+
+def test_graph_tables_match_the_reference_on_each_end_mutation():
+    # every base and curve under each end mutation alone; among them the
+    # constructor's TypeError on a handle given a text index
+    outcomes = Counter()
+    for base in _BASES:
+        for kind in _END_MUTATIONS:
+            for i in range(len(base.curves)):
+                got = _assert_builds_as_the_reference(*_end_mutated(base, [(kind, i, 0)]))
+                outcomes[got[0]] += 1
+    assert outcomes["TypeError"] > 0 and outcomes["ok"] > outcomes["TypeError"]
