@@ -19,6 +19,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from itertools import repeat
 
+from ._gc import collector_paused
 from ._graph import bfs_parents, path_to
 from .curves import (
     DualChain,
@@ -133,42 +134,51 @@ def local_graph(g, inventory, mode):
     separation search per sphere window and slope parity class in modes
     "n" and "g", kept on the graph (see
     :func:`~curvelab.curves.window_curve_separates`).
+
+    The cyclic garbage collector is paused while the graph is built (see
+    :class:`~curvelab._gc.collector_paused`): the graph holds no reference
+    cycle, so a collection there would free nothing and only walk the
+    heap again, the part of the graph already built included.  No
+    collection is lost, as the collector resumes on return.  The pause is
+    process-wide, so cyclic garbage that another thread makes meanwhile
+    waits until the call returns.
     """
     if mode not in _RELATIONS:
         raise ValueError(f"mode must be one of c, n, g; got {mode!r}")
-    vertices = [_resolve(g, ref) for ref in dict.fromkeys(inventory)]
-    if mode in ("n", "g"):
-        vertices = [r for r in vertices if _is_nonseparating(g, r)]
-    refs = [r.ref for r in vertices]
-    on_pants = {}
-    for i, r in enumerate(vertices):
-        for pid in r.support:
-            on_pants.setdefault(pid, []).append(i)
-    disjoint_edges = _RELATIONS[mode] == "disjointness"
-    want = 0 if disjoint_edges else 1
-    edges = []
-    undefined = []
-    for i, u in enumerate(vertices):
-        meeting = sorted({
-            j for pid in u.support for j in on_pants[pid][bisect_right(on_pants[pid], i):]
-        })
-        start = i + 1
-        with_u = repeat(u.ref)
-        for j in meeting:
-            if disjoint_edges and j > start:
-                edges.extend(zip(with_u, refs[start:j]))
-            start = j + 1
-            val = _pairing(u, vertices[j])
-            if val is None:
-                undefined.append((u.ref, refs[j]))
-            elif val == want:
-                edges.append((u.ref, refs[j]))
-        if disjoint_edges:
-            edges.extend(zip(with_u, refs[start:]))
-    return LocalCurveGraph(
-        vertices=tuple(refs), edges=tuple(edges), mode=mode,
-        undefined_pairs=tuple(undefined),
-    )
+    with collector_paused():
+        vertices = [_resolve(g, ref) for ref in dict.fromkeys(inventory)]
+        if mode in ("n", "g"):
+            vertices = [r for r in vertices if _is_nonseparating(g, r)]
+        refs = [r.ref for r in vertices]
+        on_pants = {}
+        for i, r in enumerate(vertices):
+            for pid in r.support:
+                on_pants.setdefault(pid, []).append(i)
+        disjoint_edges = _RELATIONS[mode] == "disjointness"
+        want = 0 if disjoint_edges else 1
+        edges = []
+        undefined = []
+        for i, u in enumerate(vertices):
+            meeting = sorted({
+                j for pid in u.support for j in on_pants[pid][bisect_right(on_pants[pid], i):]
+            })
+            start = i + 1
+            with_u = repeat(u.ref)
+            for j in meeting:
+                if disjoint_edges and j > start:
+                    edges.extend(zip(with_u, refs[start:j]))
+                start = j + 1
+                val = _pairing(u, vertices[j])
+                if val is None:
+                    undefined.append((u.ref, refs[j]))
+                elif val == want:
+                    edges.append((u.ref, refs[j]))
+            if disjoint_edges:
+                edges.extend(zip(with_u, refs[start:]))
+        return LocalCurveGraph(
+            vertices=tuple(refs), edges=tuple(edges), mode=mode,
+            undefined_pairs=tuple(undefined),
+        )
 
 
 def disjointness_witness(g, c1, c2):

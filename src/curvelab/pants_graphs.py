@@ -7,10 +7,14 @@ frontier-carrying pants are *marked*, since an unbounded part of the surface
 is attached there.
 
 Every curve of a pants decomposition is one of three kinds: nonseparating,
-outer separating (it cuts off a single pants all of whose other circles are
-boundary), or non-outer separating.  On the adjacency graph the last kind is
-exactly the cut vertices, which is what makes A(P) useful: separation
-properties of curves become pure graph theory.
+outer separating or non-outer separating.  "A separating curve is outer
+when one of its two pants has both other circles on the surface boundary
+or on the frontier: a frontier circle is read as boundary."  So a class
+describes the truncation, not the infinite surface: next to the frontier,
+a curve outer at one depth can be non-outer one level deeper.  On the
+adjacency graph the non-outer curves are exactly the cut vertices, which
+is what makes A(P) useful: separation properties of curves become pure
+graph theory.
 """
 
 import enum
@@ -39,10 +43,11 @@ def classify_curve(g, curve_id):
     A curve is nonseparating exactly when it is not a bridge of the pants
     multigraph (self-gluings and doubled edges never separate); the bridges
     come from one pass over the whole graph, cached as
-    :attr:`GluingGraph.separating_curves`.  A separating curve is outer
-    when one of its sides is a single pants whose remaining two circles
-    are all surface boundary or frontier, that is when one of its pants is
-    in :attr:`GluingGraph.lone_end_pants`; cutting there removes a pair of
+    :attr:`GluingGraph.separating_curves`.  "A separating curve is outer
+    when one of its two pants has both other circles on the surface
+    boundary or on the frontier: a frontier circle is read as boundary."
+    That is when one of its pants is in
+    :attr:`GluingGraph.lone_end_pants`; cutting there removes a pair of
     pants with no further topology, not a genuine piece.  Both tables are
     cached on ``g``, so each call is two lookups.
     """

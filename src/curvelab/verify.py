@@ -17,6 +17,7 @@ compared with.
 import random
 from bisect import bisect_right
 
+from ._gc import collector_paused
 from .complexes import curve_inventory, disjointness_witness, schmutz_path
 from .curves import (
     PantsCurve,
@@ -413,7 +414,16 @@ SUITES = {
 
 
 def run_suite(name, **kwargs):
-    """Dispatch a verification suite by name with keyword overrides."""
+    """Dispatch a verification suite by name with keyword overrides.
+
+    The cyclic garbage collector is paused while the suite runs (see
+    :class:`~curvelab._gc.collector_paused`): a sweep builds many graphs
+    and cases but no reference cycle, so a collection there would free
+    nothing.  No collection is lost, as the collector resumes on return.
+    The pause is process-wide, so cyclic garbage that another thread
+    makes meanwhile waits until the suite returns.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)
+    with collector_paused():
+        return SUITES[name](**kwargs)
