@@ -44,6 +44,13 @@ small-into-large moves of the vertices still waiting for a live
 component, and sorting, it takes O((n + m) log n) for n vertices and m
 edges, plus the number of nodes.
 
+:func:`induced_end_correspondence` reads the two trees level by level from
+the deepest up.  It keeps one flat union-find list per tree over all its
+nodes and links each level to its parents before reading it, so the root
+of a deeper node is its ancestor on the current level.  Each (curve,
+pants) incidence is read on the shallower of the two deepest levels, and
+only its deeper side is looked up.
+
 Each tree is searched once per query: the graph searched keeps it under
 ``(depth, base, stride)``, the pants-graph trees in
 :attr:`GluingGraph.end_trees` and the A(P) trees in
@@ -145,12 +152,23 @@ class EndTree(namedtuple("EndTree", "base stride parents deepest")):
 
 def default_base(h, marks):
     """The vertex of the graph ``h`` (a dict of sorted neighbour lists)
-    farthest from every mark (maximin distance), ties broken by name.
-    With no marks any vertex does; the smallest is returned."""
+    farthest from every mark (maximin distance), ties broken by name.  A
+    vertex no mark reaches is farthest of all, so with no marks any vertex
+    does; the smallest is returned."""
     if not h:
         return None
     dist = bfs_distances(h, [m for m in marks if m in h])
-    return min(h, key=lambda v: (-dist.get(v, math.inf), v))
+    if len(dist) < len(h):
+        return min(h.keys() - dist.keys())
+    # the search lists the vertices by distance, so the farthest come last
+    farthest = reversed(dist.items())
+    base, far = next(farthest)
+    for v, d in farthest:
+        if d != far:
+            break
+        if v < base:
+            base = v
+    return base
 
 
 def _find(link, x):
@@ -187,12 +205,15 @@ def _end_tree(h, marks, depth, base, stride):
 
     # A vertex at distance d lies outside the level-k ball exactly when
     # k <= (d - 1) // stride; unreachable vertices lie outside every ball.
-    entering = {}
-    for v in h:
-        d = dist.get(v)
-        k = depth if d is None else min(depth, (d - 1) // stride)
-        if k >= 0:
-            entering.setdefault(k, []).append(v)
+    entering = [[] for _ in range(depth + 1)]
+    for v, d in dist.items():
+        k = (d - 1) // stride
+        if k >= depth:
+            entering[depth].append(v)
+        elif k >= 0:
+            entering[k].append(v)
+    if len(dist) < len(h):
+        entering[depth] += h.keys() - dist.keys()
 
     # Union-find over the outside of the ball, grown level by level from
     # the deepest one inward.  The root of a component is its smallest
@@ -207,19 +228,22 @@ def _end_tree(h, marks, depth, base, stride):
     deepest = [()] * (depth + 1)
     below = []
     for k in range(depth, -1, -1):
-        for v in entering.get(k, ()):
+        for v in entering[k]:
             root[v] = v
             waiting[v] = [v]
             if v in marks:
                 live.add(v)
             top = v  # the root of v's component
             for u in h[v]:
-                if u not in root:
+                up = root.get(u)
+                if up is None:
                     continue
-                other = _find(root, u)
-                if other == top:
+                while up != u:  # find u's root, halving the path
+                    root[u] = up = root[up]
+                    u, up = up, root[up]
+                if u == top:
                     continue
-                keep, gone = (other, top) if other < top else (top, other)
+                keep, gone = (u, top) if u < top else (top, u)
                 root[gone] = keep
                 moved = waiting.pop(gone)
                 if len(moved) > len(waiting[keep]):
@@ -284,30 +308,6 @@ def end_trees_isomorphic(t1, t2):
     return t1.canonical() == t2.canonical()
 
 
-class _Ancestors:
-    """Ancestors of a tree's nodes on a current level that starts at the
-    deepest and only moves up: a union-find over all nodes, in which
-    :meth:`rise` links the current level to its parents, with path
-    halving."""
-
-    def __init__(self, tree):
-        self._parents = tree.parents
-        self._start = list(accumulate(map(len, tree.parents), initial=0))
-        self._link = list(range(self._start[-1]))
-        self._level = len(tree.parents) - 1
-
-    def rise(self):
-        k = self._level
-        here, up = self._start[k], self._start[k - 1]
-        for i, p in enumerate(self._parents[k]):
-            self._link[here + i] = up + p
-        self._level = k - 1
-
-    def __call__(self, k, i):
-        """Index on the current level of the ancestor of node i of level k."""
-        return _find(self._link, self._start[k] + i) - self._start[self._level]
-
-
 def induced_end_correspondence(g, depth):
     """Match the A(P) end tree of ``g`` with its pants-graph end tree.
 
@@ -336,27 +336,43 @@ def induced_end_correspondence(g, depth):
     ct = end_tree(g.adjacency_graph, depth)
     pt = surface_end_tree(g, depth)
 
-    curve_node = {v: (k, i) for k, level in enumerate(ct.deepest) for v, i in level}
+    # One flat union-find list per tree over all its nodes, node i of level
+    # k at start[k] + i.  Walking up from the deepest level, each level is
+    # linked to its parents before it is read, so the root of a deeper
+    # node is its ancestor on the current level.
+    cstart = list(accumulate(map(len, ct.parents), initial=0))
+    pstart = list(accumulate(map(len, pt.parents), initial=0))
+    clink, plink = list(range(cstart[-1])), list(range(pstart[-1]))
+
+    curve_node = {v: (k, cstart[k] + i) for k, level in enumerate(ct.deepest) for v, i in level}
     meets = [[] for _ in range(depth + 1)]
     for kp, level in enumerate(pt.deepest):
+        first = pstart[kp]
         for p, j in level:
             for v in g.curves_at[p]:
-                if v in curve_node:
-                    kc, i = curve_node[v]
-                    meets[min(kc, kp)].append((kc, i, kp, j))
+                node = curve_node.get(v)
+                if node is not None:
+                    kc, x = node
+                    meets[kc if kc < kp else kp].append((kc, x, kp, first + j))
 
-    curve_up, pants_up = _Ancestors(ct), _Ancestors(pt)
     targets = [None] * (depth + 1)
     for k in range(depth, -1, -1):
+        c0, p0 = cstart[k], pstart[k]
         here = [set() for _ in ct.parents[k]]
         if k < depth:
             curve_parents, pants_parents = ct.parents[k + 1], pt.parents[k + 1]
             for i, below in enumerate(targets[k + 1]):
                 here[curve_parents[i]].update(pants_parents[j] for j in below)
-            curve_up.rise()
-            pants_up.rise()
-        for kc, i, kp, j in meets[k]:
-            here[curve_up(kc, i)].add(pants_up(kp, j))
+            clink[cstart[k + 1]:cstart[k + 2]] = [c0 + i for i in curve_parents]
+            plink[pstart[k + 1]:pstart[k + 2]] = [p0 + j for j in pants_parents]
+        # only a side whose deepest level lies below k needs its ancestor;
+        # the other is its own node on level k
+        for kc, x, kp, y in meets[k]:
+            if kc != k:
+                x = _find(clink, x)
+            if kp != k:
+                y = _find(plink, y)
+            here[x - c0].add(y - p0)
         targets[k] = here
 
     mapping = []

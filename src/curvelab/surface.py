@@ -19,6 +19,7 @@ import enum
 import json
 from collections import Counter, namedtuple
 from functools import cached_property
+from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 
 from ._graph import lowpoints, neighbour_lists
@@ -495,13 +496,20 @@ def _handle_block(pants, curves, open_slot, tag):
     """Append one handle block to ``pants`` and ``curves``: the connector
     pants ``cp{tag}`` glued to ``open_slot`` along ``c{tag}``, the tube
     ``t{tag}`` to the handle pants ``hp{tag}`` and its self-gluing
-    ``h{tag}``.  Returns the connector's free slot."""
+    ``h{tag}``.  Returns the connector's free slot.
+
+    The builders make each record with ``tuple.__new__``, as the reader
+    does: a namedtuple's generated ``__new__`` costs about 2.5 times as
+    much per record."""
+    new = tuple.__new__
     cp, hp = f"cp{tag}", f"hp{tag}"
     pants += [cp, hp]
-    curves.append(Curve(f"c{tag}", (open_slot, PantsSlot(cp, 0))))
-    curves.append(Curve(f"t{tag}", (PantsSlot(cp, 1), PantsSlot(hp, 0))))
-    curves.append(Curve(f"h{tag}", (PantsSlot(hp, 1), PantsSlot(hp, 2))))
-    return PantsSlot(cp, 2)
+    curves += [
+        new(Curve, (f"c{tag}", (open_slot, new(PantsSlot, (cp, 0))))),
+        new(Curve, (f"t{tag}", (new(PantsSlot, (cp, 1)), new(PantsSlot, (hp, 0))))),
+        new(Curve, (f"h{tag}", (new(PantsSlot, (hp, 1)), new(PantsSlot, (hp, 2))))),
+    ]
+    return new(PantsSlot, (cp, 2))
 
 
 def build_finite_surface(genus, boundary):
@@ -522,6 +530,7 @@ def build_finite_surface(genus, boundary):
     if complexity < 1:
         raise ComplexityTooLow(f"S_({genus},{boundary}) has complexity {complexity}")
 
+    new = tuple.__new__
     pants = []
     curves = []
     bmarks = []
@@ -530,22 +539,22 @@ def build_finite_surface(genus, boundary):
     if genus == 0:
         # a boundary chain, boundary >= 4, from tp0 through the legs to tp1
         pants.append("tp0")
-        bmarks += [PantsSlot("tp0", 0), PantsSlot("tp0", 1)]
-        open_slot = PantsSlot("tp0", 2)
+        bmarks += [new(PantsSlot, ("tp0", 0)), new(PantsSlot, ("tp0", 1))]
+        open_slot = new(PantsSlot, ("tp0", 2))
         handles = ()
         legs = boundary - 4
     elif boundary >= 2:
         pants += ["xp", "yp"]
-        bmarks.append(PantsSlot("xp", 0))
-        curves.append(Curve("a", (PantsSlot("xp", 1), PantsSlot("yp", 0))))
-        curves.append(Curve("b", (PantsSlot("xp", 2), PantsSlot("yp", 1))))
-        open_slot = PantsSlot("yp", 2)
+        bmarks.append(new(PantsSlot, ("xp", 0)))
+        curves.append(new(Curve, ("a", (new(PantsSlot, ("xp", 1)), new(PantsSlot, ("yp", 0))))))
+        curves.append(new(Curve, ("b", (new(PantsSlot, ("xp", 2)), new(PantsSlot, ("yp", 1))))))
+        open_slot = new(PantsSlot, ("yp", 2))
         handles = range(1, genus)
         legs = boundary - 2
     else:
         pants.append("hp0")
-        curves.append(Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2))))
-        open_slot = PantsSlot("hp0", 0)
+        curves.append(new(Curve, ("h0", (new(PantsSlot, ("hp0", 1)), new(PantsSlot, ("hp0", 2))))))
+        open_slot = new(PantsSlot, ("hp0", 0))
         handles = range(1, genus) if boundary >= 1 else range(1, genus - 1)
         legs = max(boundary - 1, 0)
 
@@ -555,22 +564,24 @@ def build_finite_surface(genus, boundary):
     for j in range(1, legs + 1):
         mp = f"mp{j}"
         pants.append(mp)
-        curves.append(Curve(f"s{j}", (open_slot, PantsSlot(mp, 0))))
-        bmarks.append(PantsSlot(mp, 1))
-        open_slot = PantsSlot(mp, 2)
+        curves.append(new(Curve, (f"s{j}", (open_slot, new(PantsSlot, (mp, 0))))))
+        bmarks.append(new(PantsSlot, (mp, 1)))
+        open_slot = new(PantsSlot, (mp, 2))
 
     if genus == 0:
         pants.append("tp1")
-        curves.append(Curve(f"s{legs + 1}", (open_slot, PantsSlot("tp1", 0))))
-        bmarks += [PantsSlot("tp1", 1), PantsSlot("tp1", 2)]
+        curves.append(new(Curve, (f"s{legs + 1}", (open_slot, new(PantsSlot, ("tp1", 0))))))
+        bmarks += [new(PantsSlot, ("tp1", 1)), new(PantsSlot, ("tp1", 2))]
     elif boundary >= 1:
         bmarks.append(open_slot)
     else:
         # close the chain with a terminal handle block
         hp = f"hp{genus - 1}"
         pants.append(hp)
-        curves.append(Curve(f"c{genus - 1}", (open_slot, PantsSlot(hp, 0))))
-        curves.append(Curve(f"h{genus - 1}", (PantsSlot(hp, 1), PantsSlot(hp, 2))))
+        curves += [
+            new(Curve, (f"c{genus - 1}", (open_slot, new(PantsSlot, (hp, 0))))),
+            new(Curve, (f"h{genus - 1}", (new(PantsSlot, (hp, 1)), new(PantsSlot, (hp, 2))))),
+        ]
     return GluingGraph(pants, curves, bmarks)
 
 
@@ -580,35 +591,38 @@ def _arm(pants, curves, open_slot, side, depth):
     ``c{side}{depth}``."""
     for k in range(1, depth):
         open_slot = _handle_block(pants, curves, open_slot, f"{side}{k}")
-    curves.append(Curve(f"c{side}{depth}", (open_slot,)))
+    curves.append(tuple.__new__(Curve, (f"c{side}{depth}", (open_slot,))))
 
 
 def _loch_ness(depth):
+    new = tuple.__new__
     pants = ["hp0"]
-    curves = [Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2)))]
-    _arm(pants, curves, PantsSlot("hp0", 0), "", depth)
+    curves = [new(Curve, ("h0", (new(PantsSlot, ("hp0", 1)), new(PantsSlot, ("hp0", 2)))))]
+    _arm(pants, curves, new(PantsSlot, ("hp0", 0)), "", depth)
     return GluingGraph(pants, curves)
 
 
 def _ladder(depth):
+    new = tuple.__new__
     pants = ["cp0", "hp0"]
     curves = [
-        Curve("t0", (PantsSlot("cp0", 0), PantsSlot("hp0", 0))),
-        Curve("h0", (PantsSlot("hp0", 1), PantsSlot("hp0", 2))),
+        new(Curve, ("t0", (new(PantsSlot, ("cp0", 0)), new(PantsSlot, ("hp0", 0))))),
+        new(Curve, ("h0", (new(PantsSlot, ("hp0", 1)), new(PantsSlot, ("hp0", 2))))),
     ]
-    _arm(pants, curves, PantsSlot("cp0", 1), "l", depth)
-    _arm(pants, curves, PantsSlot("cp0", 2), "r", depth)
+    _arm(pants, curves, new(PantsSlot, ("cp0", 1)), "l", depth)
+    _arm(pants, curves, new(PantsSlot, ("cp0", 2)), "r", depth)
     return GluingGraph(pants, curves)
 
 
 def _cantor_tree(depth):
+    new = tuple.__new__
     pants = ["bp", "hp"]
     curves = [
-        Curve("t", (PantsSlot("bp", 0), PantsSlot("hp", 0))),
-        Curve("h", (PantsSlot("hp", 1), PantsSlot("hp", 2))),
+        new(Curve, ("t", (new(PantsSlot, ("bp", 0)), new(PantsSlot, ("hp", 0))))),
+        new(Curve, ("h", (new(PantsSlot, ("hp", 1)), new(PantsSlot, ("hp", 2))))),
     ]
     # bp{a} offers child slots 1 and 2 for addresses a+"0" and a+"1"
-    child_slot = {"0": PantsSlot("bp", 1), "1": PantsSlot("bp", 2)}
+    child_slot = {"0": new(PantsSlot, ("bp", 1)), "1": new(PantsSlot, ("bp", 2))}
     level = ["0", "1"]
     for _ in range(depth - 1):
         next_level = []
@@ -616,13 +630,13 @@ def _cantor_tree(depth):
             free = _handle_block(pants, curves, child_slot.pop(a), a)
             bp = f"bp{a}"
             pants.append(bp)
-            curves.append(Curve(f"s{a}", (free, PantsSlot(bp, 0))))
-            child_slot[a + "0"] = PantsSlot(bp, 1)
-            child_slot[a + "1"] = PantsSlot(bp, 2)
+            curves.append(new(Curve, (f"s{a}", (free, new(PantsSlot, (bp, 0))))))
+            child_slot[a + "0"] = new(PantsSlot, (bp, 1))
+            child_slot[a + "1"] = new(PantsSlot, (bp, 2))
             next_level += [a + "0", a + "1"]
         level = next_level
     for a in level:
-        curves.append(Curve(f"c{a}", (child_slot.pop(a),)))
+        curves.append(new(Curve, (f"c{a}", (child_slot.pop(a),))))
     return GluingGraph(pants, curves)
 
 
@@ -773,9 +787,54 @@ def surface_from_json(doc):
     return g
 
 
+def _json_value(v):
+    """A value of the document that is not a plain string or slot index,
+    as :func:`json.dumps` writes it inside the document."""
+    return json.dumps(v, ensure_ascii=False)
+
+
 def dumps_surface(g):
-    """Serialize to a stable JSON string (byte-reproducible)."""
-    return json.dumps(surface_to_json(g), ensure_ascii=False) + "\n"
+    """Serialize to a stable JSON string (byte-reproducible).
+
+    The text is ``json.dumps(surface_to_json(g), ensure_ascii=False)``
+    followed by a newline, byte for byte, and a value that JSON cannot
+    hold raises the same error.  It is written directly, one f-string per
+    curve, with no dict per curve: a value of exact class ``str`` goes
+    through :func:`json.encoder.encode_basestring`, an ``int`` slot index
+    is written as is, and any other value (a bool, a float, an id that is
+    not a string) through :func:`json.dumps`.  Each end is unpacked as a
+    pair, as a :class:`PantsSlot` is.
+    """
+    enc, dump = encode_basestring, _json_value
+    pants = ", ".join([enc(p) if p.__class__ is str else dump(p) for p in g.pants])
+    curves = []
+    frontier = []
+    for cid, ends in g.curves:
+        cid = enc(cid) if cid.__class__ is str else dump(cid)
+        if len(ends) == 2:
+            (p, k), (q, m) = ends
+            curves.append(
+                f'{{"id": {cid}, "ends": [[{enc(p) if p.__class__ is str else dump(p)}, '
+                f"{k if k.__class__ is int else dump(k)}], "
+                f"[{enc(q) if q.__class__ is str else dump(q)}, "
+                f"{m if m.__class__ is int else dump(m)}]]}}"
+            )
+            continue
+        if len(ends) == 1:
+            frontier.append(cid)
+        pairs = ", ".join([
+            f"[{enc(p) if p.__class__ is str else dump(p)}, {k if k.__class__ is int else dump(k)}]"
+            for p, k in ends
+        ])
+        curves.append(f'{{"id": {cid}, "ends": [{pairs}]}}')
+    boundary = ", ".join([
+        f"[{enc(p) if p.__class__ is str else dump(p)}, {k if k.__class__ is int else dump(k)}]"
+        for p, k in g.boundary
+    ])
+    return (
+        f'{{"pants": [{pants}], "curves": [{", ".join(curves)}], '
+        f'"boundary": [{boundary}], "frontier": [{", ".join(frontier)}]}}\n'
+    )
 
 
 def loads_surface(text):

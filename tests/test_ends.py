@@ -341,6 +341,18 @@ def _lists(h):
     return {v: sorted(h.adj[v]) for v in h}
 
 
+def _reference_default_base(h, marks):
+    """The default base of the networkx graph ``h``: distances from the
+    nearest mark by networkx's multi-source search, the farthest vertex
+    first, a vertex no mark reaches counted as farthest of all, ties broken
+    by name."""
+    if not h:
+        return None
+    sources = {m for m in marks if m in h}
+    dist = nx.multi_source_dijkstra_path_length(h, sources) if sources else {}
+    return min(h.nodes, key=lambda v: (-dist.get(v, math.inf), v))
+
+
 def _reference_end_tree(h, marks, depth, base, stride):
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -348,7 +360,7 @@ def _reference_end_tree(h, marks, depth, base, stride):
         raise ValueError(f"stride must be positive, got {stride}")
     marks = set(m for m in marks if m in h)
     if base is None:
-        base = default_base(_lists(h), marks)
+        base = _reference_default_base(h, marks)
     elif base not in h:
         raise ValueError(f"base {base!r} is not a vertex of this graph")
     if base is not None:
@@ -456,7 +468,7 @@ def test_end_trees_match_the_reference_on_models_and_census():
                 # depth the guard allows, and the first it refuses, cover all
                 deepest = []
                 for h, marks in graphs:
-                    base = default_base(_lists(h), marks)
+                    base = _reference_default_base(h, marks)
                     dist = nx.single_source_shortest_path_length(h, base)
                     q = (min(dist[m] for m in marks) - 1) // stride
                     deepest.append(q)
@@ -521,6 +533,32 @@ def _beside(g, h):
         g.curves + tuple(moved),
         g.boundary + tuple(PantsSlot("x" + s.pants, s.slot) for s in h.boundary),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_default_base_matches_the_reference(n_pants, n_apart, seed, n_marks, curves):
+    # marks anywhere, none at all, or only on the first of two surfaces
+    # side by side, where the second one's vertices are unreached and
+    # farthest; a mark that is no vertex is ignored
+    rng = random.Random(seed)
+    g = random_gluing_graph(n_pants, rng)
+    if n_apart:
+        g = _beside(g, random_gluing_graph(n_apart, rng))
+    h = _nx_of(adjacency_graph(g)) if curves else nx.Graph(g.pants_graph)
+    nodes = sorted(h.nodes)
+    if rng.random() < 0.5:
+        nodes = [v for v in nodes if not v.startswith("x")]
+    marks = set(rng.sample(nodes, min(len(nodes), n_marks)))
+    if rng.random() < 0.5:
+        marks.add("nope")
+    assert default_base(_lists(h), marks) == _reference_default_base(h, marks)
 
 
 @settings(max_examples=300, deadline=None)
