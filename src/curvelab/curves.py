@@ -665,23 +665,22 @@ def window_curve_separates(g, w, s):
 
 def _groups_apart(g, w, groups):
     """Whether no path outside the sphere window ``w`` joins its two cuff
-    groups.  Cuffs on surface boundary or frontier reconnect nothing.  The
-    paths are searched in the cached :attr:`GluingGraph.pants_graph` with
-    the window's pants left out, from one group's far pants until the
-    other group's is reached."""
+    groups.  A cuff's occupant is the last curve in id order with an end
+    there; a cuff on boundary or frontier reconnects nothing.  The paths
+    are searched in the cached :attr:`GluingGraph.pants_graph` without the
+    window's pants, from one group's far pants to the other group's."""
+    by_id = g.curve_by_id
     sides = []
     for group in groups:
         far = set()
         for k in group:
             slot = w.cuff_slots[k]
-            cid = g.slot_occupant.get(slot)
-            if cid is None:
-                continue
-            c = g.curve_by_id[cid]
-            if c.is_frontier:
-                continue
-            other = next(e for e in c.ends if e != slot)
-            far.add(other.pants)
+            ends = ()
+            for cid in g.curves_at[slot.pants]:
+                if slot in by_id[cid].ends:
+                    ends = by_id[cid].ends
+            if len(ends) > 1:
+                far.add(next(e for e in ends if e != slot).pants)
         sides.append(far)
     start, goal = sides
     if not start or not goal:

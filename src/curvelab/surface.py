@@ -141,13 +141,6 @@ class GluingGraph(namedtuple("GluingGraph", "pants curves boundary")):
                     at[end.pants].append(c.id)
         return {p: tuple(ids) for p, ids in at.items()}
 
-    @cached_property
-    def slot_occupant(self):
-        """Map each :class:`PantsSlot` (equal to its pair (pants, slot)) to
-        the id of the curve whose end sits there.  Boundary-marked slots
-        are absent."""
-        return {end: c.id for c in self.curves for end in c.ends}
-
     def pants_of_curve(self, curve_id):
         """The pants touched by a curve (one or two ids, deduplicated)."""
         c = self.curve_by_id[curve_id]
@@ -389,67 +382,54 @@ def _unreferable(curve_ids):
     return problems
 
 
+_BOUNDARY = object()  # the curve id under which validate reads a boundary mark
+
+
 def validate(g):
     """Check well-formedness and return a tuple of violations (empty if ok).
 
     Checks identifier uniqueness, curve ids that curve references can
-    carry, exact slot usage (every slot of every pants is used by exactly
-    one curve end or one boundary mark) and connectivity of the pants
-    graph.  This reports rather than raises so that a malformed graph can
-    be inspected.
+    carry, exact slot usage and connectivity of the pants graph.  The one
+    slot rule: every slot of every pants is used by exactly one curve end
+    or boundary mark, a mark being read as the one end of a curve.  This
+    reports rather than raises so that a malformed graph can be inspected.
     """
     curve_ids = [c.id for c in g.curves]
     violations = [Violation("DuplicateId", d) for d in _duplicate_ids(g.pants, curve_ids)]
     violations += [Violation("InvalidId", d) for d in _unreferable(curve_ids)]
 
     pants_set = set(g.pants)
-    first = {}  # (pants, slot) -> its first user, None for a boundary mark
-    reused = {}  # (pants, slot) -> every user, for a slot used more than once
+    first = {}  # (pants, slot) -> the id of its first user
+    reused = {}  # (pants, slot) -> the ids of every user, for a slot used more than once
 
-    def what(user):
-        return "boundary mark" if user is None else f"curve {user.id!r}"
+    def what(cid):
+        return "boundary mark" if cid is _BOUNDARY else f"curve {cid!r}"
 
-    def unusable(slot, user):
-        """The violation of a slot on an unknown pants or, failing that,
-        with an index out of range."""
-        if slot.pants not in pants_set:
-            return Violation(
-                "SlotCountError", f"{what(user)} references unknown pants {slot.pants!r}"
-            )
-        return Violation("SlotCountError", f"{what(user)} uses invalid slot index {slot.slot!r}")
-
-    for c in g.curves:
-        ends = c.ends
+    for cid, ends in g.curves + tuple([(_BOUNDARY, (slot,)) for slot in g.boundary]):
         if len(ends) not in (1, 2):
-            violations.append(Violation("SlotCountError", f"curve {c.id!r} has {len(ends)} ends"))
+            violations.append(Violation("SlotCountError", f"curve {cid!r} has {len(ends)} ends"))
         for end in ends:
             try:
                 usable = end.pants in pants_set and 0 <= end.slot < SLOTS_PER_PANTS
-            except TypeError:  # an index that does not compare with an int
+            except TypeError:  # an unhashable pants id or an index that is no number
                 usable = False
             if usable:
                 if end in first:
-                    reused.setdefault(end, [first[end]]).append(c)
+                    reused.setdefault(end, [first[end]]).append(cid)
                 else:
-                    first[end] = c
-            else:
-                violations.append(unusable(end, c))
+                    first[end] = cid
+                continue
+            try:
+                known = end.pants in pants_set
+            except TypeError:  # an unhashable pants id names no pants
+                known = False
+            problem = (f"uses invalid slot index {end.slot!r}" if known
+                       else f"references unknown pants {end.pants!r}")
+            violations.append(Violation("SlotCountError", f"{what(cid)} {problem}"))
         if len(ends) == 2 and ends[0] == ends[1]:
             violations.append(
-                Violation("SlotCountError", f"curve {c.id!r} glues a slot to itself")
+                Violation("SlotCountError", f"curve {cid!r} glues a slot to itself")
             )
-    for slot in g.boundary:
-        try:
-            usable = slot.pants in pants_set and 0 <= slot.slot < SLOTS_PER_PANTS
-        except TypeError:
-            usable = False
-        if usable:
-            if slot in first:
-                reused.setdefault(slot, [first[slot]]).append(None)
-            else:
-                first[slot] = None
-        else:
-            violations.append(unusable(slot, None))
 
     # when every slot of every distinct pants is used exactly once there is
     # nothing to report; an index such as 0.5 passes the range test but
@@ -802,10 +782,19 @@ def dumps_surface(g):
     curve, with no dict per curve: a value of exact class ``str`` goes
     through :func:`json.encoder.encode_basestring`, an ``int`` slot index
     is written as is, and any other value (a bool, a float, an id that is
-    not a string) through :func:`json.dumps`.  Each end is unpacked as a
-    pair, as a :class:`PantsSlot` is.
+    not a string) through :func:`json.dumps`.  A curve end and a boundary
+    mark, each a :class:`PantsSlot`, are written alike as the pair it
+    unpacks to: by the one local writer ``pairs``, save the ends of a
+    two-ended curve, written inline since a call per curve costs more.
     """
     enc, dump = encode_basestring, _json_value
+
+    def pairs(ends):
+        return ", ".join([
+            f"[{enc(p) if p.__class__ is str else dump(p)}, {k if k.__class__ is int else dump(k)}]"
+            for p, k in ends
+        ])
+
     pants = ", ".join([enc(p) if p.__class__ is str else dump(p) for p in g.pants])
     curves = []
     frontier = []
@@ -822,18 +811,10 @@ def dumps_surface(g):
             continue
         if len(ends) == 1:
             frontier.append(cid)
-        pairs = ", ".join([
-            f"[{enc(p) if p.__class__ is str else dump(p)}, {k if k.__class__ is int else dump(k)}]"
-            for p, k in ends
-        ])
-        curves.append(f'{{"id": {cid}, "ends": [{pairs}]}}')
-    boundary = ", ".join([
-        f"[{enc(p) if p.__class__ is str else dump(p)}, {k if k.__class__ is int else dump(k)}]"
-        for p, k in g.boundary
-    ])
+        curves.append(f'{{"id": {cid}, "ends": [{pairs(ends)}]}}')
     return (
         f'{{"pants": [{pants}], "curves": [{", ".join(curves)}], '
-        f'"boundary": [{boundary}], "frontier": [{", ".join(frontier)}]}}\n'
+        f'"boundary": [{pairs(g.boundary)}], "frontier": [{", ".join(frontier)}]}}\n'
     )
 
 

@@ -270,6 +270,9 @@ def test_schmutz_path_trivial_and_failing_cases():
         schmutz_path(g, PantsCurve("c1"), PantsCurve("h1"))
     with pytest.raises(UnknownCurve):
         schmutz_path(g, PantsCurve("h0"), PantsCurve("zz"))
+    with pytest.raises(UnknownCurve) as exc:
+        schmutz_path(g, PantsCurve("h0"), parse_ref("win:h1:1/1"))
+    assert str(exc.value) == "win:h1:1/1 is not a pants curve reference"
     # a closed genus two surface has no third handle to route through
     s20 = build_finite_surface(2, 0)
     with pytest.raises(NoRoom):
@@ -398,11 +401,13 @@ def _reference_intersection(g, c1, c2):
 _PARITY_PAIRINGS = {(0, 1): ((0, 1), (2, 3)), (1, 0): ((0, 2), (1, 3)), (1, 1): ((0, 3), (1, 2))}
 
 
-def _outside_components(g, w, outside):
-    """Component labels of the pants outside the window ``w``, built once
-    per window of ``g`` and kept in ``outside`` under its center."""
-    comp_of = outside.get(w.center)
-    if comp_of is None:
+def _cuff_labels(g, w, outside):
+    """For each cuff of the window ``w``, the component label, among the
+    pants outside the window, of the far side of the curve at the cuff, or
+    None when no curve there reconnects: built once per window of ``g`` and
+    kept in ``outside`` under its center."""
+    labels = outside.get(w.center)
+    if labels is None:
         graph = nx.Graph()
         support = set(w.support)
         graph.add_nodes_from(p for p in g.pants if p not in support)
@@ -411,32 +416,33 @@ def _outside_components(g, w, outside):
                 u, v = c.ends[0].pants, c.ends[1].pants
                 if u not in support and v not in support:
                     graph.add_edge(u, v)
-        comp_of = outside[w.center] = {}
+        comp_of = {}
         for idx, comp in enumerate(nx.connected_components(graph)):
             for p in comp:
                 comp_of[p] = idx
-    return comp_of
+        labels = outside[w.center] = []
+        for cuff in w.cuff_slots:
+            slot = (cuff.pants, cuff.slot)
+            # the occupant is the last curve, in id order, with an end at the cuff
+            occupants = [c for c in g.curves if slot in [(e.pants, e.slot) for e in c.ends]]
+            if not occupants or occupants[-1].is_frontier:
+                labels.append(None)
+                continue
+            other = next(e for e in occupants[-1].ends if (e.pants, e.slot) != slot)
+            labels.append(comp_of[other.pants])
+    return labels
 
 
 def _reference_separates(g, w, s, outside):
     """Whether no path outside the window joins the two cuff groups of
-    slope ``s``; ``outside`` holds the components per window of ``g``."""
+    slope ``s``; ``outside`` holds the cuff labels per window of ``g``."""
     if w.kind == "torus":
         return False
-    comp_of = _outside_components(g, w, outside)
-    sides = []
-    for group in _PARITY_PAIRINGS[(s.p % 2, s.q % 2)]:
-        labels = set()
-        for k in group:
-            slot = w.cuff_slots[k]
-            cid = g.slot_occupant.get((slot.pants, slot.slot))
-            if cid is None or g.curve_by_id[cid].is_frontier:
-                continue
-            other = next(
-                e for e in g.curve_by_id[cid].ends if (e.pants, e.slot) != (slot.pants, slot.slot)
-            )
-            labels.add(comp_of[other.pants])
-        sides.append(labels)
+    labels = _cuff_labels(g, w, outside)
+    sides = [
+        {labels[k] for k in group if labels[k] is not None}
+        for group in _PARITY_PAIRINGS[(s.p % 2, s.q % 2)]
+    ]
     return not (sides[0] & sides[1])
 
 

@@ -27,6 +27,7 @@ from curvelab import (
     NotTorusWindow,
     PantsCurve,
     Slope,
+    UndefinedPair,
     UnknownCurve,
     WindowCurve,
     WrongIntersection,
@@ -156,6 +157,35 @@ def _assert_same_slope(got, want):
 def test_slope_constructor_validates(p, q):
     with pytest.raises(ValueError):
         Slope(p, q)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: slopes_up_to(0), ValueError, "bound must be at least 1, got 0"),
+        (
+            lambda: abstract_window("klein"),
+            ValueError,
+            "window kind must be torus or sphere, got 'klein'",
+        ),
+        # a slope orders only against a slope, not against the pair it holds
+        (
+            lambda: Slope(0, 1) < (0, 1),
+            TypeError,
+            "'<' not supported between instances of 'Slope' and 'tuple'",
+        ),
+        (
+            lambda: Slope(0, 1) <= (0, 1),
+            TypeError,
+            "'<=' not supported between instances of 'Slope' and 'tuple'",
+        ),
+    ],
+    ids=["slopes_up_to", "abstract_window", "lt", "le"],
+)
+def test_slope_helpers_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_slope_constructor_accepts_normalized_pairs():
@@ -558,6 +588,10 @@ def test_dt_vector_on_a_surface_window():
     coords = [parse_ref("pants:c2"), parse_ref("win:c2:1/0")]
     vec = dt_vector(g, parse_ref("win:c2:1/1"), coords)
     assert vec == (("pants:c2", 2), ("win:c2:1/0", 2))
+    # window curves of two different windows have no defined pairing
+    with pytest.raises(UndefinedPair) as exc:
+        dt_vector(g, parse_ref("win:c2:1/1"), coords + [parse_ref("win:c3:1/0")])
+    assert str(exc.value) == "i(win:c2:1/1, win:c3:1/0) is undefined"
 
 
 def test_dt_uniqueness_small_bounds():

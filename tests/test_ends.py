@@ -254,6 +254,36 @@ def test_correspondence_refuses_a_curve_component_meeting_two_pants_components()
     assert _outcome(_reference_mapping, g, ct, pt, 2) == failure
 
 
+def test_correspondence_refuses_a_level_map_that_is_not_a_bijection():
+    # a valid truncation found by a seeded search over random graphs with
+    # frontier: the ball around the curve e2 leaves the curve components
+    # {e0, e1} and {e3, e4}, the ball around the pants p1 leaves one live
+    # pants component, and both curve components map onto it
+    g = GluingGraph(
+        ["p0", "p1", "p2", "p3", "p4"],
+        [
+            Curve("e0", (PantsSlot("p0", 1), PantsSlot("p1", 1))),
+            Curve("e1", (PantsSlot("p0", 2), PantsSlot("p2", 2))),
+            Curve("e2", (PantsSlot("p2", 0), PantsSlot("p3", 1))),
+            Curve("e3", (PantsSlot("p3", 0), PantsSlot("p4", 2))),
+            Curve("e4", (PantsSlot("p3", 2), PantsSlot("p4", 0))),
+            Curve("f0", (PantsSlot("p0", 0),)),
+            Curve("f4", (PantsSlot("p4", 1),)),
+        ],
+        [PantsSlot("p1", 0), PantsSlot("p1", 2), PantsSlot("p2", 1)],
+    )
+    assert validate(g) == ()
+    ct, pt = end_tree(adjacency_graph(g), 0), surface_end_tree(g, 0)
+    assert (ct.base, ct.leaf_counts()) == ("e2", (2,))
+    assert (pt.base, pt.leaf_counts()) == ("p1", (1,))
+    failure = (
+        BijectionFailure,
+        "level 0: map over 2 curve components is not a bijection onto 1 pants components",
+    )
+    assert _outcome(induced_end_correspondence, g, 0) == failure
+    assert _outcome(_reference_mapping, g, ct, pt, 2) == failure
+
+
 def test_closed_surface_end_tree_is_immediate():
     g = build_finite_surface(3, 0)
     start = time.perf_counter()

@@ -358,3 +358,6 @@ def test_random_graphs_are_valid_and_deterministic():
     g2 = random_gluing_graph(12, random.Random(5))
     assert g1 == g2
     assert validate(g1) == ()
+    with pytest.raises(ValueError) as exc:
+        random_gluing_graph(0, random.Random(5))
+    assert str(exc.value) == "need at least one pants"

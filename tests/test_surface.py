@@ -149,7 +149,6 @@ def test_frontier_and_lookups():
     assert not g.curve_by_id["c1"].is_self_gluing
     assert g.frontier_pants == frozenset({"cp1"})
     assert set(g.curves_at["cp1"]) == {"c1", "t1", "c2"}
-    assert g.slot_occupant[("hp0", 1)] == "h0"
     assert set(g.pants_of_curve("c1")) == {"hp0", "cp1"}
 
 
@@ -174,6 +173,23 @@ def test_complexity_too_low():
     for g, b in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]:
         with pytest.raises(ComplexityTooLow):
             build_finite_surface(g, b)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: build_truncation("klein", 2),
+            "unknown model 'klein'; expected one of loch_ness, ladder, cantor_tree",
+        ),
+        (lambda: build_finite_surface(-1, 0), "genus and boundary must be nonnegative"),
+    ],
+    ids=["truncation", "finite"],
+)
+def test_builders_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_non_integral_genus():
@@ -278,6 +294,11 @@ def test_json_roundtrip():
     for g in (LOCH_2, LADDER_1, CANTOR_2, build_finite_surface(2, 1)):
         assert surface_from_json(surface_to_json(g)) == g
         assert loads_surface(dumps_surface(g)) == g
+        # a Python dict may hold each pair as a tuple, read as the list is
+        doc = surface_to_json(g)
+        doc["curves"] = [{**c, "ends": list(map(tuple, c["ends"]))} for c in doc["curves"]]
+        doc["boundary"] = list(map(tuple, doc["boundary"]))
+        assert surface_from_json(doc) == g
 
 
 def _message(parse, text):
@@ -471,6 +492,31 @@ def test_validate_reports_an_index_that_does_not_compare(index):
     assert validate(g) == (bad_end, bad_mark, *unused)
     with pytest.raises(TypeError):
         GluingGraph(["p"], [Curve("a", (PantsSlot("p", index), PantsSlot("p", 1)))])
+
+
+@pytest.mark.parametrize(
+    "g, bad",
+    [
+        (
+            GluingGraph(
+                ["p"], [Curve("a", (PantsSlot(["x"], 0),))], [PantsSlot("p", 0), PantsSlot("p", 1)]
+            ),
+            "curve 'a' references unknown pants ['x']",
+        ),
+        (
+            GluingGraph(
+                ["p"], [Curve("h", (PantsSlot("p", 0), PantsSlot("p", 1)))], [PantsSlot({"k": 1}, 0)]
+            ),
+            "boundary mark references unknown pants {'k': 1}",
+        ),
+    ],
+)
+def test_validate_reports_a_slot_on_an_unhashable_pants_id(g, bad):
+    # such an id names no pants; it is reported like an unknown one, not raised
+    assert validate(g) == (
+        Violation("SlotCountError", bad),
+        Violation("SlotCountError", "slot ('p', 2) is unused"),
+    )
 
 
 def test_gluing_graph_keeps_curves_whose_ends_are_in_order():
