@@ -382,6 +382,14 @@ def _unreferable(curve_ids):
     return problems
 
 
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 _BOUNDARY = object()  # the curve id under which validate reads a boundary mark
 
 
@@ -393,12 +401,29 @@ def validate(g):
     slot rule: every slot of every pants is used by exactly one curve end
     or boundary mark, a mark being read as the one end of a curve.  This
     reports rather than raises so that a malformed graph can be inspected.
+    An id that is not hashable, such as a list, repeats nothing: a pants id
+    of that kind is an ``InvalidId``, a slot on one names an unknown pants,
+    and connectivity is left unchecked, since no graph can hold it.
     """
     curve_ids = [c.id for c in g.curves]
-    violations = [Violation("DuplicateId", d) for d in _duplicate_ids(g.pants, curve_ids)]
+    pants = g.pants
+    try:
+        violations = [Violation("DuplicateId", d) for d in _duplicate_ids(pants, curve_ids)]
+    except TypeError:  # an unhashable id
+        pants = tuple(filter(_hashable, g.pants))
+        violations = [
+            Violation("DuplicateId", d)
+            for d in _duplicate_ids(pants, list(filter(_hashable, curve_ids)))
+        ]
+        violations += [
+            Violation("InvalidId", f"pants id {p!r} is not hashable")
+            for p in g.pants
+            if not _hashable(p)
+        ]
     violations += [Violation("InvalidId", d) for d in _unreferable(curve_ids)]
 
-    pants_set = set(g.pants)
+    pants_set = set(pants)
+    unhashable = len(pants) < len(g.pants)  # whether an unhashable id names a pants or slot
     first = {}  # (pants, slot) -> the id of its first user
     reused = {}  # (pants, slot) -> the ids of every user, for a slot used more than once
 
@@ -422,7 +447,7 @@ def validate(g):
             try:
                 known = end.pants in pants_set
             except TypeError:  # an unhashable pants id names no pants
-                known = False
+                known, unhashable = False, True
             problem = (f"uses invalid slot index {end.slot!r}" if known
                        else f"references unknown pants {end.pants!r}")
             violations.append(Violation("SlotCountError", f"{what(cid)} {problem}"))
@@ -439,7 +464,7 @@ def validate(g):
         or len(first) != SLOTS_PER_PANTS * len(pants_set)
         or not set(map(itemgetter(1), first)) <= _SLOT_INDICES
     ):
-        for p in g.pants:
+        for p in pants:
             for k in range(SLOTS_PER_PANTS):
                 users = reused.get((p, k))
                 if users:
@@ -453,7 +478,7 @@ def validate(g):
                 elif (p, k) not in first:
                     violations.append(Violation("SlotCountError", f"slot ({p!r}, {k}) is unused"))
 
-    if len(g.pants) > 1:
+    if len(g.pants) > 1 and not unhashable:
         h = g.pants_graph
         # the pants graph leaves out self-gluings, so a self-glued unknown
         # pants, an isolated part of the surface, is counted apart

@@ -1,5 +1,6 @@
-"""Hypothesis settings for continuous integration, and a check that no
-test leaves the cyclic garbage collector paused.
+"""Hypothesis settings for continuous integration, a check that no test
+leaves the cyclic garbage collector paused, and a recorder of the calls
+of a library routine.
 
 When the ``CI`` variable is set, as hosted runners set it, property tests
 print the blob that reproduces a failure (``@reproduce_failure``) and keep
@@ -32,3 +33,22 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the cyclic garbage collector was left disabled")
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record_calls(owner, name, keep)`` replaces ``owner.name`` for the
+    test by a wrapper that appends ``keep(*args)`` to the list it returns,
+    then calls the routine."""
+
+    def record(owner, name, keep):
+        routine, kept = getattr(owner, name), []
+
+        def recording(*args):
+            kept.append(keep(*args))
+            return routine(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+        return kept
+
+    return record

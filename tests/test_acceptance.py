@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+import oracle
 from curvelab import (
     CurveClass,
     InfiniteModel,
@@ -46,7 +47,6 @@ from curvelab import (
     window_around,
     window_intersection,
 )
-from test_curves import _box_common_neighbors
 
 SEED = 20260814
 TORUS = abstract_window("torus")
@@ -155,7 +155,7 @@ def test_4_two_crossing_neighbor_count(capsys):
             if window_intersection(SPHERE, a, b) != 2:
                 continue
             checked += 1
-            box = _box_common_neighbors(a, b, 100)
+            box = oracle.box_common_neighbors(a, b, 100)
             if len(box) != 2 or sch04_common_neighbors(SPHERE, a, b) != box:
                 anomalies += 1
     elapsed = time.perf_counter() - start

@@ -22,8 +22,15 @@ from curvelab import (
 )
 from curvelab import morphisms
 from curvelab.cli import SUBCOMMANDS, build_parser, main
-from test_golden import PROBES
-from test_surface import _BASES, NOT_JSON
+from inputs import (
+    BASES,
+    CALL_MODULES,
+    CLI_MODULES,
+    DOC_MUTATIONS,
+    NOT_JSON,
+    PROBES,
+    mutated_doc,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -264,33 +271,7 @@ def _loaded_submodules(code, *argv):
 
 def test_package_import_loads_no_submodule():
     assert _loaded_submodules("import curvelab") == set()
-    assert _loaded_submodules("import curvelab.cli") == _CLI
-
-
-# the front end itself: argument parsing, error documents, the collector pause
-_CLI = {"cli", "errors", "_gc"}
-_SURFACE = _CLI | {"surface", "_graph"}
-_CURVES = _SURFACE | {"curves"}
-# slope arithmetic alone: window_around loads surface only when called
-_SLOPES = _CLI | {"curves"}
-_COMPLEXES = _CURVES | {"pants_graphs", "complexes"}
-_EVERY = _COMPLEXES | {"ends", "morphisms", "verify"}
-
-# subcommand -> one well-formed call and the submodules it may load
-CALL_MODULES = {
-    "gen": ("gen --genus 2 --boundary 1", _SURFACE),
-    "validate": ("validate --in {l4}", _SURFACE),
-    "classify": ("classify --in {l4}", _SURFACE | {"pants_graphs"}),
-    "adjacency": ("adjacency --in {l4}", _SURFACE),
-    "ends": ("ends --in {l4} --depth 1", _SURFACE | {"ends"}),
-    "intersect": ("intersect --in {l4} --a pants:h0 --b win:h0:2/1", _CURVES),
-    "triple": ("triple --a 0/1 --b 2/1", _SLOPES),
-    "sch04": ("sch04 --a 0/1 --b 1/1", _SLOPES),
-    "graph": ("graph --in {l4} --mode c --inventory pants:h0,win:h1:1/2", _COMPLEXES),
-    "path": ("path --in {l4} --from h0 --to h2", _COMPLEXES),
-    "counterexample": ("counterexample --samples 5", _EVERY - {"verify"}),
-    "verify": ("verify --suite triples --bound 3", _EVERY),
-}
+    assert _loaded_submodules("import curvelab.cli") == CLI_MODULES
 
 
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))
@@ -608,49 +589,6 @@ def test_validate_rejects_an_infinite_slot_index(loch4, capsys, tmp_path):
     }
 
 
-# one value of each JSON type, for the mutation that retypes a field
-_JSON_VALUES = (None, True, 0, 1.5, "x", [], {})
-_DOC_MUTATIONS = ("drop", "repeat", "retype", "restring", "reslot")
-
-
-def _places(node):
-    """(container, key) for every value inside a JSON document, depth first."""
-    for key in list(node) if isinstance(node, dict) else range(len(node)):
-        yield node, key
-        if isinstance(node[key], (dict, list)):
-            yield from _places(node[key])
-
-
-def _mutated_doc(doc, mutations):
-    """``doc`` with each (kind, i, j) of ``mutations`` applied in turn at
-    its ``i``-th place: drop the value there, repeat it in its list, give
-    it another JSON type, rename a string (to an unknown name, another
-    string of the document, or with ``:`` or ``,`` put in at ``j``) or
-    renumber an integer.  Between them they drop and repeat pants, curves,
-    ends, boundary marks and frontier entries."""
-    for kind, i, j in mutations:
-        places = list(_places(doc))
-        if not places:
-            break
-        node, key = places[i % len(places)]
-        value = node[key]
-        if kind == "drop":
-            del node[key]
-        elif kind == "repeat" and isinstance(node, list):
-            node.insert(key, json.loads(json.dumps(value)))
-        elif kind == "retype":
-            others = [v for v in _JSON_VALUES if type(v) is not type(value)]
-            node[key] = others[j % len(others)]
-        elif kind == "restring" and isinstance(value, str):
-            strings = [n[k] for n, k in places if isinstance(n[k], str)]
-            at = j % (len(value) + 1)
-            choices = ("nope", value[:at] + ":" + value[at:], value[:at] + "," + value[at:])
-            node[key] = (*choices, *strings)[j % (len(strings) + 3)]
-        elif kind == "reslot" and type(value) is int:
-            node[key] = j % 5 - 1
-    return doc
-
-
 # every subcommand that reads a surface; ``a`` and ``b`` are curves of the
 # document before it was mutated
 _FUZZ_CALLS = (
@@ -668,9 +606,9 @@ _FUZZ_CALLS = (
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from(_BASES),
+    st.sampled_from(BASES),
     st.lists(
-        st.tuples(st.sampled_from(_DOC_MUTATIONS), st.integers(0, 500), st.integers(0, 500)),
+        st.tuples(st.sampled_from(DOC_MUTATIONS), st.integers(0, 500), st.integers(0, 500)),
         min_size=1,
         max_size=3,
     ),
@@ -681,7 +619,7 @@ def test_every_call_on_a_mutated_document_exits_0_or_1(tmp_path_factory, base, m
     ids = [c.id for c in base.curves]
     a, b = ids[x % len(ids)], ids[y % len(ids)]
     path = tmp_path_factory.getbasetemp() / "mutated.json"
-    path.write_text(json.dumps(_mutated_doc(surface_to_json(base), mutations)))
+    path.write_text(json.dumps(mutated_doc(surface_to_json(base), mutations)))
     for call in _FUZZ_CALLS:
         argv = [part.format(f=path, a=a, b=b) for part in call.split()]
         with contextlib.redirect_stdout(io.StringIO()) as out:

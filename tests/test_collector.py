@@ -23,8 +23,7 @@ from curvelab import (
 )
 from curvelab._gc import collector_paused
 from curvelab.cli import _emit, build_parser, main
-from test_cli import CALL_MODULES
-from test_complexes import CENSUS
+from inputs import CALL_MODULES, CENSUS
 
 
 def _body_returns():

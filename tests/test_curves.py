@@ -1,31 +1,34 @@
 """Slope arithmetic, windows, curve references and intersection numbers.
 
-The oracles here are independent of the implementation: crossing numbers
-are counted geometrically with exact rationals, triple completions are
-compared against exhaustive search over small slopes, and the
-two-crossing neighbor sets are compared against an exhaustive search of
+The references here come from the oracle and are independent of the
+implementation: crossing numbers are counted geometrically with exact
+rationals, triple completions are compared against exhaustive search over
+small slopes and against the extended Euclidean algorithm, and the
+two-crossing neighbor sets are compared against a row-by-row search of
 the coordinate box.
 """
 
 import copy
-import math
 import pickle
 import random
 import re
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from curvelab import (
+    Curve,
     DualChain,
     FormatError,
+    GluingGraph,
     InfiniteModel,
     IntersectionTooSmall,
     NotTorusWindow,
     PantsCurve,
+    PantsSlot,
     Slope,
     UndefinedPair,
     UnknownCurve,
@@ -55,31 +58,10 @@ from curvelab import (
     window_curve_separates,
     window_intersection,
 )
-from curvelab import Curve, GluingGraph, PantsSlot
-from curvelab.verify import _meeting, _unit_neighbors, _unit_pairs
+from curvelab.verify import _unit_neighbors, _unit_pairs
 
 TORUS = abstract_window("torus")
 SPHERE = abstract_window("sphere")
-
-
-def torus_crossings(a, b):
-    """Count crossings of the slope lines a, b on the unit square torus.
-
-    A crossing is a solution of s*(a.p, a.q) = t*(b.p, b.q) + (m, n) with
-    s, t in [0, 1); the 2x2 system is solved exactly with Fractions for
-    every integer pair (m, n) that can possibly admit a solution.
-    """
-    det = -a.p * b.q + b.p * a.q
-    if det == 0:
-        return 0
-    count = 0
-    for m in range(-(abs(a.p) + abs(b.p)), abs(a.p) + abs(b.p) + 1):
-        for n in range(-(abs(a.q) + abs(b.q)), abs(a.q) + abs(b.q) + 1):
-            s = Fraction(-m * b.q + b.p * n, det)
-            t = Fraction(a.p * n - a.q * m, det)
-            if 0 <= s < 1 and 0 <= t < 1:
-                count += 1
-    return count
 
 
 # --- slopes ---------------------------------------------------------------
@@ -118,7 +100,7 @@ def test_slopes_up_to_is_sorted_and_complete():
     for bound in range(1, 13):
         want = sorted(
             {
-                _reference_slope(p, q)
+                oracle.slope(p, q)
                 for p in range(-bound, bound + 1)
                 for q in range(-bound, bound + 1)
                 if (p, q) != (0, 0)
@@ -128,21 +110,6 @@ def test_slopes_up_to_is_sorted_and_complete():
 
 
 # --- the Slope constructor and the make_slope fast path -------------------
-
-
-def _reference_slope(p, q):
-    """Reduce, sign-normalize, then build through the validating
-    constructor."""
-    d = math.gcd(abs(p), abs(q))
-    p, q = p // d, q // d
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return Slope(p, q)
-
-
-def _reference_twist(along, s, direction, scale):
-    d = scale * (s.p * along.q - s.q * along.p)
-    return _reference_slope(s.p + direction * d * along.p, s.q + direction * d * along.q)
 
 
 def _assert_same_slope(got, want):
@@ -241,7 +208,7 @@ def test_make_slope_matches_the_reference(p, q, k):
             with pytest.raises(ZeroSlope):
                 make_slope(x, y)
             continue
-        _assert_same_slope(make_slope(x, y), _reference_slope(x, y))
+        _assert_same_slope(make_slope(x, y), oracle.slope(x, y))
 
 
 @settings(max_examples=300, deadline=None)
@@ -260,13 +227,13 @@ def test_make_slope_matches_the_reference(p, q, k):
 def test_twist_powers_match_the_reference(moves_a, moves_b, direction):
     a, b = _word_columns(moves_a)
     c, _ = _word_columns(moves_b)
-    along = _reference_slope(*a)
+    along = oracle.slope(*a)
     for w, scale in ((TORUS, 1), (SPHERE, 2)):
         for start in (b, c, (c[0] + 3 * b[0], c[1] + 3 * b[1])):
-            got = want = _reference_slope(*start)
+            got = want = oracle.slope(*start)
             for _ in range(5):
                 got = twist(w, along, got, direction)
-                want = _reference_twist(along, want, direction, scale)
+                want = oracle.twist(along, want, direction, scale)
                 _assert_same_slope(got, want)
 
 
@@ -277,7 +244,7 @@ def test_window_intersection_matches_lattice_crossings():
     slopes = slopes_up_to(5)
     for a in slopes:
         for b in slopes:
-            crossings = torus_crossings(a, b)
+            crossings = oracle.torus_crossings(a, b)
             assert window_intersection(TORUS, a, b) == crossings, (a, b)
             assert window_intersection(SPHERE, a, b) == 2 * crossings, (a, b)
 
@@ -368,24 +335,6 @@ def test_twist_rejects_other_directions():
 # --- triples ----------------------------------------------------------------
 
 
-def _exhaustive_completions(a, b, bound):
-    """All unordered pairs of slopes up to ``bound`` forming a triple with
-    ``a`` and splitting the crossings of ``b`` additively."""
-    found = set()
-    slopes = slopes_up_to(bound)
-    total = window_intersection(TORUS, a, b)
-    for i, g in enumerate(slopes):
-        for g2 in slopes[i + 1 :]:
-            if not is_triple(TORUS, a, g, g2):
-                continue
-            if (
-                window_intersection(TORUS, g, b) + window_intersection(TORUS, g2, b)
-                == total
-            ):
-                found.add(frozenset((g, g2)))
-    return found
-
-
 def test_triple_completion_pinned_examples():
     a = make_slope(0, 1)
     g, g2 = triple_completion(TORUS, a, make_slope(2, 5))
@@ -398,7 +347,7 @@ def test_triple_completion_agrees_with_exhaustive_search():
     a = make_slope(0, 1)
     for b in (make_slope(2, 5), make_slope(5, 7), make_slope(-3, 4), make_slope(7, 2)):
         g, g2 = triple_completion(TORUS, a, b)
-        assert frozenset((g, g2)) in _exhaustive_completions(a, b, 8)
+        assert frozenset((g, g2)) in oracle.exhaustive_completions(TORUS, a, b, 8)
 
 
 def test_triple_completion_properties_at_scale():
@@ -425,27 +374,6 @@ def test_triple_completion_with_general_axis():
     ) == 5
 
 
-def _reference_triple_completion(a, b):
-    """triple_completion's arithmetic with its Bezout pair u*a.p + v*a.q = 1
-    found by the extended Euclidean algorithm."""
-    old_r, r = a.p, a.q
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_u, u = u, old_u - k * u
-        old_v, v = v, old_v - k * v
-    if old_r < 0:
-        old_u, old_v = -old_u, -old_v
-    u, v = old_u, old_v
-    s, _ = divmod(u * b.p + v * b.q, a.q * b.p - a.p * b.q)
-    return (
-        make_slope(v + a.p * s, -u + a.q * s),
-        make_slope(v + a.p * (s + 1), -u + a.q * (s + 1)),
-    )
-
-
 _WIDE_SLOPES = (
     st.tuples(_COORDS, _COORDS)
     .filter(lambda pair: pair != (0, 0))
@@ -461,7 +389,7 @@ _WIDE_SLOPES = (
 def test_triple_completion_matches_the_euclid_reference(a, b):
     # any Bezout pair for a gives the same completion
     assume(window_intersection(TORUS, a, b) >= 2)
-    assert triple_completion(TORUS, a, b) == _reference_triple_completion(a, b)
+    assert triple_completion(TORUS, a, b) == oracle.triple_completion(a, b)
 
 
 def test_triple_completion_needs_two_crossings():
@@ -516,14 +444,6 @@ def _unimodular_pair(moves):
     return make_slope(*a), make_slope(*b)
 
 
-def _box_common_neighbors(a, b, bound):
-    """Every slope with |p|, |q| <= bound meeting both ``a`` and ``b`` in
-    a unit determinant, found by exhaustive search of that box: the row
-    search of ``verify._unit_neighbors`` for ``a``, kept where it meets
-    ``b``."""
-    return _meeting(_unit_neighbors(a, bound), b)
-
-
 @given(st.lists(st.sampled_from("TtS"), max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_sch04_matches_box_search_on_random_unimodular_pairs(moves):
@@ -532,7 +452,7 @@ def test_sch04_matches_box_search_on_random_unimodular_pairs(moves):
     sols = sch04_common_neighbors(SPHERE, a, b)
     safe = max(abs(a.p) + abs(b.p), a.q + b.q)
     for bound in range(safe, safe + 41):
-        assert sols == _box_common_neighbors(a, b, bound)
+        assert sols == oracle.box_common_neighbors(a, b, bound)
 
 
 def test_unit_neighbors_match_the_all_pairs_filter():

@@ -6,21 +6,25 @@ splits into two from the first level on, and the binary tree doubles at
 each level.
 """
 
-import math
 import random
 import time
+from functools import partial
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from curvelab import (
     AdjacencyGraph,
     BijectionFailure,
+    Curve,
     DepthExceedsTruncation,
     DepthMismatch,
+    GluingGraph,
     InfiniteModel,
+    PantsSlot,
     adjacency_graph,
     build_finite_surface,
     build_truncation,
@@ -32,9 +36,8 @@ from curvelab import (
     validate,
 )
 from curvelab import ends
-from curvelab._graph import neighbour_lists
 from curvelab.ends import default_base
-from curvelab.surface import Curve, GluingGraph, PantsSlot
+from inputs import census, truncation, with_frontier
 
 # truncation depth that keeps the end tree of each model safe at query depth d
 MARGIN = {
@@ -168,16 +171,16 @@ def test_correspondence_on_all_models():
             ct, pt, mapping = induced_end_correspondence(g, d)
             assert len(mapping) == d + 1
             for k, level_map in enumerate(mapping):
-                assert sorted(level_map) == list(range(len(ct.levels[k])))
-                assert sorted(level_map.values()) == list(range(len(pt.levels[k])))
+                assert sorted(level_map) == list(range(len(ct.parents[k])))
+                assert sorted(level_map.values()) == list(range(len(pt.parents[k])))
 
 
 def test_correspondence_respects_parents():
     g = _safe("cantor_tree", 3)
     ct, pt, mapping = induced_end_correspondence(g, 3)
     for k in range(1, 4):
-        for i, node in enumerate(ct.levels[k]):
-            assert pt.levels[k][mapping[k][i]].parent == mapping[k - 1][node.parent]
+        for i, parent in enumerate(ct.parents[k]):
+            assert pt.parents[k][mapping[k][i]] == mapping[k - 1][parent]
 
 
 def test_correspondence_returns_the_default_trees():
@@ -195,15 +198,8 @@ def test_correspondence_returns_the_default_trees():
             assert pt == ends._end_tree(g.pants_graph, g.frontier_pants, d, None, 2)
 
 
-def test_correspondence_reuses_the_kept_trees(monkeypatch):
-    searched = []
-    search = ends._end_tree
-
-    def counting(h, marks, depth, base, stride):
-        searched.append((depth, base, stride))
-        return search(h, marks, depth, base, stride)
-
-    monkeypatch.setattr(ends, "_end_tree", counting)
+def test_correspondence_reuses_the_kept_trees(record_calls):
+    searched = record_calls(ends, "_end_tree", lambda h, marks, *query: query)
     for model in InfiniteModel:
         g = _safe(model.value, 3)
         pt = surface_end_tree(g, 3)
@@ -249,9 +245,9 @@ def test_correspondence_refuses_a_curve_component_meeting_two_pants_components()
     ct, pt = end_tree(adjacency_graph(g), 0), surface_end_tree(g, 0)
     assert (ct.base, ct.leaf_counts()) == ("e3", (1,))
     assert (pt.base, pt.leaf_counts()) == ("p1", (2,))
-    failure = (BijectionFailure, "level 0: curve component 0 meets 2 live pants components")
+    failure = ("BijectionFailure", "level 0: curve component 0 meets 2 live pants components")
     assert _outcome(induced_end_correspondence, g, 0) == failure
-    assert _outcome(_reference_mapping, g, ct, pt, 2) == failure
+    assert _outcome(oracle.correspondence, g, ct, pt, 2) == failure
 
 
 def test_correspondence_refuses_a_level_map_that_is_not_a_bijection():
@@ -277,11 +273,11 @@ def test_correspondence_refuses_a_level_map_that_is_not_a_bijection():
     assert (ct.base, ct.leaf_counts()) == ("e2", (2,))
     assert (pt.base, pt.leaf_counts()) == ("p1", (1,))
     failure = (
-        BijectionFailure,
+        "BijectionFailure",
         "level 0: map over 2 curve components is not a bijection onto 1 pants components",
     )
     assert _outcome(induced_end_correspondence, g, 0) == failure
-    assert _outcome(_reference_mapping, g, ct, pt, 2) == failure
+    assert _outcome(oracle.correspondence, g, ct, pt, 2) == failure
 
 
 def test_closed_surface_end_tree_is_immediate():
@@ -354,82 +350,15 @@ def test_shape_and_correspondence_list_no_members(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reference definition: a fresh search and component split at every level
+# the oracle's definition: a fresh search and component split at every level
 
-
-def _nx_of(a):
-    """A networkx copy of an adjacency graph, built from its vertices and
-    edges."""
-    h = nx.Graph()
-    h.add_nodes_from(a.vertices)
-    h.add_edges_from(a.edges)
-    return h
-
-
-def _lists(h):
-    """The library's graph shape (vertex -> sorted neighbours) of ``h``."""
-    return {v: sorted(h.adj[v]) for v in h}
-
-
-def _reference_default_base(h, marks):
-    """The default base of the networkx graph ``h``: distances from the
-    nearest mark by networkx's multi-source search, the farthest vertex
-    first, a vertex no mark reaches counted as farthest of all, ties broken
-    by name."""
-    if not h:
-        return None
-    sources = {m for m in marks if m in h}
-    dist = nx.multi_source_dijkstra_path_length(h, sources) if sources else {}
-    return min(h.nodes, key=lambda v: (-dist.get(v, math.inf), v))
-
-
-def _reference_end_tree(h, marks, depth, base, stride):
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    marks = set(m for m in marks if m in h)
-    if base is None:
-        base = _reference_default_base(h, marks)
-    elif base not in h:
-        raise ValueError(f"base {base!r} is not a vertex of this graph")
-    if base is not None:
-        reach = nx.single_source_shortest_path_length(h, base, cutoff=stride * depth)
-        inner = [m for m in marks if reach.get(m, math.inf) <= stride * depth]
-        if inner:
-            raise DepthExceedsTruncation(
-                f"frontier mark {min(inner)!r} lies within distance "
-                f"{stride * depth} of base {base!r}; deepen the truncation"
-            )
-    levels = []
-    prev_index = {}
-    for k in range(depth + 1):
-        ball = (
-            set(nx.single_source_shortest_path_length(h, base, cutoff=stride * k))
-            if base is not None
-            else set()
-        )
-        outside = h.subgraph(v for v in h.nodes if v not in ball)
-        nodes = sorted(
-            (tuple(sorted(comp)), comp)
-            for comp in nx.connected_components(outside)
-            if comp & marks
-        )
-        built, index = [], {}
-        for i, (members, comp) in enumerate(nodes):
-            parent = prev_index[next(iter(comp))] if k > 0 else None
-            built.append((members, parent))
-            for v in comp:
-                index[v] = i
-        levels.append(tuple(built))
-        prev_index = index
-    return base, stride, tuple(levels)
+# the value of a call, or the type and message of the refusal it raised
+_outcome = partial(oracle.outcome, (ValueError, DepthExceedsTruncation, BijectionFailure))
 
 
 def _normal_form(tree):
     """An end tree as ``(base, stride, levels)``, each level a tuple of
-    ``(members, parent)`` pairs: the shape :func:`_reference_end_tree`
-    returns."""
+    ``(members, parent)`` pairs: the shape of :func:`oracle.end_tree`."""
     return (
         tree.base,
         tree.stride,
@@ -437,52 +366,21 @@ def _normal_form(tree):
     )
 
 
-def _outcome(build, *args):
-    try:
-        return build(*args)
-    except (ValueError, DepthExceedsTruncation, BijectionFailure) as exc:
-        return type(exc), str(exc)
-
-
 def _end_tree_of(h, marks, depth, stride, base=None):
-    """The library's end tree of ``h``, in :func:`_normal_form`."""
-    a = AdjacencyGraph(neighbour_lists(h.nodes, h.edges), tuple(marks))
+    """The library's end tree of the networkx graph ``h``, in
+    :func:`_normal_form`."""
+    a = AdjacencyGraph(oracle.lists(h), tuple(marks))
     return _normal_form(end_tree(a, depth, base=base, stride=stride))
 
 
-def _reference_mapping(g, ct, pt, stride):
-    """Level maps of the correspondence between two end trees, with the
-    pants inside each ball discarded by a fresh search at every level."""
-    h = nx.Graph(g.pants_graph)
-    mapping = []
-    for k in range(len(pt.levels)):
-        ball = set(nx.single_source_shortest_path_length(h, pt.base, cutoff=stride * k))
-        live = {p: j for j, members in enumerate(pt.members[k]) for p in members}
-        level_map = {}
-        for i, members in enumerate(ct.members[k]):
-            targets = {
-                live[p]
-                for v in members
-                for p in g.pants_of_curve(v)
-                if p not in ball and p in live
-            }
-            if len(targets) != 1:
-                raise BijectionFailure(
-                    f"level {k}: curve component {i} meets {len(targets)} live pants components"
-                )
-            level_map[i] = targets.pop()
-        if sorted(level_map.values()) != list(range(len(pt.levels[k]))):
-            raise BijectionFailure(
-                f"level {k}: map over {len(ct.levels[k])} curve components is not a "
-                f"bijection onto {len(pt.levels[k])} pants components"
-            )
-        for i, node in enumerate(ct.levels[k]):
-            if k > 0 and mapping[k - 1][node.parent] != pt.levels[k][level_map[i]].parent:
-                raise BijectionFailure(
-                    f"level {k}: component {i} maps inconsistently with its parent"
-                )
-        mapping.append(level_map)
-    return mapping
+def _graphs_of(g):
+    """The oracle's pants graph and A(P) of ``g`` as networkx graphs, each
+    with its marks."""
+    a = oracle.adjacency(g)
+    return (
+        (oracle.pants_graph(g), oracle.frontier_pants(g)),
+        (nx.Graph(a.adjacency_lists), set(a.marks)),
+    )
 
 
 def test_end_trees_match_the_reference_on_models_and_census():
@@ -490,39 +388,35 @@ def test_end_trees_match_the_reference_on_models_and_census():
     # search per level makes depths 10-12 cost over a minute together.
     for model in InfiniteModel:
         for d in range(1, 10 if model is InfiniteModel.CANTOR_TREE else 13):
-            g = build_truncation(model, d)
-            a = adjacency_graph(g)
-            graphs = ((nx.Graph(g.pants_graph), g.frontier_pants), (_nx_of(a), a.marks))
+            g = truncation(model, d)
+            graphs = _graphs_of(g)
             for stride in (1, 2, 3):
                 # levels do not depend on the requested depth, so the deepest
                 # depth the guard allows, and the first it refuses, cover all
                 deepest = []
                 for h, marks in graphs:
-                    base = _reference_default_base(h, marks)
+                    base = oracle.default_base(h, marks)
                     dist = nx.single_source_shortest_path_length(h, base)
                     q = (min(dist[m] for m in marks) - 1) // stride
                     deepest.append(q)
                     for depth in (q, q + 1):
                         if depth >= 0:
                             got = _outcome(_end_tree_of, h, marks, depth, stride)
-                            want = _outcome(_reference_end_tree, h, set(marks), depth, None, stride)
+                            want = _outcome(oracle.end_tree, h, marks, depth, None, stride)
                             assert got == want, (model, d, stride, depth)
                 # the correspondence is a level bijection at stride 2 only;
-                # _reference_mapping keeps its stride to reproduce the others
+                # the oracle's map keeps its stride to reproduce the others
                 if stride == 2 and min(deepest) >= 0:
                     q = min(deepest)
-                    ct = end_tree(a, q)
+                    ct = end_tree(adjacency_graph(g), q)
                     pt = surface_end_tree(g, q)
                     got = _outcome(lambda: induced_end_correspondence(g, q)[2])
-                    want = _outcome(_reference_mapping, g, ct, pt, stride)
+                    want = _outcome(oracle.correspondence, g, ct, pt, stride)
                     assert got == want, (model, d)
-    for genus in range(5):
-        for b in range(6):
-            if 3 * genus - 3 + b < 1:
-                continue
-            h = nx.Graph(build_finite_surface(genus, b).pants_graph)
-            for depth in range(4):
-                assert _end_tree_of(h, (), depth, 2) == _reference_end_tree(h, set(), depth, None, 2)
+    for g in census():
+        h = oracle.pants_graph(g)
+        for depth in range(4):
+            assert _end_tree_of(h, (), depth, 2) == oracle.end_tree(h, set(), depth, None, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -536,22 +430,14 @@ def test_end_trees_match_the_reference_on_models_and_census():
 def test_end_trees_match_the_reference_on_random_graphs(n_pants, seed, curves, depth, stride):
     rng = random.Random(seed)
     g = random_gluing_graph(n_pants, rng)
-    h = _nx_of(adjacency_graph(g)) if curves else nx.Graph(g.pants_graph)
+    pants, curve = _graphs_of(g)
+    h = curve[0] if curves else pants[0]
     nodes = sorted(h.nodes)
     marks = set(rng.sample(nodes, rng.randint(0, min(len(nodes), 4))))
     base = rng.choice([None, "nope", rng.choice(nodes)]) if nodes else None
     got = _outcome(_end_tree_of, h, marks, depth, stride, base)
-    want = _outcome(_reference_end_tree, h, marks, depth, base, stride)
+    want = _outcome(oracle.end_tree, h, marks, depth, base, stride)
     assert got == want
-
-
-def _with_frontier(g, rng):
-    """``g`` with a random share of its boundary slots turned into frontier
-    curves, so that it is a truncation with marks where they were."""
-    slots = list(g.boundary)
-    chosen = set(rng.sample(range(len(slots)), rng.randint(0, len(slots))))
-    curves = list(g.curves) + [Curve(f"f{i}", (slots[i],)) for i in sorted(chosen)]
-    return GluingGraph(g.pants, curves, [s for i, s in enumerate(slots) if i not in chosen])
 
 
 def _beside(g, h):
@@ -581,14 +467,15 @@ def test_default_base_matches_the_reference(n_pants, n_apart, seed, n_marks, cur
     g = random_gluing_graph(n_pants, rng)
     if n_apart:
         g = _beside(g, random_gluing_graph(n_apart, rng))
-    h = _nx_of(adjacency_graph(g)) if curves else nx.Graph(g.pants_graph)
+    pants, curve = _graphs_of(g)
+    h = curve[0] if curves else pants[0]
     nodes = sorted(h.nodes)
     if rng.random() < 0.5:
         nodes = [v for v in nodes if not v.startswith("x")]
     marks = set(rng.sample(nodes, min(len(nodes), n_marks)))
     if rng.random() < 0.5:
         marks.add("nope")
-    assert default_base(_lists(h), marks) == _reference_default_base(h, marks)
+    assert default_base(oracle.lists(h), marks) == oracle.default_base(h, marks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -600,18 +487,19 @@ def test_correspondence_matches_the_reference_on_random_truncations(n_pants, n_a
     # reach: they enter at the deepest level, and only the carry up the
     # parent links brings their targets to the levels above.
     rng = random.Random(seed)
-    g = _with_frontier(random_gluing_graph(n_pants, rng), rng)
+    g = with_frontier(random_gluing_graph(n_pants, rng), rng)
     if n_apart:
-        g = _beside(g, _with_frontier(random_gluing_graph(n_apart, rng), rng))
-    a = adjacency_graph(g)
+        g = _beside(g, with_frontier(random_gluing_graph(n_apart, rng), rng))
+    (ph, pmarks), (ch, cmarks) = _graphs_of(g)
 
     def library():
         ct, pt, mapping = induced_end_correspondence(g, depth)
         return _normal_form(ct), _normal_form(pt), mapping
 
     def reference():
-        ct = _reference_end_tree(_nx_of(a), set(a.marks), depth, None, 2)
-        pt = _reference_end_tree(nx.Graph(g.pants_graph), set(g.frontier_pants), depth, None, 2)
-        return ct, pt, _reference_mapping(g, end_tree(a, depth), surface_end_tree(g, depth), 2)
+        ct = oracle.end_tree(ch, cmarks, depth, None, 2)
+        pt = oracle.end_tree(ph, pmarks, depth, None, 2)
+        trees = end_tree(adjacency_graph(g), depth), surface_end_tree(g, depth)
+        return ct, pt, oracle.correspondence(g, *trees, 2)
 
     assert _outcome(library) == _outcome(reference)

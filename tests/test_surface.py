@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from curvelab import (
     ComplexityTooLow,
     Curve,
+    FormatError,
     GluingGraph,
     InfiniteModel,
     NonIntegralGenus,
@@ -28,40 +29,17 @@ from curvelab import (
     surface_to_json,
     validate,
 )
-from curvelab.errors import FormatError
-
-
-def _graph(pants, table, boundary=()):
-    """Build a gluing graph from {curve id: [(pants, slot), ...]} rows."""
-    curves = [
-        Curve(cid, tuple(PantsSlot(p, s) for p, s in ends)) for cid, ends in table.items()
-    ]
-    return GluingGraph(
-        pants=tuple(pants),
-        curves=tuple(curves),
-        boundary=tuple(PantsSlot(p, s) for p, s in boundary),
-    )
+from inputs import BASES, LOCH_2, MUTATIONS, NOT_JSON, from_table, mutated
 
 
 # hand tables for the smallest truncations of each model
 
-LOCH_1 = _graph(
+LOCH_1 = from_table(
     ["hp0"],
     {"h0": [("hp0", 1), ("hp0", 2)], "c1": [("hp0", 0)]},
 )
 
-LOCH_2 = _graph(
-    ["hp0", "cp1", "hp1"],
-    {
-        "h0": [("hp0", 1), ("hp0", 2)],
-        "c1": [("hp0", 0), ("cp1", 0)],
-        "t1": [("cp1", 1), ("hp1", 0)],
-        "h1": [("hp1", 1), ("hp1", 2)],
-        "c2": [("cp1", 2)],
-    },
-)
-
-LADDER_1 = _graph(
+LADDER_1 = from_table(
     ["cp0", "hp0"],
     {
         "t0": [("cp0", 0), ("hp0", 0)],
@@ -71,7 +49,7 @@ LADDER_1 = _graph(
     },
 )
 
-CANTOR_1 = _graph(
+CANTOR_1 = from_table(
     ["bp", "hp"],
     {
         "t": [("bp", 0), ("hp", 0)],
@@ -81,7 +59,7 @@ CANTOR_1 = _graph(
     },
 )
 
-CANTOR_2 = _graph(
+CANTOR_2 = from_table(
     ["bp", "hp", "cp0", "bp0", "hp0", "cp1", "bp1", "hp1"],
     {
         "t": [("bp", 0), ("hp", 0)],
@@ -194,13 +172,13 @@ def test_builders_refuse_bad_arguments(call, message):
 
 def test_non_integral_genus():
     # two pants joined by two curves and two odd boundary legs: 2 - 4 + 2 odd
-    g = _graph(
+    g = from_table(
         ["p0", "p1"],
         {"a": [("p0", 0), ("p1", 0)], "b": [("p0", 1), ("p1", 1)]},
         boundary=[("p0", 2), ("p1", 2)],
     )
     assert signature(g).genus == 1
-    bad = _graph(
+    bad = from_table(
         ["p0"],
         {"a": [("p0", 0), ("p0", 1)]},
         boundary=[("p0", 2)],
@@ -208,7 +186,7 @@ def test_non_integral_genus():
     assert signature(bad).genus == 1  # 2g = 2 - 1 + 1
     # a well-formed graph always has boundary + pants even, so parity
     # failures only arise from malformed slot bookkeeping
-    worse = _graph(["p0"], {"a": [("p0", 0), ("p0", 1)]})
+    worse = from_table(["p0"], {"a": [("p0", 0), ("p0", 1)]})
     with pytest.raises(NonIntegralGenus):
         signature(worse)
 
@@ -273,7 +251,7 @@ def test_validate_reports_a_curve_with_no_ends():
 
 
 def test_validate_reports_a_curve_id_that_is_not_a_string():
-    g = _graph(["p0"], {7: [("p0", 0), ("p0", 1)]}, boundary=[("p0", 2)])
+    g = from_table(["p0"], {7: [("p0", 0), ("p0", 1)]}, boundary=[("p0", 2)])
     assert validate(g) == (Violation("InvalidId", "curve id 7 is not a string"),)
 
 
@@ -299,26 +277,6 @@ def test_json_roundtrip():
         doc["curves"] = [{**c, "ends": list(map(tuple, c["ends"]))} for c in doc["curves"]]
         doc["boundary"] = list(map(tuple, doc["boundary"]))
         assert surface_from_json(doc) == g
-
-
-def _message(parse, text):
-    """The message of the error ``parse(text)`` raises."""
-    try:
-        parse(text)
-    except (ValueError, RecursionError) as exc:
-        return str(exc)
-
-
-# text -> what follows "not JSON: " in the FormatError loads_surface raises
-# on it: bad syntax, arrays nested past the parser's limit, and an integer
-# with more digits than Python converts (in Python's own words)
-NOT_JSON = {
-    "{not json": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
-    "[" * 200_000: (
-        "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
-    ),
-    '{"pants": [' + "1" * 5001 + "]}": _message(int, "1" * 5001),
-}
 
 
 def test_json_rejects_garbage():
@@ -465,7 +423,7 @@ def test_validate_messages_are_pinned():
         # only a curve with three ends reaches p2, and it joins no pants
         Violation("ConnectivityError", "pants graph splits into parts of sizes [1, 3]"),
     )
-    apart = _graph(
+    apart = from_table(
         ["p0", "p1"],
         {"a": [("p0", 0), ("p0", 1)], "b": [("p1", 0), ("p1", 1)]},
         boundary=[("p0", 2), ("p1", 2)],
@@ -532,8 +490,8 @@ def test_dumps_ends_with_newline():
 
 
 def test_gluing_graph_normalizes_order():
-    g1 = _graph(["b", "a"], {"x": [("b", 0), ("a", 0)]}, boundary=[("a", 1), ("a", 2), ("b", 2), ("b", 1)])
-    g2 = _graph(["a", "b"], {"x": [("a", 0), ("b", 0)]}, boundary=[("b", 1), ("b", 2), ("a", 1), ("a", 2)])
+    g1 = from_table(["b", "a"], {"x": [("b", 0), ("a", 0)]}, boundary=[("a", 1), ("a", 2), ("b", 2), ("b", 1)])
+    g2 = from_table(["a", "b"], {"x": [("a", 0), ("b", 0)]}, boundary=[("b", 1), ("b", 2), ("a", 1), ("a", 2)])
     assert g1 == g2
     assert g1.pants == ("a", "b")
 
@@ -551,59 +509,16 @@ def test_finite_surfaces_validate(genus, boundary):
     assert (sig.genus, sig.boundary) == (genus, boundary)
 
 
-# the model truncations and the census graphs the mutations start from
-_BASES = [build_truncation(m, d) for m in InfiniteModel for d in (1, 2, 3)] + [
-    build_finite_surface(g, b) for g in range(3) for b in range(5) if 3 * g - 3 + b >= 1
-]
-_MUTATIONS = (
-    "drop pants", "drop curve", "repeat pants", "repeat curve id", "no ends", "three ends",
-    "unknown pants", "slot 3", ":", ",",
-)
-
-
-def _mutated(g, mutations):
-    """``g`` with each (kind, i, j) of ``mutations`` applied in turn: ``i``
-    picks the pants and the curve changed, ``j`` a second curve or a place
-    in the curve's id."""
-    pants, curves = list(g.pants), list(g.curves)
-    for kind, i, j in mutations:
-        if not pants or not curves:
-            break
-        p, k = i % len(pants), i % len(curves)
-        c = curves[k]
-        if kind == "drop pants":
-            del pants[p]
-        elif kind == "drop curve":
-            del curves[k]
-        elif kind == "repeat pants":
-            pants.append(pants[p])
-        elif kind == "repeat curve id":
-            other = j % len(curves)
-            curves[other] = Curve(c.id, curves[other].ends)
-        elif kind == "no ends":
-            curves[k] = Curve(c.id, ())
-        elif kind == "three ends":
-            curves[k] = Curve(c.id, (c.ends * 3)[:3])
-        elif kind == "unknown pants":
-            curves[k] = Curve(c.id, (PantsSlot("nope", 0),) + c.ends[1:])
-        elif kind == "slot 3":
-            curves[k] = Curve(c.id, (PantsSlot(pants[p], 3),) + c.ends[1:])
-        else:
-            at = j % (len(c.id) + 1)
-            curves[k] = Curve(c.id[:at] + kind + c.id[at:], c.ends)
-    return GluingGraph(pants, curves, g.boundary)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(_BASES),
+    st.sampled_from(BASES),
     st.lists(
-        st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 200), st.integers(0, 200)),
+        st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 200), st.integers(0, 200)),
         max_size=3,
     ),
 )
 def test_validate_never_raises_and_valid_inventories_read_back(base, mutations):
-    g = _mutated(base, mutations)
+    g = mutated(base, mutations)
     violations = validate(g)
     assert type(violations) is tuple
     if not violations:
